@@ -28,10 +28,9 @@ from .lebesgue import (LebesgueDecomposition, ParallelSumLimit,
                        is_mutually_singular, lebesgue_decompose,
                        parallel_sum, parallel_sum_expressions,
                        parallel_sum_limit, solvable_subspace_projection)
-from .linalg import (PsdMatrix, SpectralDecomposition, eig_hermitian,
-                     hermitian_norm, hermitian_part, hermitize, kron,
-                     pinv_sqrt, polar_isometry, psd_sqrt, support_projection,
-                     validate_psd)
+from .linalg import (SpectralDecomposition, eig_hermitian, hermitian_norm,
+                     hermitian_part, hermitize, kron, polar_isometry, psd_sqrt,
+                     support_projection, validate_psd)
 from .means import (TensorCheck, entropy_pairing, power_pairing,
                     tensor_pairing_check, trace_functional,
                     weighted_geometric_mean)
@@ -43,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL", "DominationError", "ExtendedValueError", "InputError",
     "LebesgueDecomposition", "NotPsdError", "NumericError", "PairingResult",
-    "ParallelSumLimit", "PsdMatrix", "PwCalcError", "PwFunction", "PwRep",
+    "ParallelSumLimit", "PwCalcError", "PwFunction", "PwRep",
     "RnFactorization", "SequenceResult", "SingularityCheck",
     "SpectralDecomposition", "SpectrumSplit", "TensorCheck",
     "ToleranceConfig", "abs_cont_part", "abs_continuity_projection",
@@ -52,7 +51,7 @@ __all__ = [
     "hermitian_part", "hermitize", "is_abs_continuous",
     "is_mutually_singular", "kron", "kubo_ando_form", "lebesgue_decompose",
     "left", "named_function", "parallel", "parallel_sum",
-    "parallel_sum_expressions", "parallel_sum_limit", "pinv_sqrt",
+    "parallel_sum_expressions", "parallel_sum_limit",
     "polar_isometry", "power", "power_pairing", "psd_sqrt", "pw_eval",
     "pw_pairing", "right", "rn_cutoff", "rn_factor", "rn_quadratic_form",
     "scaled_parallel", "solvable_subspace_projection", "support_projection",

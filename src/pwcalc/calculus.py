@@ -27,11 +27,25 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DominationError, ExtendedValueError, InputError, NumericError
 from .functions import PwFunction
 from .linalg import (SpectralDecomposition, eig_hermitian, frobenius, hermitian_part,
-                     hermitize, polar_isometry, psd_sqrt, validate_psd)
+                     hermitize, psd_sqrt, validate_psd)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
 _SPECTRUM_SLACK = 1e-9
+
+
+def zero_split(x: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, int, float]:
+    """Classify eigenvalues at 0: ``(zero_mask, near, margin)``.
+
+    ``zero_mask`` marks ``x <= zero_tol``; ``near`` counts the retained
+    eigenvalues at or below ``10 * zero_tol`` and ``margin`` is the
+    smallest retained distance above ``zero_tol`` (+inf if none).
+    """
+    zero = x <= tol.zero_tol
+    kept = x[~zero]
+    near = int((kept <= 10.0 * tol.zero_tol).sum())
+    margin = float(kept.min() - tol.zero_tol) if kept.size else math.inf
+    return zero, near, margin
 
 
 @dataclass(frozen=True)
@@ -97,8 +111,6 @@ class PwRep:
         as ``I - gram_a`` exactly (symmetrized), so the structural
         identity holds by construction; ``contr_b* contr_b`` is kept only
         as a cross-check quantity.
-    iso_a, iso_b : (n, rank) ndarray
-        Polar partial isometries of the contractions.
     gram_a_spec : SpectralDecomposition
         Spectral decomposition of ``gram_a``; its spectrum lies in [0, 1]
         up to rounding.
@@ -115,8 +127,6 @@ class PwRep:
     contr_b: np.ndarray
     gram_a: np.ndarray
     gram_b: np.ndarray
-    iso_a: np.ndarray
-    iso_b: np.ndarray
     gram_a_spec: SpectralDecomposition
     a: np.ndarray
     b: np.ndarray
@@ -127,7 +137,7 @@ class PwRep:
     def classify(self) -> SpectrumSplit:
         """Split the spectrum of ``gram_a`` at the 0 and 1 thresholds."""
         x = self.gram_a_spec.eigenvalues
-        zero = x <= self.tol.zero_tol
+        zero, near_zero, _ = zero_split(x, self.tol)
         one = x >= 1.0 - self.tol.one_tol
         retained = ~(zero | one)
         if retained.any():
@@ -136,8 +146,6 @@ class PwRep:
                                       (1.0 - self.tol.one_tol) - xr).min())
         else:
             margin = math.inf
-        near_zero = int(((x > self.tol.zero_tol)
-                         & (x <= 10.0 * self.tol.zero_tol)).sum())
         return SpectrumSplit(zero, one, retained, margin, near_zero)
 
     def from_support(self, m) -> np.ndarray:
@@ -319,11 +327,9 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
     if resid_a > limit_a or resid_b > limit_b:
         raise NumericError(
             f"representation residuals too large: {resid_a:.3e}, {resid_b:.3e}")
-    iso_a = polar_isometry(contr_a, tol)
-    iso_b = polar_isometry(contr_b, tol)
     return PwRep(n=n, rank=rank, basis=q, sum_eigs=lam, coord_map=coord_map,
                  contr_a=contr_a, contr_b=contr_b, gram_a=gram_a,
-                 gram_b=gram_b, iso_a=iso_a, iso_b=iso_b, gram_a_spec=spec,
+                 gram_b=gram_b, gram_a_spec=spec,
                  a=av, b=bv, a_half=a_half, b_half=b_half, tol=tol)
 
 

@@ -3,7 +3,8 @@
 Every subcommand reads JSON matrix files, runs one library operation and
 prints a deterministic JSON report to standard output (optionally also
 to ``--out``). The report is emitted on errors too, with ``status`` set
-and the message in the diagnostics.
+and the message in the diagnostics; only usage errors (unknown
+subcommand, missing or unexpected flag) exit 2 without a report.
 
 Exit codes: 0 success, 1 internal failure, 2 invalid input (parsing,
 validation, preconditions), 3 numeric failure (eigensolver, matrices
@@ -39,9 +40,20 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_EXTENDED = 4
 
-SUBCOMMANDS = ("rep", "eval", "lebesgue", "psum", "psum-limit", "singular",
-               "abscont", "rn", "kubo", "pair", "trace", "tensor-check",
-               "form-p")
+# flag -> (help, type); COMMANDS says which subcommands take it
+_FLAGS = {
+    "a": ("first matrix file", str),
+    "b": ("second matrix file", str),
+    "rho": ("state matrix file", str),
+    "xi": ("vector file", str),
+    "phi": ("profile name, NAME or NAME:PARAM", str),
+    "alpha": ("profile parameter", float),
+    "a2": ("second-slot first matrix", str),
+    "b2": ("second-slot second matrix", str),
+    "rho2": ("second-slot state", str),
+}
+# report key order of the input files
+_FILE_FLAGS = ("a", "b", "rho", "xi", "a2", "b2", "rho2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,22 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Functional calculus and Lebesgue decomposition for "
                     "pairs of positive semidefinite matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, required, optional) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--a", required=True, help="first matrix file")
-        p.add_argument("--b", required=True, help="second matrix file")
-        p.add_argument("--rho", help="state matrix file")
-        p.add_argument("--xi", help="vector file")
-        p.add_argument("--phi", help="profile name, NAME or NAME:PARAM")
-        p.add_argument("--alpha", type=float, help="profile parameter")
+        for flag in ("a", "b", *required, *optional):
+            help_text, kind = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=help_text,
+                           required=flag not in optional)
         p.add_argument("--tol-zero", type=float, dest="tol_zero")
         p.add_argument("--tol-one", type=float, dest="tol_one")
         p.add_argument("--max-doublings", type=int, dest="max_doublings")
         p.add_argument("--out", help="also write the report to this file")
-        if name == "tensor-check":
-            p.add_argument("--a2", required=True, help="second-slot first matrix")
-            p.add_argument("--b2", required=True, help="second-slot second matrix")
-            p.add_argument("--rho2", required=True, help="second-slot state")
     return parser
 
 
@@ -106,25 +112,6 @@ def _scalar(x: float):
     return INF_SENTINEL if math.isinf(x) else float(x)
 
 
-def _required(args, flag: str):
-    value = getattr(args, flag.replace("-", "_"))
-    if value is None:
-        raise InputError(f"subcommand {args.command!r} requires --{flag}")
-    return value
-
-
-def _input_files(args) -> dict:
-    files = {"a": args.a, "b": args.b}
-    if getattr(args, "rho", None):
-        files["rho"] = args.rho
-    if getattr(args, "xi", None):
-        files["xi"] = args.xi
-    for extra in ("a2", "b2", "rho2"):
-        if getattr(args, extra, None):
-            files[extra] = getattr(args, extra)
-    return files
-
-
 def _margin_diagnostics(rep) -> dict:
     split = rep.classify()
     return {
@@ -152,7 +139,7 @@ def _cmd_rep(args, tol, warnings):
 
 
 def _cmd_eval(args, tol, warnings):
-    fn = named_function(_required(args, "phi"), args.alpha)
+    fn = named_function(args.phi, args.alpha)
     rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
     value = rep.eval(fn)
     return {"value": matrix_payload(value)}, _margin_diagnostics(rep)
@@ -242,15 +229,15 @@ def _cmd_rn(args, tol, warnings):
 
 
 def _cmd_kubo(args, tol, warnings):
-    fn = named_function(_required(args, "phi"), args.alpha)
+    fn = named_function(args.phi, args.alpha)
     res = rn.kubo_ando_form(load_matrix(args.a), load_matrix(args.b), fn, tol)
     return _rn_outputs(res)
 
 
 def _cmd_pair(args, tol, warnings):
-    fn = named_function(_required(args, "phi"), args.alpha)
+    fn = named_function(args.phi, args.alpha)
     rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
-    res = rep.pairing(fn, load_matrix(_required(args, "rho")))
+    res = rep.pairing(fn, load_matrix(args.rho))
     outputs = {
         "value": _scalar(res.value),
         "finite_part": res.finite_part,
@@ -260,18 +247,18 @@ def _cmd_pair(args, tol, warnings):
 
 
 def _cmd_trace(args, tol, warnings):
-    fn = named_function(_required(args, "phi"), args.alpha)
+    fn = named_function(args.phi, args.alpha)
     value = means.trace_functional(load_matrix(args.a), load_matrix(args.b),
                                    fn, tol)
     return {"value": _scalar(value)}, {}
 
 
 def _cmd_tensor_check(args, tol, warnings):
-    fn = named_function(_required(args, "phi"), args.alpha)
+    fn = named_function(args.phi, args.alpha)
     res = means.tensor_pairing_check(
         load_matrix(args.a), load_matrix(args.b),
         load_matrix(args.a2), load_matrix(args.b2),
-        load_matrix(_required(args, "rho")), load_matrix(args.rho2), fn, tol)
+        load_matrix(args.rho), load_matrix(args.rho2), fn, tol)
     if not res.infinity_consistent:
         warnings.append("one side of the tensor identity is +inf and the "
                         "other is finite")
@@ -286,30 +273,35 @@ def _cmd_tensor_check(args, tol, warnings):
 
 def _cmd_form_p(args, tol, warnings):
     value = rn.rn_quadratic_form(load_matrix(args.a), load_matrix(args.b),
-                                 load_vector(_required(args, "xi")), tol)
+                                 load_vector(args.xi), tol)
     return {"value": _scalar(value)}, {}
 
 
-_HANDLERS = {
-    "rep": _cmd_rep,
-    "eval": _cmd_eval,
-    "lebesgue": _cmd_lebesgue,
-    "psum": _cmd_psum,
-    "psum-limit": _cmd_psum_limit,
-    "singular": _cmd_singular,
-    "abscont": _cmd_abscont,
-    "rn": _cmd_rn,
-    "kubo": _cmd_kubo,
-    "pair": _cmd_pair,
-    "trace": _cmd_trace,
-    "tensor-check": _cmd_tensor_check,
-    "form-p": _cmd_form_p,
+# subcommand -> (handler, required flags besides --a/--b, optional flags)
+COMMANDS = {
+    "rep": (_cmd_rep, (), ()),
+    "eval": (_cmd_eval, ("phi",), ("alpha",)),
+    "lebesgue": (_cmd_lebesgue, (), ()),
+    "psum": (_cmd_psum, (), ()),
+    "psum-limit": (_cmd_psum_limit, (), ()),
+    "singular": (_cmd_singular, (), ()),
+    "abscont": (_cmd_abscont, (), ()),
+    "rn": (_cmd_rn, (), ()),
+    "kubo": (_cmd_kubo, ("phi",), ("alpha",)),
+    "pair": (_cmd_pair, ("phi", "rho"), ("alpha",)),
+    "trace": (_cmd_trace, ("phi",), ("alpha",)),
+    "tensor-check": (_cmd_tensor_check, ("phi", "rho", "a2", "b2", "rho2"),
+                     ("alpha",)),
+    "form-p": (_cmd_form_p, ("xi",), ()),
 }
 
 
-def _hash_inputs(files: dict) -> dict:
+def _hash_inputs(args) -> dict:
     inputs = {}
-    for key, path in files.items():
+    for key in _FILE_FLAGS:
+        path = getattr(args, key, None)
+        if not path:
+            continue
         try:
             digest = sha256_file(path)
         except OSError:
@@ -340,7 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = {
         "operation": args.command,
-        "inputs": _hash_inputs(_input_files(args)),
+        "inputs": _hash_inputs(args),
         "config": None,
         "outputs": {},
         "diagnostics": {"warnings": []},
@@ -350,7 +342,7 @@ def main(argv=None) -> int:
     try:
         tol = _tolerances(args)
         report["config"] = _config_payload(tol)
-        outputs, diagnostics = _HANDLERS[args.command](args, tol, warnings)
+        outputs, diagnostics = COMMANDS[args.command][0](args, tol, warnings)
         report["outputs"] = outputs
         report["diagnostics"] = {"warnings": list(warnings), **diagnostics}
         report["status"] = "warning" if warnings else "ok"

@@ -10,12 +10,11 @@ The same split drives the parallel-sum limit characterization, and both
 routes are exposed here so they can check each other.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PwRep, build_rep
+from .calculus import PwRep, build_rep, zero_split
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import abs_part, parallel, scaled_parallel
@@ -63,14 +62,6 @@ class ParallelSumLimit:
     doublings: int
 
 
-def _zero_margin(rep: PwRep) -> tuple[float, int]:
-    x = rep.gram_a_spec.eigenvalues
-    retained = x > rep.tol.zero_tol
-    margin = float((x[retained] - rep.tol.zero_tol).min()) if retained.any() else math.inf
-    near = int(((x > rep.tol.zero_tol) & (x <= 10.0 * rep.tol.zero_tol)).sum())
-    return margin, near
-
-
 def abs_cont_part(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Maximal part of ``b`` absolutely continuous with respect to ``a``."""
     return build_rep(a, b, tol).eval(abs_part())
@@ -102,12 +93,10 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
     than hidden by computing one part as a difference.
     """
     rep = build_rep(a, b, tol)
-    split = rep.classify()
-    vals = abs_part().values(rep.gram_a_spec.eigenvalues, split.zero, split.one)
-    bc = rep.from_support(rep.gram_a_spec.apply(vals))
+    bc = rep.eval(abs_part())
     bs = _singular_part_from_rep(rep)
     proj = _projection_from_rep(rep)
-    margin, near = _zero_margin(rep)
+    zero, near, margin = zero_split(rep.gram_a_spec.eigenvalues, tol)
     warnings = []
     if near:
         warnings.append(
@@ -117,7 +106,7 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
     residual = hermitian_norm(rep.b - bc - bs)
     return LebesgueDecomposition(
         abs_part=bc, sing_part=bs, projection=proj, rank=rep.rank,
-        num_zero_eigs=int(split.zero.sum()), spectral_margin=margin,
+        num_zero_eigs=int(zero.sum()), spectral_margin=margin,
         residual_sum=residual, warnings=tuple(warnings))
 
 

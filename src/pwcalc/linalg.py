@@ -1,10 +1,10 @@
 """Dense Hermitian linear-algebra kernel.
 
 Deterministic primitives for complex Hermitian and positive semidefinite
-matrices: a cyclic two-sided Jacobi eigensolver, spectral square roots
-and pseudo-inverses, support projections, polar isometries and Kronecker
-products. Everything operates on plain ``numpy`` arrays in ``complex128``
-and is a pure function of its inputs, so concurrent use is safe.
+matrices: a cyclic two-sided Jacobi eigensolver, PSD validation, square
+roots, support projections, polar isometries and Kronecker products.
+Everything operates on plain ``numpy`` arrays in ``complex128`` and is
+a pure function of its inputs, so concurrent use is safe.
 
 The Jacobi solver is used instead of a LAPACK driver because it is
 bit-deterministic for identical input bits and resolves small
@@ -141,6 +141,23 @@ def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositio
     return SpectralDecomposition(vals, vecs)
 
 
+def _psd_eig(a, tol: ToleranceConfig,
+             scale: float = 0.0) -> SpectralDecomposition | None:
+    """Diagonalize ``a``, raising below ``-psd_tol * max(norm, scale)``;
+    ``None`` for the empty matrix."""
+    dec = eig_hermitian(a, tol)
+    w = dec.eigenvalues
+    if w.size == 0:
+        return None
+    norm = max(abs(float(w[0])), abs(float(w[-1])))
+    floor = tol.psd_tol * max(norm, scale)
+    if float(w[0]) < -floor:
+        raise NotPsdError(
+            f"matrix is not positive semidefinite: eigenvalue {float(w[0]):.6e} "
+            f"below -psd_tol*scale = {-floor:.6e}")
+    return dec
+
+
 def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL,
                  scale: float = 0.0) -> tuple[np.ndarray, float]:
     """Validate positive semidefiniteness and clamp rounding-level negatives.
@@ -156,17 +173,11 @@ def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL,
         The clamped Hermitian PSD matrix and the smallest eigenvalue seen
         during validation.
     """
-    dec = eig_hermitian(a, tol)
-    w = dec.eigenvalues
-    if w.size == 0:
+    dec = _psd_eig(a, tol, scale)
+    if dec is None:
         return np.zeros((0, 0), dtype=np.complex128), 0.0
-    norm = max(abs(float(w[0])), abs(float(w[-1])))
-    floor = tol.psd_tol * max(norm, scale)
+    w = dec.eigenvalues
     smallest = float(w[0])
-    if smallest < -floor:
-        raise NotPsdError(
-            f"matrix is not positive semidefinite: eigenvalue {smallest:.6e} "
-            f"below -psd_tol*scale = {-floor:.6e}")
     if smallest < 0.0:
         m = hermitize(dec.apply(np.maximum(w, 0.0)))
     else:
@@ -174,73 +185,20 @@ def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL,
     return m, smallest
 
 
-@dataclass(frozen=True)
-class PsdMatrix:
-    """A validated positive semidefinite matrix.
-
-    ``mat`` holds the clamped Hermitian array and ``min_eig`` the smallest
-    eigenvalue found at validation time (possibly slightly negative, in
-    which case it was clamped).
-    """
-
-    mat: np.ndarray
-    min_eig: float
-
-    @classmethod
-    def validate(cls, a, tol: ToleranceConfig = DEFAULT_TOL,
-                 scale: float = 0.0) -> "PsdMatrix":
-        mat, min_eig = validate_psd(a, tol, scale)
-        return cls(mat, min_eig)
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-
 def psd_sqrt(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix."""
-    dec = eig_hermitian(a, tol)
-    w = dec.eigenvalues
-    if w.size == 0:
+    dec = _psd_eig(a, tol)
+    if dec is None:
         return np.zeros((0, 0), dtype=np.complex128)
-    norm = max(abs(float(w[0])), abs(float(w[-1])))
-    if w.size and float(w[0]) < -tol.psd_tol * norm:
-        raise NotPsdError(
-            f"cannot take PSD square root: eigenvalue {float(w[0]):.6e} "
-            f"below -psd_tol*norm = {-tol.psd_tol * norm:.6e}")
-    return hermitize(dec.apply(np.sqrt(np.maximum(w, 0.0))))
-
-
-def pinv_sqrt(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of the PSD square root.
-
-    Eigenvalues at or below the support threshold are inverted to zero
-    instead of blowing up.
-    """
-    dec = eig_hermitian(a, tol)
-    w = dec.eigenvalues
-    if w.size == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    norm = max(abs(float(w[0])), abs(float(w[-1])))
-    if float(w[0]) < -tol.psd_tol * norm:
-        raise NotPsdError(
-            f"cannot invert non-PSD matrix: eigenvalue {float(w[0]):.6e}")
-    th = tol.support_threshold(w.size, float(w[-1]))
-    inv = np.where(w > th, 1.0 / np.sqrt(np.maximum(w, th)), 0.0)
-    return hermitize(dec.apply(inv))
+    return hermitize(dec.apply(np.sqrt(np.maximum(dec.eigenvalues, 0.0))))
 
 
 def support_projection(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projection onto the range of a PSD matrix."""
-    dec = eig_hermitian(a, tol)
-    w = dec.eigenvalues
-    if w.size == 0:
+    dec = _psd_eig(a, tol)
+    if dec is None:
         return np.zeros((0, 0), dtype=np.complex128)
-    norm = max(abs(float(w[0])), abs(float(w[-1])))
-    if float(w[0]) < -tol.psd_tol * norm:
-        raise NotPsdError(
-            f"support projection requires a PSD matrix: eigenvalue "
-            f"{float(w[0]):.6e}")
+    w = dec.eigenvalues
     th = tol.support_threshold(w.size, float(w[-1]))
     return hermitize(dec.apply(np.where(w > th, 1.0, 0.0)))
 

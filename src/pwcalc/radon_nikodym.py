@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PwRep, build_rep
+from .calculus import PwRep, build_rep, zero_split
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
 from .functions import PwFunction, abs_part
-from .linalg import (SpectralDecomposition, eig_hermitian, hermitian_norm,
-                     hermitize, psd_sqrt)
+from .linalg import eig_hermitian, hermitian_norm, hermitize, psd_sqrt
 
 
 @dataclass(frozen=True)
@@ -48,35 +47,34 @@ class RnFactorization:
     margin: float
 
 
-def _require_definite(rep: PwRep, tol: ToleranceConfig) -> None:
-    dec = eig_hermitian(rep.a, tol)
+def _require_definite(rep: PwRep) -> None:
+    dec = eig_hermitian(rep.a, rep.tol)
     smallest = float(dec.eigenvalues[0]) if rep.n else 0.0
-    th = tol.support_threshold(rep.n, float(dec.eigenvalues[-1]) if rep.n else 0.0)
+    th = rep.tol.support_threshold(rep.n, float(dec.eigenvalues[-1]) if rep.n else 0.0)
     if smallest <= th or rep.rank != rep.n:
         raise InputError(
             f"base matrix must be positive definite: smallest eigenvalue "
             f"{smallest:.3e} at support threshold {th:.3e}")
 
 
-def _outer_gram_spec(rep: PwRep) -> SpectralDecomposition:
-    return eig_hermitian(hermitize(rep.contr_a @ rep.contr_a.conj().T), rep.tol)
+def _ratio(rep: PwRep, fn: PwFunction):
+    """Ratio ``fn(x)/x`` on the outer Gram ``dec`` of the first contraction.
 
-
-def _classify_ratio(w: np.ndarray, tol: ToleranceConfig):
-    suppressed = w <= tol.zero_tol
-    near = int(((w > tol.zero_tol) & (w <= 10.0 * tol.zero_tol)).sum())
-    retained = w > tol.zero_tol
-    margin = float((w[retained] - tol.zero_tol).min()) if retained.any() else math.inf
-    return suppressed, near, margin
-
-
-def _ratio_values(w: np.ndarray, suppressed: np.ndarray,
-                  tol: ToleranceConfig) -> np.ndarray:
-    # endpoint classification matches the direct evaluation route, so the
-    # two sides of the reconstruction identity kill the same directions
-    ones = w >= 1.0 - tol.one_tol
-    return np.where(suppressed | ones, 0.0,
-                    np.maximum(1.0 - w, 0.0) / np.maximum(w, tol.zero_tol))
+    Returns ``(dec, hvals, suppressed, near, margin)``. Endpoints are
+    classified as in the direct evaluation route, so both sides of the
+    reconstruction identity kill the same directions.
+    """
+    tol = rep.tol
+    dec = eig_hermitian(hermitize(rep.contr_a @ rep.contr_a.conj().T), tol)
+    w = dec.eigenvalues
+    suppressed, near, margin = zero_split(w, tol)
+    fvals = fn.values(w, suppressed, w >= 1.0 - tol.one_tol)
+    if (fvals < 0.0).any():
+        raise InputError(
+            f"profile {fn.name!r} is negative on the spectrum; the "
+            f"congruence form requires a nonnegative profile")
+    hvals = np.where(suppressed, 0.0, fvals / np.maximum(w, tol.zero_tol))
+    return dec, hvals, suppressed, near, margin
 
 
 def rn_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RnFactorization:
@@ -86,6 +84,7 @@ def rn_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RnFactorization:
     outer Gram, zero on classified directions), the root
     ``Z = H^(1/2) a^(1/2)`` and the reconstruction ``Z* Z``, which
     matches ``abs_cont_part(a, b)`` up to a condition-scaled residual.
+    This is :func:`kubo_ando_form` with the :func:`abs_part` profile.
 
     Raises
     ------
@@ -93,25 +92,7 @@ def rn_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RnFactorization:
         If ``a`` is singular at the support threshold. Near-singular
         spectra only warn through the ``near_singular`` count.
     """
-    rep = build_rep(a, b, tol)
-    _require_definite(rep, tol)
-    dec = _outer_gram_spec(rep)
-    w = dec.eigenvalues
-    suppressed, near, margin = _classify_ratio(w, tol)
-    hvals = _ratio_values(w, suppressed, tol)
-    factor = hermitize(dec.apply(hvals))
-    root = psd_sqrt(factor, tol) @ rep.a_half
-    value = hermitize(root.conj().T @ root)
-    split = rep.classify()
-    target = rep.from_support(rep.gram_a_spec.apply(
-        abs_part().values(rep.gram_a_spec.eigenvalues, split.zero, split.one)))
-    scale = max(hermitian_norm(target), 1e-300)
-    residual = hermitian_norm(value - target) / scale
-    condition = float(hvals.max()) if hvals.size else 0.0
-    return RnFactorization(factor=factor, root=root, value=value,
-                           residual=residual, condition=condition,
-                           infinite_directions=int(suppressed.sum()),
-                           near_singular=near, margin=margin)
+    return kubo_ando_form(a, b, abs_part(), tol)
 
 
 def kubo_ando_form(a, b, fn: PwFunction,
@@ -131,17 +112,8 @@ def kubo_ando_form(a, b, fn: PwFunction,
             f"profile {fn.name!r} is unbounded; the congruence form "
             f"requires a bounded profile")
     rep = build_rep(a, b, tol)
-    _require_definite(rep, tol)
-    dec = _outer_gram_spec(rep)
-    w = dec.eigenvalues
-    suppressed, near, margin = _classify_ratio(w, tol)
-    one_mask = w >= 1.0 - tol.one_tol
-    fvals = fn.values(w, suppressed, one_mask)
-    if (fvals < 0.0).any():
-        raise InputError(
-            f"profile {fn.name!r} is negative on the spectrum; the "
-            f"congruence form requires a nonnegative profile")
-    hvals = np.where(suppressed, 0.0, fvals / np.maximum(w, tol.zero_tol))
+    _require_definite(rep)
+    dec, hvals, suppressed, near, margin = _ratio(rep, fn)
     factor = hermitize(dec.apply(hvals))
     root = psd_sqrt(factor, tol) @ rep.a_half
     value = hermitize(root.conj().T @ root)
@@ -165,14 +137,11 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     interface uniformity with the pairings.
     """
     rep = build_rep(a, b, tol)
-    _require_definite(rep, tol)
+    _require_definite(rep)
     vec = np.asarray(xi, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != rep.n:
         raise InputError(
             f"vector length {vec.shape[0]} does not match dimension {rep.n}")
-    dec = _outer_gram_spec(rep)
-    w = dec.eigenvalues
-    suppressed, _, _ = _classify_ratio(w, tol)
-    hvals = _ratio_values(w, suppressed, tol)
+    dec, hvals, _, _, _ = _ratio(rep, abs_part())
     coords = np.abs(dec.basis.conj().T @ vec) ** 2
     return float((hvals * coords).sum())

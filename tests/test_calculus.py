@@ -7,8 +7,9 @@ import pytest
 
 from pwcalc import (DominationError, ExtendedValueError, InputError,
                     PwFunction, abs_part, arithmetic, build_rep, entropy,
-                    eval_sequence, geometric, left, parallel, power, pw_eval,
-                    pw_pairing, right, rn_cutoff, scaled_parallel)
+                    eval_sequence, geometric, left, parallel, polar_isometry,
+                    power, pw_eval, pw_pairing, right, rn_cutoff,
+                    scaled_parallel)
 
 from conftest import (dominated_matrix, geometric_mean_oracle, np_sqrtm,
                       rand_complex, rand_pair, rand_psd, rand_state,
@@ -220,16 +221,18 @@ class TestStructuralLemmas:
             lhs = matrix_poly(coeffs, yy)
             f0 = float(np.polyval(coeffs, 0.0))
             inner = matrix_poly(coeffs, rep.gram_b)
-            vv = rep.iso_b @ rep.iso_b.conj().T
-            rhs = f0 * (np.eye(rep.n) - vv) + rep.iso_b @ inner @ rep.iso_b.conj().T
+            iso_b = polar_isometry(rep.contr_b, rep.tol)
+            vv = iso_b @ iso_b.conj().T
+            rhs = f0 * (np.eye(rep.n) - vv) + iso_b @ inner @ iso_b.conj().T
             assert np.abs(lhs - rhs).max() < 1e-8
 
             # mirrored version with the first contraction
             xx = rep.contr_a @ rep.contr_a.conj().T
             lhs_a = matrix_poly(coeffs, xx)
             inner_a = matrix_poly(coeffs, rep.gram_a)
-            uu = rep.iso_a @ rep.iso_a.conj().T
-            rhs_a = f0 * (np.eye(rep.n) - uu) + rep.iso_a @ inner_a @ rep.iso_a.conj().T
+            iso_a = polar_isometry(rep.contr_a, rep.tol)
+            uu = iso_a @ iso_a.conj().T
+            rhs_a = f0 * (np.eye(rep.n) - uu) + iso_a @ inner_a @ iso_a.conj().T
             assert np.abs(lhs_a - rhs_a).max() < 1e-8
 
     def test_second_slot_weighted_profile(self, rng):
@@ -246,7 +249,8 @@ class TestStructuralLemmas:
                             vanishes_at_zero=False)
             lhs = rep.eval(fn)
             inner = matrix_poly(coeffs, rep.gram_b)
-            rhs = rep.b_half @ rep.iso_b @ inner @ rep.iso_b.conj().T @ rep.b_half
+            iso_b = polar_isometry(rep.contr_b, rep.tol)
+            rhs = rep.b_half @ iso_b @ inner @ iso_b.conj().T @ rep.b_half
             assert np.abs(lhs - rhs).max() < 1e-8
 
 

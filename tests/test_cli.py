@@ -63,10 +63,20 @@ def test_golden_reports(name):
     assert proc.stdout == golden
 
 
+def run_report(argv, code=0, **kwargs):
+    """Run the CLI, check its exit code and return the parsed report."""
+    proc = run_cli(argv, **kwargs)
+    assert proc.returncode == code, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
 def test_byte_identical_rerun():
-    first = run_cli(GOLDEN_CASES["lebesgue"]).stdout
-    second = run_cli(GOLDEN_CASES["lebesgue"]).stdout
-    assert first == second
+    first = run_cli(GOLDEN_CASES["lebesgue"])
+    second = run_cli(GOLDEN_CASES["lebesgue"])
+    for proc in (first, second):
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout
+    assert first.stdout == second.stdout
 
 
 class TestHandValues:
@@ -79,15 +89,12 @@ class TestHandValues:
         assert rep["status"] == "ok"
 
     def test_ando_singular_via_cli(self):
-        proc = run_cli(["singular", "--a", "ando_a.json", "--b", "ando_b.json"])
-        assert proc.returncode == 0
-        rep = json.loads(proc.stdout)
+        rep = run_report(["singular", "--a", "ando_a.json", "--b", "ando_b.json"])
         assert rep["outputs"]["is_singular"] is True
         assert rep["outputs"]["distance"] < 1e-10
 
     def test_ando_lebesgue_via_cli(self):
-        proc = run_cli(["lebesgue", "--a", "ando_a.json", "--b", "ando_b.json"])
-        rep = json.loads(proc.stdout)
+        rep = run_report(["lebesgue", "--a", "ando_a.json", "--b", "ando_b.json"])
         proj = np.array(rep["outputs"]["projection"]["re"])
         np.testing.assert_allclose(proj, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-10)
         assert np.abs(np.array(rep["outputs"]["abs_part"]["re"])).max() < 1e-10
@@ -101,35 +108,48 @@ class TestHandValues:
 
 class TestExitCodes:
     def test_ok(self):
-        assert run_cli(["psum", "--a", "a3.json", "--b", "b3.json"]).returncode == 0
+        run_report(["psum", "--a", "a3.json", "--b", "b3.json"])
 
     def test_invalid_input_parse(self):
-        proc = run_cli(["psum", "--a", "bad_syntax.json", "--b", "b3.json"])
-        assert proc.returncode == 2
-        rep = json.loads(proc.stdout)
+        rep = run_report(["psum", "--a", "bad_syntax.json", "--b", "b3.json"], 2)
         assert rep["status"] == "error"
 
+    # input errors print an error report, which tells them apart from
+    # argparse usage errors with the same exit code
     def test_invalid_input_missing_file(self):
-        assert run_cli(["psum", "--a", "nope.json", "--b", "b3.json"]).returncode == 2
+        rep = run_report(["psum", "--a", "nope.json", "--b", "b3.json"], 2)
+        assert rep["status"] == "error"
 
     def test_invalid_input_non_hermitian(self):
-        assert run_cli(["psum", "--a", "bad_nonherm.json",
-                        "--b", "b3.json"]).returncode == 2
+        rep = run_report(["psum", "--a", "bad_nonherm.json", "--b", "b3.json"], 2)
+        assert rep["status"] == "error"
 
     def test_invalid_input_precondition(self):
         # derivative factorization needs a definite base
-        proc = run_cli(["rn", "--a", "b2sing.json", "--b", "a2pd.json"])
-        assert proc.returncode == 2
+        rep = run_report(["rn", "--a", "b2sing.json", "--b", "a2pd.json"], 2)
+        assert "positive definite" in rep["diagnostics"]["error"]
 
     def test_missing_required_flag(self):
         proc = run_cli(["pair", "--a", "a3.json", "--b", "b3.json",
                         "--phi", "parallel"])
         assert proc.returncode == 2  # --rho missing
+        assert proc.stdout == b""   # usage errors print no report
+
+    @pytest.mark.parametrize("argv", [
+        ["lebesgue", "--rho", "rho3.json"],
+        ["psum", "--phi", "parallel"],
+        ["rn", "--xi", "xi2.json"],
+        ["form-p", "--xi", "xi2.json", "--alpha", "0.5"],
+        ["pair", "--phi", "parallel", "--rho", "rho3.json", "--a2", "a3.json"],
+    ])
+    def test_flag_not_taken_is_usage_error(self, argv):
+        proc = run_cli([*argv, "--a", "a3.json", "--b", "b3.json"])
+        assert proc.returncode == 2
+        assert b"unrecognized arguments" in proc.stderr
+        assert proc.stdout == b""
 
     def test_numeric_failure_not_psd(self):
-        proc = run_cli(["psum", "--a", "bad_nonpsd.json", "--b", "b3.json"])
-        assert proc.returncode == 3
-        rep = json.loads(proc.stdout)
+        rep = run_report(["psum", "--a", "bad_nonpsd.json", "--b", "b3.json"], 3)
         assert "not positive semidefinite" in rep["diagnostics"]["error"]
 
     def test_extended_value(self):
@@ -138,9 +158,9 @@ class TestExitCodes:
         assert proc.returncode == 4
 
     def test_unknown_profile(self):
-        proc = run_cli(["eval", "--phi", "nope", "--a", "a3.json",
-                        "--b", "b3.json"])
-        assert proc.returncode == 2
+        rep = run_report(["eval", "--phi", "nope", "--a", "a3.json",
+                          "--b", "b3.json"], 2)
+        assert "unknown profile" in rep["diagnostics"]["error"]
 
     def test_unknown_subcommand_is_usage_error(self):
         proc = run_cli(["frobnicate", "--a", "a3.json", "--b", "b3.json"])
@@ -150,29 +170,26 @@ class TestExitCodes:
 class TestFlagsAndEnv:
     def test_env_overrides_default(self):
         # absurdly large zero threshold classifies everything as zero
-        proc = run_cli(["lebesgue", "--a", "a3.json", "--b", "b3.json"],
-                       env_extra={"PWCALC_TOL_ZERO": "0.5"})
-        rep = json.loads(proc.stdout)
+        rep = run_report(["lebesgue", "--a", "a3.json", "--b", "b3.json"],
+                     env_extra={"PWCALC_TOL_ZERO": "0.5"})
         assert rep["config"]["zero_tol"] == 0.5
         bc = np.array(rep["outputs"]["abs_part"]["re"])
         assert np.abs(bc).max() < 1e-12
 
     def test_flag_wins_over_env(self):
-        proc = run_cli(["lebesgue", "--a", "a3.json", "--b", "b3.json",
-                        "--tol-zero", "1e-8"],
-                       env_extra={"PWCALC_TOL_ZERO": "0.5"})
-        rep = json.loads(proc.stdout)
+        rep = run_report(["lebesgue", "--a", "a3.json", "--b", "b3.json",
+                      "--tol-zero", "1e-8"],
+                     env_extra={"PWCALC_TOL_ZERO": "0.5"})
         assert rep["config"]["zero_tol"] == 1e-8
 
     def test_bad_env_value(self):
-        proc = run_cli(["psum", "--a", "a3.json", "--b", "b3.json"],
-                       env_extra={"PWCALC_TOL_ZERO": "abc"})
-        assert proc.returncode == 2
+        rep = run_report(["psum", "--a", "a3.json", "--b", "b3.json"], 2,
+                         env_extra={"PWCALC_TOL_ZERO": "abc"})
+        assert "PWCALC_TOL_ZERO" in rep["diagnostics"]["error"]
 
     def test_max_doublings_flag(self):
-        proc = run_cli(["psum-limit", "--a", "a3.json", "--b", "b3.json",
-                        "--max-doublings", "3"])
-        rep = json.loads(proc.stdout)
+        rep = run_report(["psum-limit", "--a", "a3.json", "--b", "b3.json",
+                      "--max-doublings", "3"])
         assert rep["outputs"]["doublings"] == 3
         assert rep["outputs"]["converged"] is False
         assert rep["status"] == "warning"
@@ -183,7 +200,7 @@ class TestFlagsAndEnv:
         proc = run_cli(["psum", "--a", str(FIXTURES / "a3.json"),
                         "--b", str(FIXTURES / "b3.json"), "--out", str(out)],
                        cwd=tmp_path)
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr.decode()
         assert out.read_bytes() == proc.stdout
 
 

@@ -9,7 +9,8 @@ from pwcalc import (abs_cont_part, abs_continuity_projection, build_rep,
                     is_abs_continuous, is_mutually_singular,
                     lebesgue_decompose, kron, parallel_sum,
                     parallel_sum_expressions, parallel_sum_limit,
-                    solvable_subspace_projection, ToleranceConfig)
+                    polar_isometry, solvable_subspace_projection,
+                    ToleranceConfig)
 
 from conftest import (anderson_duffin, dominated_matrix, eigmin, np_sqrtm,
                       rand_pair, rand_psd, rand_unitary, spec_norm,
@@ -181,9 +182,10 @@ class TestProjections:
             a, b = rand_pair(rng, n, int(rng.integers(1, n + 1)), n)
             rep = build_rep(a, b)
             eye = np.eye(n)
-            uu = rep.iso_a.conj().T @ rep.iso_a
-            lhs = eye - rep.iso_b @ rep.iso_b.conj().T \
-                + rep.iso_b @ uu @ rep.iso_b.conj().T
+            iso_a = polar_isometry(rep.contr_a, rep.tol)
+            iso_b = polar_isometry(rep.contr_b, rep.tol)
+            uu = iso_a.conj().T @ iso_a
+            lhs = eye - iso_b @ iso_b.conj().T + iso_b @ uu @ iso_b.conj().T
             yy = rep.contr_b @ rep.contr_b.conj().T
             rhs = eye - yy + rep.contr_b @ uu @ rep.contr_b.conj().T
             assert np.abs(lhs - rhs).max() < 1e-8

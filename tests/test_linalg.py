@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from pwcalc import (InputError, NotPsdError, PsdMatrix, ToleranceConfig,
-                    eig_hermitian, hermitian_part, kron, pinv_sqrt,
-                    polar_isometry, psd_sqrt, support_projection, validate_psd)
+from pwcalc import (InputError, NotPsdError, ToleranceConfig, eig_hermitian,
+                    hermitian_part, kron, polar_isometry, psd_sqrt,
+                    support_projection, validate_psd)
 
 from conftest import rand_complex, rand_hermitian, rand_psd
 
@@ -64,12 +64,6 @@ class TestValidation:
         with pytest.raises(NotPsdError):
             validate_psd(np.diag([1.0, -1.0]))
 
-    def test_psd_matrix_wrapper(self, rng):
-        m = rand_psd(rng, 4)
-        p = PsdMatrix.validate(m)
-        assert p.n == 4
-        assert p.min_eig >= -1e-9
-
 
 class TestSqrt:
     def test_diagonal(self):
@@ -99,28 +93,18 @@ class TestSqrt:
             psd_sqrt(np.diag([1.0, -0.5]))
 
 
-class TestPinvSqrt:
-    def test_diagonal(self):
-        np.testing.assert_allclose(pinv_sqrt(np.diag([4.0, 0.0])),
-                                   np.diag([0.5, 0.0]), atol=1e-12)
+@pytest.mark.parametrize("fn", [validate_psd, psd_sqrt, support_projection])
+class TestSharedPsdCheck:
+    # the three entry points draw the PSD line at -psd_tol * norm alike
+    def test_same_floor(self, fn):
+        fn(np.diag([2.0, -0.5e-9 * 2.0]))
+        with pytest.raises(NotPsdError):
+            fn(np.diag([2.0, -2e-9 * 2.0]))
 
-    def test_identity(self):
-        np.testing.assert_allclose(pinv_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
-
-    def test_penrose_identity(self, rng):
-        # x x^+ x = x with x the PSD square root
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            m = rand_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-            root = psd_sqrt(m)
-            pinv = pinv_sqrt(m)
-            out = root @ pinv @ root
-            assert np.abs(out - root).max() <= 1e-8 * max(1.0, np.abs(root).max())
-
-    def test_matches_numpy_inverse_on_definite_input(self, rng):
-        m = rand_psd(rng, 5) + 0.1 * np.eye(5)
-        ref = np.linalg.inv(_sqrtm(m))
-        np.testing.assert_allclose(pinv_sqrt(m), ref, atol=1e-8)
+    def test_empty(self, fn):
+        out = fn(np.zeros((0, 0)))
+        out = out[0] if isinstance(out, tuple) else out
+        assert out.shape == (0, 0)
 
 
 def _sqrtm(m):

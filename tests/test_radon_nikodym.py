@@ -1,14 +1,20 @@
 """Tests for derivative factorizations over a positive definite base."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pwcalc import (InputError, abs_cont_part, build_rep, geometric,
+from pwcalc import (InputError, abs_cont_part, abs_part, build_rep, geometric,
                     kubo_ando_form, left, parallel, parallel_sum, pw_eval,
                     rn_cutoff, rn_factor, rn_quadratic_form, entropy)
+from pwcalc.fileio import load_matrix
 
 from conftest import (eigmin, geometric_mean_oracle, np_sqrtm, rand_complex,
                       rand_pair, rand_psd, spec_norm)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def definite(rng, n, floor=0.2):
@@ -66,6 +72,43 @@ class TestRnFactor:
                 assert eigmin(approx - prev) >= -1e-9
             prev = approx
         assert spec_norm(prev - res.value) < 1e-8
+
+
+def _same_bits(x, y):
+    # field-wise bit equality of two factorizations
+    for field in dataclasses.fields(x):
+        u, v = getattr(x, field.name), getattr(y, field.name)
+        if isinstance(u, np.ndarray):
+            assert u.dtype == v.dtype and u.shape == v.shape, field.name
+            assert u.tobytes() == v.tobytes(), field.name
+        else:
+            assert repr(u) == repr(v), field.name
+
+
+class TestRnIsKuboWithAbsPart:
+    def test_random_pairs(self, rng):
+        for trial in range(20):
+            n = int(rng.integers(2, 7))
+            real = trial % 2 == 0
+            a = definite(rng, n).real if real else definite(rng, n)
+            b = rand_psd(rng, n, rank=int(rng.integers(0, n + 1)))
+            b = b.real if real else b
+            _same_bits(rn_factor(a, b), kubo_ando_form(a, b, abs_part()))
+
+    def test_fixture_pair(self):
+        a = load_matrix(str(FIXTURES / "a2pd.json"))
+        b = load_matrix(str(FIXTURES / "b2sing.json"))
+        _same_bits(rn_factor(a, b), kubo_ando_form(a, b, abs_part()))
+
+    def test_quadratic_form_uses_the_same_factor(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            a = definite(rng, n)
+            b = rand_psd(rng, n, rank=int(rng.integers(0, n + 1)))
+            xi = rand_complex(rng, n, 1).reshape(-1)
+            ref = float((xi.conj() @ rn_factor(a, b).factor @ xi).real)
+            assert rn_quadratic_form(a, b, xi) == pytest.approx(
+                ref, rel=1e-12, abs=1e-14)
 
 
 class TestKuboAndoForm:
