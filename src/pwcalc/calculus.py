@@ -26,8 +26,9 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DominationError, ExtendedValueError, InputError, NumericError
 from .functions import PwFunction
-from .linalg import (SpectralDecomposition, eig_hermitian, frobenius, hermitian_part,
-                     hermitize, psd_sqrt, validate_psd)
+from .linalg import (SpectralDecomposition, _above_support, _sqrt_of, _validated,
+                     eig_hermitian, frobenius, hermitian_part, hermitize,
+                     validate_psd)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -65,6 +66,22 @@ class SpectrumSplit:
     retained: np.ndarray
     margin: float
     near_zero: int
+
+
+def _classify(x: np.ndarray, tol: ToleranceConfig) -> SpectrumSplit:
+    """Split the ascending spectrum ``x`` of ``gram_a`` at 0 and 1."""
+    zero, near_zero, _ = zero_split(x, tol)
+    one = x >= 1.0 - tol.one_tol
+    retained = ~(zero | one)
+    if retained.any():
+        xr = x[retained]
+        margin = float(np.minimum(xr - tol.zero_tol, (1.0 - tol.one_tol) - xr).min())
+    else:
+        margin = math.inf
+    # every query of the rep reads the same masks
+    for mask in (zero, one, retained):
+        mask.flags.writeable = False
+    return SpectrumSplit(zero, one, retained, margin, near_zero)
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,12 @@ class PwRep:
         up to rounding.
     a, b, a_half, b_half : ndarray
         Validated inputs and their PSD square roots.
+    a_eigs : ndarray
+        Ascending eigenvalues of ``a`` found by its validation, before
+        rounding-level negatives were clamped.
+    split : SpectrumSplit
+        Classification of ``gram_a``'s spectrum at 0 and 1 (read-only
+        masks), computed once since it depends only on the rep.
     """
 
     n: int
@@ -132,21 +155,9 @@ class PwRep:
     b: np.ndarray
     a_half: np.ndarray
     b_half: np.ndarray
+    a_eigs: np.ndarray
+    split: SpectrumSplit
     tol: ToleranceConfig
-
-    def classify(self) -> SpectrumSplit:
-        """Split the spectrum of ``gram_a`` at the 0 and 1 thresholds."""
-        x = self.gram_a_spec.eigenvalues
-        zero, near_zero, _ = zero_split(x, self.tol)
-        one = x >= 1.0 - self.tol.one_tol
-        retained = ~(zero | one)
-        if retained.any():
-            xr = x[retained]
-            margin = float(np.minimum(xr - self.tol.zero_tol,
-                                      (1.0 - self.tol.one_tol) - xr).min())
-        else:
-            margin = math.inf
-        return SpectrumSplit(zero, one, retained, margin, near_zero)
 
     def from_support(self, m) -> np.ndarray:
         """Push a support-side Hermitian matrix through ``T* m T``.
@@ -171,11 +182,11 @@ class PwRep:
         residual above tolerance means no multiple of ``a + b`` dominates
         ``c`` and raises :class:`DominationError`.
         """
-        cv, _ = validate_psd(c, self.tol)
+        cv, c_dec = _validated(c, self.tol)
         if cv.shape != (self.n, self.n):
             raise InputError(
                 f"expected a {self.n}x{self.n} matrix, got {cv.shape}")
-        c_half = psd_sqrt(cv, self.tol)
+        c_half = _sqrt_of(c_dec, self.tol)
         scaled = self.basis / np.sqrt(self.sum_eigs)[None, :]
         d = scaled.conj().T @ c_half
         ct = hermitize(d @ d.conj().T)
@@ -198,7 +209,7 @@ class PwRep:
             eigenvalue; the operator is unbounded and only pairings can
             represent it.
         """
-        split = self.classify()
+        split = self.split
         vals = fn.values(self.gram_a_spec.eigenvalues, split.zero, split.one)
         if np.isinf(vals).any():
             raise ExtendedValueError(
@@ -230,7 +241,7 @@ class PwRep:
         return self._pairing_from_weights(fn, w)
 
     def _pairing_from_weights(self, fn: PwFunction, w: np.ndarray) -> PairingResult:
-        split = self.classify()
+        split = self.split
         vals = fn.values(self.gram_a_spec.eigenvalues, split.zero, split.one)
         inf_mask = np.isinf(vals)
         infinite_weight = float(w[inf_mask].sum())
@@ -290,23 +301,24 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
         If the reconstruction residuals of the contractions exceed 1e-6,
         which indicates a numerically hopeless input.
     """
-    av, _ = validate_psd(a, tol)
-    bv, _ = validate_psd(b, tol)
+    av, a_dec = _validated(a, tol)
+    bv, b_dec = _validated(b, tol)
     if av.shape != bv.shape:
         raise InputError(
             f"pair members differ in size: {av.shape} vs {bv.shape}")
     n = av.shape[0]
     total = hermitize(av + bv)
     dec = eig_hermitian(total, tol)
-    th = tol.support_threshold(n, float(dec.eigenvalues[-1]) if n else 0.0)
-    keep = dec.eigenvalues > th
+    keep = _above_support(dec.eigenvalues, tol)
     lam = dec.eigenvalues[keep]
     q = dec.basis[:, keep]
     rank = int(keep.sum())
     root = np.sqrt(lam)
     coord_map = root[:, None] * q.conj().T
-    a_half = psd_sqrt(av, tol)
-    b_half = psd_sqrt(bv, tol)
+    # the roots reuse the validating decompositions: when nothing was
+    # clamped they are the same bits psd_sqrt(av) would diagonalize
+    a_half = _sqrt_of(a_dec, tol)
+    b_half = _sqrt_of(b_dec, tol)
     scaled = q / root[None, :] if rank else q
     contr_a = a_half @ scaled
     contr_b = b_half @ scaled
@@ -330,7 +342,9 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
     return PwRep(n=n, rank=rank, basis=q, sum_eigs=lam, coord_map=coord_map,
                  contr_a=contr_a, contr_b=contr_b, gram_a=gram_a,
                  gram_b=gram_b, gram_a_spec=spec,
-                 a=av, b=bv, a_half=a_half, b_half=b_half, tol=tol)
+                 a=av, b=bv, a_half=a_half, b_half=b_half,
+                 a_eigs=a_dec.eigenvalues,
+                 split=_classify(spec.eigenvalues, tol), tol=tol)
 
 
 def pw_eval(a, b, fn: PwFunction, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

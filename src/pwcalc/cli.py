@@ -113,7 +113,7 @@ def _scalar(x: float):
 
 
 def _margin_diagnostics(rep) -> dict:
-    split = rep.classify()
+    split = rep.split
     return {
         "spectral_margin": _scalar(split.margin),
         "num_zero_eigs": int(split.zero.sum()),
@@ -194,11 +194,9 @@ def _cmd_singular(args, tol, warnings):
 
 
 def _cmd_abscont(args, tol, warnings):
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    proj = leb.abs_continuity_projection(a, b, tol)
-    deviation = hermitian_norm(proj - np.eye(proj.shape[0]))
-    return {"is_abs_continuous": bool(deviation < 1e-7),
+    verdict, deviation = leb._abs_continuity(load_matrix(args.a),
+                                             load_matrix(args.b), tol)
+    return {"is_abs_continuous": verdict,
             "projection_deviation": deviation}, {}
 
 

@@ -21,6 +21,9 @@ from .functions import abs_part, parallel, scaled_parallel
 from .linalg import (eig_hermitian, frobenius, hermitian_norm, hermitize,
                      psd_sqrt, support_projection, validate_psd)
 
+# P - I below this spectral norm means P = I, i.e. b << a
+_ABS_CONT_LIMIT = 1e-7
+
 
 @dataclass(frozen=True)
 class LebesgueDecomposition:
@@ -75,7 +78,7 @@ def _projection_from_rep(rep: PwRep) -> np.ndarray:
 
 
 def _singular_part_from_rep(rep: PwRep) -> np.ndarray:
-    split = rep.classify()
+    split = rep.split
     v0 = rep.gram_a_spec.basis[:, split.zero]
     if v0.shape[1] == 0:
         return np.zeros((rep.n, rep.n), dtype=np.complex128)
@@ -172,9 +175,17 @@ def is_abs_continuous(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     as the absolutely continuous part, and the associated projection is
     the identity. The implementation tests the projection.
     """
+    return _abs_continuity(a, b, tol)[0]
+
+
+def _abs_continuity(a, b, tol: ToleranceConfig) -> tuple[bool, float]:
+    """``(verdict, deviation)``: the spectral norm ``deviation`` of
+    ``P - I`` for the projection ``P`` of :func:`abs_continuity_projection`,
+    and whether it is below ``_ABS_CONT_LIMIT``."""
     proj = abs_continuity_projection(a, b, tol)
     n = proj.shape[0]
-    return hermitian_norm(proj - np.eye(n, dtype=np.complex128)) < 1e-7
+    deviation = hermitian_norm(proj - np.eye(n, dtype=np.complex128))
+    return deviation < _ABS_CONT_LIMIT, deviation
 
 
 def parallel_sum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -194,7 +205,7 @@ def parallel_sum_limit(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ParallelSumL
     the ``converged`` flag, not as an exception.
     """
     rep = build_rep(a, b, tol)
-    split = rep.classify()
+    split = rep.split
     x = rep.gram_a_spec.eigenvalues
 
     def scaled_values(n):

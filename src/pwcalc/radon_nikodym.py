@@ -48,9 +48,9 @@ class RnFactorization:
 
 
 def _require_definite(rep: PwRep) -> None:
-    dec = eig_hermitian(rep.a, rep.tol)
-    smallest = float(dec.eigenvalues[0]) if rep.n else 0.0
-    th = rep.tol.support_threshold(rep.n, float(dec.eigenvalues[-1]) if rep.n else 0.0)
+    w = rep.a_eigs
+    smallest = float(w[0]) if rep.n else 0.0
+    th = rep.tol.support_threshold(rep.n, float(w[-1]) if rep.n else 0.0)
     if smallest <= th or rep.rank != rep.n:
         raise InputError(
             f"base matrix must be positive definite: smallest eigenvalue "

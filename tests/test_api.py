@@ -37,18 +37,18 @@ def _fixture_pair(a, b):
 # Jacobi solves per operation. A change here adds or removes an eigensolve
 # and should be deliberate.
 SOLVES = [
-    ("build_rep", "a3.json", "b3.json", lambda a, b: pwcalc.build_rep(a, b), 6),
-    ("lebesgue_decompose", "a3.json", "b3.json", pwcalc.lebesgue_decompose, 9),
+    ("build_rep", "a3.json", "b3.json", lambda a, b: pwcalc.build_rep(a, b), 4),
+    ("lebesgue_decompose", "a3.json", "b3.json", pwcalc.lebesgue_decompose, 7),
     ("build_rep", "a2pd.json", "b2sing.json",
-     lambda a, b: pwcalc.build_rep(a, b), 6),
+     lambda a, b: pwcalc.build_rep(a, b), 4),
     ("lebesgue_decompose", "a2pd.json", "b2sing.json",
-     pwcalc.lebesgue_decompose, 8),
-    ("rn_factor", "a2pd.json", "b2sing.json", pwcalc.rn_factor, 11),
+     pwcalc.lebesgue_decompose, 6),
+    ("rn_factor", "a2pd.json", "b2sing.json", pwcalc.rn_factor, 8),
     ("kubo_ando_form", "a2pd.json", "b2sing.json",
-     lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.parallel()), 11),
+     lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.parallel()), 8),
     ("rn_quadratic_form", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.rn_quadratic_form(
-         a, b, load_vector(str(FIXTURES / "xi2.json"))), 8),
+         a, b, load_vector(str(FIXTURES / "xi2.json"))), 5),
 ]
 
 

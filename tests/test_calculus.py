@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from pwcalc import (DominationError, ExtendedValueError, InputError,
-                    PwFunction, abs_part, arithmetic, build_rep, entropy,
-                    eval_sequence, geometric, left, parallel, polar_isometry,
-                    power, pw_eval, pw_pairing, right, rn_cutoff,
-                    scaled_parallel)
+                    PwFunction, abs_part, arithmetic, build_rep, eig_hermitian,
+                    entropy, eval_sequence, geometric, left, parallel,
+                    polar_isometry, power, psd_sqrt, pw_eval, pw_pairing,
+                    right, rn_cutoff, scaled_parallel, validate_psd)
 
 from conftest import (dominated_matrix, geometric_mean_oracle, np_sqrtm,
                       rand_complex, rand_pair, rand_psd, rand_state,
@@ -64,6 +64,27 @@ class TestBuildRep:
             rep = build_rep(a, b)
             assert np.abs(rep.contr_a @ rep.coord_map - rep.a_half).max() < 1e-8
             assert np.abs(rep.contr_b @ rep.coord_map - rep.b_half).max() < 1e-8
+
+    def test_roots_reuse_validation(self, rng):
+        # a_half and b_half come from the decompositions validation made;
+        # with nothing clamped they are psd_sqrt of the same bits
+        unclamped = 0
+        for _ in range(30):
+            a, b = random_rank_pair(rng, max_n=7)
+            rep = build_rep(a, b)
+            assert rep.a_eigs.tobytes() == eig_hermitian(a).eigenvalues.tobytes()
+            for m, valid, root in ((a, rep.a, rep.a_half), (b, rep.b, rep.b_half)):
+                if validate_psd(m)[1] >= 0.0:
+                    assert root.tobytes() == psd_sqrt(valid).tobytes()
+                    unclamped += 1
+        assert unclamped >= 10
+
+    def test_split_is_read_only(self, rng):
+        # every query shares the split build_rep computed
+        a, b = random_rank_pair(rng, max_n=6)
+        split = build_rep(a, b).split
+        for mask in (split.zero, split.one, split.retained):
+            assert not mask.flags.writeable
 
     def test_spectrum_in_unit_interval(self, rng):
         for _ in range(30):

@@ -92,6 +92,15 @@ class TestSqrt:
         with pytest.raises(NotPsdError):
             psd_sqrt(np.diag([1.0, -0.5]))
 
+    def test_rank_matches_support_projection(self, rng):
+        # rounding noise on the kernel must not leave a ~1e-8 root behind
+        rank_of = np.linalg.matrix_rank
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            rank = int(rng.integers(1, n))
+            m = rand_psd(rng, n, rank)
+            assert rank_of(psd_sqrt(m)) == rank_of(support_projection(m)) == rank
+
 
 @pytest.mark.parametrize("fn", [validate_psd, psd_sqrt, support_projection])
 class TestSharedPsdCheck:
