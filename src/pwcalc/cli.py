@@ -16,6 +16,7 @@ The environment variable ``PWCALC_TOL_ZERO`` overrides the default of
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -96,16 +97,7 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def _config_payload(tol: ToleranceConfig) -> dict:
-    return {
-        "herm_tol": tol.herm_tol,
-        "psd_tol": tol.psd_tol,
-        "support_tol": tol.support_tol,
-        "zero_tol": tol.zero_tol,
-        "one_tol": tol.one_tol,
-        "weight_tol": tol.weight_tol,
-        "conv_tol": tol.conv_tol,
-        "max_doublings": tol.max_doublings,
-    }
+    return dataclasses.asdict(tol)
 
 
 def _scalar(x: float):

@@ -17,7 +17,7 @@ class ToleranceConfig:
     ----------
     herm_tol : float
         Allowed deviation from Hermitian symmetry, relative to
-        ``max(1, max |entry|)``.
+        ``max |entry|``, so the verdict is invariant under scaling.
     psd_tol : float
         Eigenvalues in ``[-psd_tol * scale, 0)`` are treated as rounding
         noise and clamped to zero, where ``scale`` is the spectral norm.

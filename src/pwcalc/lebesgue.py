@@ -18,8 +18,8 @@ from .calculus import PwRep, build_rep, zero_split
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import abs_part, parallel, scaled_parallel
-from .linalg import (eig_hermitian, frobenius, hermitian_norm, hermitize,
-                     psd_sqrt, support_projection, validate_psd)
+from .linalg import (_sqrt_of, _support_of, _validated, eig_hermitian,
+                     frobenius, hermitian_norm, hermitize, psd_sqrt)
 
 # P - I below this spectral norm means P = I, i.e. b << a
 _ABS_CONT_LIMIT = 1e-7
@@ -132,21 +132,25 @@ def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np
     ``(I - P_ran(a)) b^(1/2)``. Serves as an independent route to
     :func:`abs_continuity_projection`.
     """
-    av, _ = validate_psd(a, tol)
-    bv, _ = validate_psd(b, tol)
+    av, a_dec = _validated(a, tol)
+    bv, b_dec = _validated(b, tol)
     if av.shape != bv.shape:
         raise InputError(
             f"pair members differ in size: {av.shape} vs {bv.shape}")
     n = av.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    pa = support_projection(av, tol)
-    g = (np.eye(n, dtype=np.complex128) - pa) @ psd_sqrt(bv, tol)
+    # P_ran(a), b^(1/2) and the norm of b all come from the validating
+    # decompositions: with nothing clamped they are the bits a fresh
+    # diagonalization of av and bv would give
+    pa = _support_of(a_dec, tol)
+    g = (np.eye(n, dtype=np.complex128) - pa) @ _sqrt_of(b_dec, tol)
     gram = hermitize(g.conj().T @ g)
     dec = eig_hermitian(gram, tol)
     # the cutoff lives on the scale of b, not of the residual Gram, so a
     # residual that is pure rounding noise still counts as zero
-    th = tol.support_threshold(n, hermitian_norm(bv))
+    w = b_dec.eigenvalues
+    th = tol.support_threshold(n, max(abs(float(w[0])), abs(float(w[-1]))))
     return hermitize(dec.apply(np.where(dec.eigenvalues <= th, 1.0, 0.0)))
 
 

@@ -50,10 +50,11 @@ def hermitian_part(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate that ``a`` is Hermitian within tolerance and symmetrize it.
 
     The deviation ``max |a - a*|`` must stay below
-    ``herm_tol * max(1, max |entry|)``.
+    ``herm_tol * max |entry|``, so the verdict does not change when ``a``
+    is scaled; the zero matrix passes with deviation 0.
     """
     m = _as_square(a)
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    scale = float(np.abs(m).max()) if m.size else 0.0
     dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     if dev > tol.herm_tol * scale:
         raise InputError(
@@ -193,13 +194,12 @@ def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositio
     return SpectralDecomposition(vals, vecs)
 
 
-def _psd_eig(a, tol: ToleranceConfig, scale: float = 0.0) -> SpectralDecomposition:
-    """Diagonalize ``a``, raising below ``-psd_tol * max(norm, scale)``."""
+def _psd_eig(a, tol: ToleranceConfig) -> SpectralDecomposition:
+    """Diagonalize ``a``, raising below ``-psd_tol * norm``."""
     dec = eig_hermitian(a, tol)
     w = dec.eigenvalues
     if w.size:
-        norm = max(abs(float(w[0])), abs(float(w[-1])))
-        floor = tol.psd_tol * max(norm, scale)
+        floor = tol.psd_tol * max(abs(float(w[0])), abs(float(w[-1])))
         if float(w[0]) < -floor:
             raise NotPsdError(
                 f"matrix is not positive semidefinite: eigenvalue {float(w[0]):.6e} "
@@ -212,24 +212,23 @@ def _above_support(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return w > tol.support_threshold(w.size, float(w[-1]) if w.size else 0.0)
 
 
-def _validated(a, tol: ToleranceConfig,
-               scale: float = 0.0) -> tuple[np.ndarray, SpectralDecomposition]:
+def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecomposition]:
     """:func:`validate_psd`'s matrix with the decomposition that checked it."""
-    dec = _psd_eig(a, tol, scale)
+    dec = _psd_eig(a, tol)
     w = dec.eigenvalues
     if w.size and float(w[0]) < 0.0:
         return hermitize(dec.apply(np.maximum(w, 0.0))), dec
     return hermitize(np.asarray(a, dtype=np.complex128)), dec
 
 
-def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL,
-                 scale: float = 0.0) -> tuple[np.ndarray, float]:
+def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Validate positive semidefiniteness and clamp rounding-level negatives.
 
-    Eigenvalues in ``[-floor, 0)`` with ``floor = psd_tol * max(norm, scale)``
-    are treated as noise and clamped to zero; anything below ``-floor`` is
-    a hard :class:`NotPsdError`. Silent repair of genuinely indefinite
-    input would mask user errors, so no attempt is made to "fix" it.
+    Eigenvalues in ``[-floor, 0)`` with ``floor = psd_tol * norm`` (the
+    spectral norm of ``a``) are treated as noise and clamped to zero;
+    anything below ``-floor`` is a hard :class:`NotPsdError`. Silent
+    repair of genuinely indefinite input would mask user errors, so no
+    attempt is made to "fix" it.
 
     Returns
     -------
@@ -237,7 +236,7 @@ def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL,
         The clamped Hermitian PSD matrix and the smallest eigenvalue seen
         during validation.
     """
-    m, dec = _validated(a, tol, scale)
+    m, dec = _validated(a, tol)
     w = dec.eigenvalues
     return m, float(w[0]) if w.size else 0.0
 
@@ -258,10 +257,15 @@ def psd_sqrt(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _sqrt_of(_psd_eig(a, tol), tol)
 
 
+def _support_of(dec: SpectralDecomposition, tol: ToleranceConfig) -> np.ndarray:
+    """Support projection from a PSD decomposition, with the cutoff of
+    :func:`_sqrt_of`."""
+    return hermitize(dec.apply(np.where(_above_support(dec.eigenvalues, tol), 1.0, 0.0)))
+
+
 def support_projection(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projection onto the range of a PSD matrix."""
-    dec = _psd_eig(a, tol)
-    return hermitize(dec.apply(np.where(_above_support(dec.eigenvalues, tol), 1.0, 0.0)))
+    return _support_of(_psd_eig(a, tol), tol)
 
 
 def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -276,19 +280,13 @@ def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         raise InputError(f"expected a matrix, got shape {m.shape}")
     gram = hermitize(m.conj().T @ m)
     dec = eig_hermitian(gram, tol)
-    w = np.maximum(dec.eigenvalues, 0.0)
-    if w.size == 0:
-        return np.zeros_like(m)
-    th = tol.support_threshold(w.size, float(w[-1]))
-    keep = w > th
-    if not keep.any():
-        return np.zeros_like(m)
+    keep = _above_support(dec.eigenvalues, tol)
     vecs = dec.basis[:, keep]
-    cols = (m @ vecs) / np.sqrt(w[keep])[None, :]
+    cols = (m @ vecs) / np.sqrt(dec.eigenvalues[keep])[None, :]
     return cols @ vecs.conj().T
 
 
-def kron(a, b, max_dim: int = KRON_MAX_DIM) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product with a guard against runaway dimensions."""
     ma = np.asarray(a, dtype=np.complex128)
     mb = np.asarray(b, dtype=np.complex128)
@@ -296,10 +294,10 @@ def kron(a, b, max_dim: int = KRON_MAX_DIM) -> np.ndarray:
         raise InputError("kron expects two matrices")
     rows = ma.shape[0] * mb.shape[0]
     cols = ma.shape[1] * mb.shape[1]
-    if rows > max_dim or cols > max_dim:
+    if rows > KRON_MAX_DIM or cols > KRON_MAX_DIM:
         raise InputError(
             f"Kronecker product dimension {rows}x{cols} exceeds the "
-            f"configured maximum {max_dim}")
+            f"configured maximum {KRON_MAX_DIM}")
     return np.kron(ma, mb)
 
 

@@ -18,7 +18,7 @@ from .calculus import PairingResult, build_rep, pw_eval
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
 from .functions import PwFunction, entropy, geometric, power
-from .linalg import kron, validate_psd
+from .linalg import kron
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,8 @@ def entropy_pairing(a, b, rho,
 def trace_functional(a, b, fn: PwFunction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Trace of the calculus value, realized as the pairing with identity."""
-    av, _ = validate_psd(a, tol)
-    n = av.shape[0]
-    return build_rep(av, b, tol).pairing(fn, np.eye(n)).value
+    rep = build_rep(a, b, tol)
+    return rep.pairing(fn, np.eye(rep.n)).value
 
 
 def _ext_mul(u: float, v: float) -> float:

@@ -1,15 +1,21 @@
 """Package surface and eigensolve budget of the shared representation."""
 
+import importlib
+import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwcalc
 from pwcalc import linalg
 from pwcalc.fileio import load_matrix, load_vector
 
+from conftest import rand_pair
+
 FIXTURES = Path(__file__).parent / "fixtures"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 class TestApiSurface:
@@ -28,6 +34,19 @@ class TestApiSurface:
                   if not name.startswith("_")
                   and not isinstance(value, types.ModuleType)}
         assert public == set(pwcalc.__all__)
+
+    def test_tracer_targets_resolve(self):
+        # the benchmark's tracer wraps these by name when it is installed
+        spec = importlib.util.spec_from_file_location("pwcalc_tracer", TRACER)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [f"{mod}.{attr}" for mod, attr in tracer.FUNCTIONS
+                   if not callable(getattr(importlib.import_module(mod), attr, None))]
+        missing += [f"{mod}.{cls}.{attr}" for mod, cls, attr in tracer.METHODS
+                    if attr not in vars(getattr(importlib.import_module(mod), cls))]
+        assert missing == []
+        for mod in tracer.WHOLE_MODULES:
+            importlib.import_module(mod)
 
 
 def _fixture_pair(a, b):
@@ -49,6 +68,10 @@ SOLVES = [
     ("rn_quadratic_form", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.rn_quadratic_form(
          a, b, load_vector(str(FIXTURES / "xi2.json"))), 5),
+    ("solvable_subspace_projection", "a2pd.json", "b2sing.json",
+     pwcalc.solvable_subspace_projection, 3),
+    ("trace_functional", "a2pd.json", "b2sing.json",
+     lambda a, b: pwcalc.trace_functional(a, b, pwcalc.entropy()), 5),
 ]
 
 
@@ -66,3 +89,45 @@ def test_solve_count(monkeypatch, name, fa, fb, op, expected):
     monkeypatch.setattr(linalg, "_jacobi_eig", counting)
     op(a, b)
     assert len(calls) == expected, f"{name}: {len(calls)} solves"
+
+
+def _unclamped_pairs(count):
+    """Seeded pairs (n 1-8, real and complex, random ranks) on which PSD
+    validation clamps nothing, so one decomposition per input must give
+    the bits of the repeated ones."""
+    rng = np.random.default_rng(7)
+    pairs = []
+    while len(pairs) < count:
+        n = int(rng.integers(1, 9))
+        a, b = rand_pair(rng, n, int(rng.integers(0, n + 1)),
+                         int(rng.integers(0, n + 1)))
+        if len(pairs) % 2:
+            a, b = a.real, b.real
+        if min(pwcalc.validate_psd(a)[1], pwcalc.validate_psd(b)[1]) >= 0.0:
+            pairs.append((a, b))
+    return pairs
+
+
+def _ando_by_repeated_solves(a, b, tol=pwcalc.DEFAULT_TOL):
+    # the composition that diagonalized a twice and b three times
+    av, _ = pwcalc.validate_psd(a, tol)
+    bv, _ = pwcalc.validate_psd(b, tol)
+    n = av.shape[0]
+    pa = pwcalc.support_projection(av, tol)
+    g = (np.eye(n, dtype=np.complex128) - pa) @ pwcalc.psd_sqrt(bv, tol)
+    dec = pwcalc.eig_hermitian(pwcalc.hermitize(g.conj().T @ g), tol)
+    th = tol.support_threshold(n, pwcalc.hermitian_norm(bv))
+    return pwcalc.hermitize(dec.apply(np.where(dec.eigenvalues <= th, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize("pair", _unclamped_pairs(20))
+def test_one_decomposition_per_input_is_bit_exact(pair):
+    a, b = pair
+    ref = _ando_by_repeated_solves(a, b)
+    assert pwcalc.solvable_subspace_projection(a, b).tobytes() == ref.tobytes()
+    rho = np.eye(a.shape[0])
+    # the old trace_functional validated a before build_rep validated it again
+    rep = pwcalc.build_rep(pwcalc.validate_psd(a)[0], b)
+    for fn in (pwcalc.entropy(), pwcalc.parallel(), pwcalc.power(2.0)):
+        expected = rep.pairing(fn, rho).value
+        assert repr(pwcalc.trace_functional(a, b, fn)) == repr(expected)

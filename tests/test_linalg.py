@@ -54,6 +54,16 @@ class TestValidation:
         out = hermitian_part(m)
         assert np.abs(out - out.conj().T).max() == 0.0
 
+    def test_hermitian_bound_is_scale_invariant(self):
+        # asymmetry of half the scale is rejected at every scale
+        small = np.array([[1e-10, 5e-11], [0.0, 1e-10]])
+        for m in (small, 1e10 * small):
+            with pytest.raises(InputError):
+                hermitian_part(m)
+        assert np.abs(hermitian_part(np.zeros((3, 3)))).max() == 0.0
+        tiny = 1e-12 * np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+        np.testing.assert_array_equal(hermitian_part(tiny), tiny)
+
     def test_clamps_rounding_noise(self):
         m = np.diag([1.0, -1e-12])
         out, min_eig = validate_psd(m)
