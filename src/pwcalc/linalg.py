@@ -3,8 +3,11 @@
 Deterministic primitives for complex Hermitian and positive semidefinite
 matrices: a two-sided Jacobi eigensolver, PSD validation, square roots,
 support projections, polar isometries and Kronecker products.
-Everything operates on plain ``numpy`` arrays in ``complex128`` and is
-a pure function of its inputs, so concurrent use is safe.
+Everything takes and returns plain ``numpy`` arrays, matrices in
+``complex128`` and eigenvalues in ``float64``, and is a pure function of
+its inputs, so concurrent use is safe. Inside the eigensolver, a matrix
+whose imaginary parts are all zero is rotated in ``float64``, with the
+same bits as ``complex128`` rotations would give.
 
 The Jacobi solver is used instead of a LAPACK driver because it is
 bit-deterministic for identical input bits and resolves small
@@ -17,6 +20,7 @@ formula, which keeps the relative accuracy on graded matrices (Demmel
 and Veselic, 1992).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +82,18 @@ class SpectralDecomposition:
         return self.apply(self.eigenvalues)
 
 
+def _norm(m: np.ndarray) -> float:
+    """Frobenius norm of ``m``, summed as for ``complex128`` whatever its
+    dtype: numpy sums a complex array through a strided view of its real
+    parts, in another order than a contiguous ``float64`` array, and the
+    kernel's stopping rule must not depend on the dtype of its rounds."""
+    return float(np.linalg.norm(m.astype(np.complex128, copy=False)))
+
+
 def _offdiag_norm(h: np.ndarray) -> float:
-    m = h.copy()
+    m = h.astype(np.complex128)
     np.fill_diagonal(m, 0.0)
-    return float(np.linalg.norm(m))
+    return _norm(m)
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -107,11 +119,27 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _rotate(x: np.ndarray, y: np.ndarray, c, s) -> None:
-    """In place: ``x <- c x - conj(s) y`` and ``y <- s x + c y``."""
+@functools.lru_cache(maxsize=8)
+def _round_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The rounds of :func:`_round_robin` as read-only indices into the
+    flattened ``n x n`` matrix: ``pq`` (the ``p`` then the ``q`` of each
+    pair), the diagonal entries ``(pq, pq)``, and the off-diagonal entries
+    ``(p, q)`` then ``(q, p)``."""
+    plan = []
+    for p, q in _round_robin(n):
+        pq = np.concatenate((p, q))
+        arrays = (pq, pq * (n + 1), np.concatenate((p * n + q, q * n + p)))
+        for a in arrays:
+            a.flags.writeable = False
+        plan.append(arrays)
+    return tuple(plan)
+
+
+def _rotate(x: np.ndarray, y: np.ndarray, c, s, s_conj) -> None:
+    """In place: ``x <- c x - s_conj y`` and ``y <- s x + c y``."""
     sx = s * x
     x *= c
-    x -= s.conj() * y
+    x -= s_conj * y
     y *= c
     y += sx
 
@@ -126,50 +154,71 @@ def _jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diagonal blocks exactly. Pairs whose ``h[p, q]`` is zero or subnormal
     are skipped. The order is fixed, so the result is a function of the
     input bits.
+
+    A matrix with no nonzero imaginary part is rotated in ``float64``,
+    with the bits the ``complex128`` rounds give it: every step is the
+    same IEEE operation on the same real parts. Its phase is
+    ``apq * (1 / |apq|)``, because numpy's complex division (Smith's
+    method) computes the real part of ``apq / |apq|`` as that product;
+    the float quotient ``apq / |apq|`` rounds once where Smith's method
+    rounds twice. The eigenvalues are ``float64`` and the eigenvectors
+    ``complex128`` for either dtype.
     """
     n = mat.shape[0]
+    real = not mat.imag.any()
+    dtype = np.float64 if real else np.complex128
     # v sits under h: both take the same column rotations
-    hv = np.empty((2 * n, n), dtype=np.complex128)
+    hv = np.empty((2 * n, n), dtype=dtype)
     h = hv[:n]
-    h[...] = mat
+    h[...] = mat.real if real else mat
     hv[n:] = np.eye(n)
     if n < 2:
-        return np.diag(h).real.astype(np.float64), hv[n:].copy()
-    target = n * float(np.finfo(np.float64).eps) * float(np.linalg.norm(h))
-    rounds = _round_robin(n)
-    for _ in range(MAX_JACOBI_SWEEPS):
-        if _offdiag_norm(h) <= target:
-            vals = np.diag(h).real.copy()
-            order = np.argsort(vals, kind="stable")
-            return vals[order], hv[n:, order]
-        for p, q in rounds:
-            apq = h[p, q]
-            mag = np.abs(apq)
-            if mag.min() < _TINY:
-                live = mag >= _TINY
-                p, q, apq, mag = p[live], q[live], apq[live], mag[live]
-            k = p.size
-            pq = np.concatenate((p, q))
-            d = h[pq, pq].real
-            app = d[:k]
-            aqq = d[k:]
-            # tau overflows to inf when h[p, q] is negligible next to the
-            # diagonal gap; t is then 0 and the rotation the identity
-            with np.errstate(over="ignore"):
+        return np.diag(h).real.astype(np.float64), hv[n:].astype(np.complex128)
+    target = n * float(np.finfo(np.float64).eps) * _norm(h)
+    flat = hv.reshape(-1)
+    # tau overflows to inf, and |tau| + hypot(1, tau) with it, when
+    # h[p, q] is negligible next to the diagonal gap; t is then 0 and the
+    # rotation the identity
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_JACOBI_SWEEPS):
+            if _offdiag_norm(h) <= target:
+                vals = np.diag(h).real.copy()
+                order = np.argsort(vals, kind="stable")
+                return vals[order], hv[n:, order].astype(np.complex128, copy=False)
+            for pq, diag, off in _round_plan(n):
+                k = pq.size // 2
+                apq = flat[off[:k]]
+                mag = np.abs(apq)
+                if mag.min() < _TINY:
+                    live = mag >= _TINY
+                    if not live.any():
+                        continue
+                    apq, mag = apq[live], mag[live]
+                    live = np.concatenate((live, live))
+                    pq, diag, off = pq[live], diag[live], off[live]
+                    k = mag.size
+                d = flat[diag].real
+                app = d[:k]
+                aqq = d[k:]
                 tau = (aqq - app) / (2.0 * mag)
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.hypot(1.0, t)
-            su = (t * c) * (apq / mag)
-            cols = hv[:, pq]
-            _rotate(cols[:, :k], cols[:, k:], c, su)
-            hv[:, pq] = cols
-            rows = h[pq]
-            _rotate(rows[:k], rows[k:], c[:, None], su.conj()[:, None])
-            h[pq] = rows
-            tm = t * mag
-            h[pq, pq] = np.concatenate((app - tm, aqq + tm))
-            h[p, q] = 0.0
-            h[q, p] = 0.0
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.hypot(1.0, t)
+                if real:
+                    su = (t * c) * (apq * (1.0 / mag))
+                    su_conj = su
+                else:
+                    su = (t * c) * (apq / mag)
+                    su_conj = su.conj()
+                c = c.astype(dtype, copy=False)
+                cols = hv[:, pq]
+                _rotate(cols[:, :k], cols[:, k:], c, su, su_conj)
+                hv[:, pq] = cols
+                rows = h[pq]
+                _rotate(rows[:k], rows[k:], c[:, None], su_conj[:, None], su[:, None])
+                h[pq] = rows
+                tm = t * mag
+                flat[diag] = np.concatenate((app - tm, aqq + tm))
+                flat[off] = 0.0
     raise NumericError(
         f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
 

@@ -1,7 +1,9 @@
 """The round-robin Jacobi kernel against independent references.
 
 References: ``numpy.linalg.eigvalsh``, mpmath at 60 digits on a graded
-matrix, and the scalar cyclic loop the kernel replaced (kept below).
+matrix, the scalar cyclic loop the round-robin kernel replaced, and the
+round-robin kernel as it ran before real input got ``float64`` rounds
+(both kept below).
 """
 
 import math
@@ -11,9 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from pwcalc.linalg import MAX_JACOBI_SWEEPS, _jacobi_eig, _round_robin
+from pwcalc.linalg import (MAX_JACOBI_SWEEPS, _TINY, _jacobi_eig, _round_plan,
+                           _round_robin)
 
-from conftest import rand_hermitian
+from conftest import SEED, rand_complex, rand_hermitian
 
 
 def _cyclic_jacobi(mat):
@@ -56,6 +59,64 @@ def _cyclic_jacobi(mat):
     raise AssertionError("reference loop did not converge")
 
 
+def _complex_rounds(mat):
+    """The round-robin kernel with every round in ``complex128``, the
+    phase as the complex quotient ``apq / |apq|`` and the index pairs
+    rebuilt on every call; the library kernel must match it byte for
+    byte."""
+    n = mat.shape[0]
+    hv = np.empty((2 * n, n), dtype=np.complex128)
+    h = hv[:n]
+    h[...] = mat
+    hv[n:] = np.eye(n)
+    if n < 2:
+        return np.diag(h).real.astype(np.float64), hv[n:].copy()
+    target = n * float(np.finfo(np.float64).eps) * float(np.linalg.norm(h))
+    rounds = _round_robin(n)
+    for _ in range(MAX_JACOBI_SWEEPS):
+        off = h - np.diag(np.diag(h))
+        if float(np.linalg.norm(off)) <= target:
+            vals = np.diag(h).real.copy()
+            order = np.argsort(vals, kind="stable")
+            return vals[order], hv[n:, order]
+        for p, q in rounds:
+            apq = h[p, q]
+            mag = np.abs(apq)
+            live = mag >= _TINY
+            p, q, apq, mag = p[live], q[live], apq[live], mag[live]
+            k = p.size
+            pq = np.concatenate((p, q))
+            d = h[pq, pq].real
+            app = d[:k]
+            aqq = d[k:]
+            with np.errstate(over="ignore"):
+                tau = (aqq - app) / (2.0 * mag)
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            su = (t * c) * (apq / mag)
+            cols = hv[:, pq]
+            x, y = cols[:, :k], cols[:, k:]
+            sx = su * x
+            x *= c
+            x -= su.conj() * y
+            y *= c
+            y += sx
+            hv[:, pq] = cols
+            rows = h[pq]
+            x, y = rows[:k], rows[k:]
+            sx = su.conj()[:, None] * x
+            x *= c[:, None]
+            x -= su[:, None] * y
+            y *= c[:, None]
+            y += sx
+            h[pq] = rows
+            tm = t * mag
+            h[pq, pq] = np.concatenate((app - tm, aqq + tm))
+            h[p, q] = 0.0
+            h[q, p] = 0.0
+    raise AssertionError("reference rounds did not converge")
+
+
 def _graded():
     """``D M D`` with ``D = diag(1, 1e-4, 1e-8, 1e-12)`` and a
     well-conditioned SPD ``M``: eigenvalues from about 1 down to ~1e-24."""
@@ -65,6 +126,36 @@ def _graded():
                   [0.25, 0.5, 0.125, 1.0]])
     d = np.array([1.0, 1e-4, 1e-8, 1e-12])
     return d[:, None] * m * d[None, :]
+
+
+_IDENTITY_KINDS = ["full", "half", "one", "zero", "indefinite", "diagonal",
+                   "tiny", "negated-blocks"]
+
+
+def _identity_case(rng, kind, n, real):
+    """A Hermitian ``complex128`` matrix of the byte-identity set; with
+    ``real`` every imaginary part is zero."""
+    def gram(rank):
+        g = rng.standard_normal((n, rank)) if real else rand_complex(rng, n, rank)
+        m = g @ g.conj().T
+        return 0.5 * (m + m.conj().T)
+
+    if kind == "diagonal":
+        m = np.diag(rng.standard_normal(n))
+    elif kind == "indefinite":
+        m = gram(n)
+        m = m - (np.trace(m).real / max(n, 1)) * np.eye(n)
+    elif kind == "tiny":
+        m = 1e-150 * gram(n)
+    elif kind == "negated-blocks":
+        # skipped pairs between the blocks, and zeros that are -0.0
+        m = np.zeros((n, n), dtype=complex)
+        m[: n // 2, : n // 2] = gram(n)[: n // 2, : n // 2]
+        m[n // 2:, n // 2:] = gram(n)[n // 2:, n // 2:]
+        m = -m
+    else:
+        m = gram({"full": n, "half": n // 2, "one": min(1, n), "zero": 0}[kind])
+    return np.asarray(m, dtype=np.complex128)
 
 
 def _check_eigenpairs(m, vals, vecs):
@@ -89,6 +180,16 @@ class TestRoundRobin:
             assert len(set(p.tolist()) | set(q.tolist())) == 2 * p.size == n - n % 2
             seen += zip(p.tolist(), q.tolist())
         assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_plan_indexes_the_rounds(self, n):
+        for (p, q), (pq, diag, off) in zip(_round_robin(n), _round_plan(n), strict=True):
+            assert pq.tolist() == p.tolist() + q.tolist()
+            assert (diag == pq * (n + 1)).all()
+            rows, cols = np.divmod(off, n)
+            assert rows.tolist() == pq.tolist()
+            assert cols.tolist() == q.tolist() + p.tolist()
+            assert not (pq.flags.writeable or diag.flags.writeable or off.flags.writeable)
 
 
 class TestKernel:
@@ -128,6 +229,18 @@ class TestKernel:
         m[2, 3] = 3e-320 + 2e-320j
         m[3, 2] = np.conj(m[2, 3])
         m[0, 4] = m[4, 0] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = _jacobi_eig(m)
+        _check_eigenpairs(m, vals, vecs)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_huge_finite_tau_warns_nothing(self, dtype):
+        # tau = 10 / (2 * 5e-308) is finite, but |tau| + hypot(1, tau)
+        # overflows; that sum ran outside the errstate block and leaked
+        # "overflow encountered in add"
+        m = np.array([[0.0, 5e-308, 1.0], [5e-308, 10.0, 0.0], [1.0, 0.0, 5.0]],
+                     dtype=dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, vecs = _jacobi_eig(m)
@@ -175,3 +288,22 @@ class TestKernel:
             vals, _ = _jacobi_eig(m)
             ref, _ = _cyclic_jacobi(m)
             assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestByteIdentity:
+    """``float64`` rounds for real input, the cached round plan and the
+    other per-round savings must not move a single output bit."""
+
+    @pytest.mark.parametrize("kind", _IDENTITY_KINDS)
+    def test_matches_complex_rounds(self, kind):
+        rng = np.random.default_rng([SEED, _IDENTITY_KINDS.index(kind)])
+        # sizes 0..40 in steps of 3, so each kind meets odd and even n
+        for n in range(_IDENTITY_KINDS.index(kind) % 3, 41, 3):
+            for real in (True, False):
+                m = _identity_case(rng, kind, n, real)
+                vals, vecs = _jacobi_eig(m)
+                assert vals.dtype == np.float64 and vecs.dtype == np.complex128
+                ref_vals, ref_vecs = _complex_rounds(m)
+                where = f"{kind}, n={n}, real={real}"
+                assert vals.tobytes() == ref_vals.tobytes(), where
+                assert vecs.tobytes() == ref_vecs.tobytes(), where
