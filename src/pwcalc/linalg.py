@@ -119,7 +119,11 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-@functools.lru_cache(maxsize=8)
+# A process solves at few sizes: lib-medium's mix reaches 8 and its traced
+# run 13 (with the 64 and 128 of the kernel sweep). Rebuilding the plan
+# once per solve cost 1-4% of lib-medium's ops/s. An entry holds about
+# 24 n^2 bytes.
+@functools.lru_cache(maxsize=16)
 def _round_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """The rounds of :func:`_round_robin` as read-only indices into the
     flattened ``n x n`` matrix: ``pq`` (the ``p`` then the ``q`` of each
