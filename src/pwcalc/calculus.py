@@ -35,23 +35,9 @@ _ROUNDTRIP_LIMIT = 1e-8
 _SPECTRUM_SLACK = 1e-9
 
 
-def zero_split(x: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, int, float]:
-    """Classify eigenvalues at 0: ``(zero_mask, near, margin)``.
-
-    ``zero_mask`` marks ``x <= zero_tol``; ``near`` counts the retained
-    eigenvalues at or below ``10 * zero_tol`` and ``margin`` is the
-    smallest retained distance above ``zero_tol`` (+inf if none).
-    """
-    zero = x <= tol.zero_tol
-    kept = x[~zero]
-    near = int((kept <= 10.0 * tol.zero_tol).sum())
-    margin = float(kept.min() - tol.zero_tol) if kept.size else math.inf
-    return zero, near, margin
-
-
 @dataclass(frozen=True)
 class SpectrumSplit:
-    """Classification of the commuting representative's spectrum.
+    """The one classification of the commuting representative's spectrum.
 
     ``zero`` and ``one`` mark eigenvalues within ``zero_tol`` of 0 and
     within ``one_tol`` of 1; ``retained`` marks the rest. ``margin`` is
@@ -59,6 +45,12 @@ class SpectrumSplit:
     (+inf when nothing is retained); the classification is inherently
     discontinuous, so callers should surface it. ``near_zero`` counts
     retained eigenvalues below ``10 * zero_tol``.
+
+    It is computed once per pair by :func:`_classify` and every 0/1
+    decision reads it: profile values in ``eval`` and the pairings, the
+    absolutely continuous and singular parts and the projection of the
+    Lebesgue decomposition, both singularity predicates and the
+    suppressed directions of the derivative factors.
     """
 
     zero: np.ndarray
@@ -69,10 +61,12 @@ class SpectrumSplit:
 
 
 def _classify(x: np.ndarray, tol: ToleranceConfig) -> SpectrumSplit:
-    """Split the ascending spectrum ``x`` of ``gram_a`` at 0 and 1."""
-    zero, near_zero, _ = zero_split(x, tol)
+    """Split the ascending spectrum ``x`` of ``gram_a`` at 0 and 1; the
+    only place that reads ``zero_tol`` and ``one_tol`` to decide."""
+    zero = x <= tol.zero_tol
     one = x >= 1.0 - tol.one_tol
     retained = ~(zero | one)
+    near_zero = int((x[~zero] <= 10.0 * tol.zero_tol).sum())
     if retained.any():
         xr = x[retained]
         margin = float(np.minimum(xr - tol.zero_tol, (1.0 - tol.one_tol) - xr).min())

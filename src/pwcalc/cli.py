@@ -186,9 +186,10 @@ def _cmd_singular(args, tol, warnings):
 
 
 def _cmd_abscont(args, tol, warnings):
-    verdict, deviation = leb._abs_continuity(load_matrix(args.a),
-                                             load_matrix(args.b), tol)
-    return {"is_abs_continuous": verdict,
+    rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
+    deviation = hermitian_norm(leb._projection_from_rep(rep)
+                               - np.eye(rep.n, dtype=np.complex128))
+    return {"is_abs_continuous": not rep.split.zero.any(),
             "projection_deviation": deviation}, {}
 
 

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PwRep, build_rep, zero_split
+from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import abs_part, parallel, scaled_parallel
 from .linalg import (_sqrt_of, _support_of, _validated, eig_hermitian,
                      frobenius, hermitian_norm, hermitize, psd_sqrt)
-
-# P - I below this spectral norm means P = I, i.e. b << a
-_ABS_CONT_LIMIT = 1e-7
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,10 @@ def abs_cont_part(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _projection_from_rep(rep: PwRep) -> np.ndarray:
-    w = hermitize(rep.contr_b @ rep.contr_b.conj().T)
-    dec = eig_hermitian(w, rep.tol)
-    keep = dec.eigenvalues < 1.0 - rep.tol.one_tol
+    # the nonzero spectrum of Y Y* is 1 - x, so the split's k0 zero
+    # eigenvalues of gram_a are its k0 largest: the killed directions
+    dec = eig_hermitian(hermitize(rep.contr_b @ rep.contr_b.conj().T), rep.tol)
+    keep = np.arange(rep.n) < rep.n - int(rep.split.zero.sum())
     return hermitize(dec.apply(np.where(keep, 1.0, 0.0)))
 
 
@@ -99,26 +97,26 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
     bc = rep.eval(abs_part())
     bs = _singular_part_from_rep(rep)
     proj = _projection_from_rep(rep)
-    zero, near, margin = zero_split(rep.gram_a_spec.eigenvalues, tol)
+    split = rep.split
     warnings = []
-    if near:
+    if split.near_zero:
         warnings.append(
-            f"low spectral margin: {near} eigenvalue(s) retained within "
-            f"10*zero_tol of the classification threshold zero_tol="
-            f"{tol.zero_tol:g}, margin={margin:.3e}")
+            f"low spectral margin: {split.near_zero} eigenvalue(s) retained "
+            f"within 10*zero_tol of the classification threshold zero_tol="
+            f"{tol.zero_tol:g}, margin={split.margin:.3e}")
     residual = hermitian_norm(rep.b - bc - bs)
     return LebesgueDecomposition(
         abs_part=bc, sing_part=bs, projection=proj, rank=rep.rank,
-        num_zero_eigs=int(zero.sum()), spectral_margin=margin,
+        num_zero_eigs=int(split.zero.sum()), spectral_margin=split.margin,
         residual_sum=residual, warnings=tuple(warnings))
 
 
 def abs_continuity_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Projection ``P`` with ``abs_cont_part(a, b) = b^(1/2) P b^(1/2)``.
 
-    Computed spectrally from the second contraction's outer Gram, whose
-    eigenvalue-1 eigenspace is exactly the direction killed by the
-    decomposition.
+    Computed spectrally from the second contraction's outer Gram: its
+    eigenvectors for the largest eigenvalues, as many as the split has
+    zeros, span the directions killed by the decomposition.
     """
     return _projection_from_rep(build_rep(a, b, tol))
 
@@ -157,9 +155,10 @@ def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np
 def is_mutually_singular(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SingularityCheck:
     """Decide mutual singularity via the spectrum of the representative.
 
-    The pair is mutually singular exactly when that spectrum sits inside
-    {0, 1}; the witness is the eigenvalue farthest from the endpoints.
-    The zero pair is singular vacuously.
+    The pair is mutually singular exactly when the split retains no
+    eigenvalue, so that the spectrum sits at {0, 1}; the witness is the
+    eigenvalue farthest from the endpoints. The zero pair is singular
+    vacuously.
     """
     rep = build_rep(a, b, tol)
     x = rep.gram_a_spec.eigenvalues
@@ -167,8 +166,7 @@ def is_mutually_singular(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Singularit
         return SingularityCheck(True, None, 0.0)
     dist = np.minimum(np.abs(x), np.abs(1.0 - x))
     idx = int(np.argmax(dist))
-    threshold = max(tol.zero_tol, tol.one_tol)
-    return SingularityCheck(bool(dist[idx] <= threshold), float(x[idx]),
+    return SingularityCheck(not rep.split.retained.any(), float(x[idx]),
                             float(dist[idx]))
 
 
@@ -177,19 +175,10 @@ def is_abs_continuous(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
     Equivalent characterizations: the decomposition returns ``b`` itself
     as the absolutely continuous part, and the associated projection is
-    the identity. The implementation tests the projection.
+    the identity. The predicate reads the pair's spectral split: it
+    holds when no eigenvalue of the representative is classified as 0.
     """
-    return _abs_continuity(a, b, tol)[0]
-
-
-def _abs_continuity(a, b, tol: ToleranceConfig) -> tuple[bool, float]:
-    """``(verdict, deviation)``: the spectral norm ``deviation`` of
-    ``P - I`` for the projection ``P`` of :func:`abs_continuity_projection`,
-    and whether it is below ``_ABS_CONT_LIMIT``."""
-    proj = abs_continuity_projection(a, b, tol)
-    n = proj.shape[0]
-    deviation = hermitian_norm(proj - np.eye(n, dtype=np.complex128))
-    return deviation < _ABS_CONT_LIMIT, deviation
+    return not build_rep(a, b, tol).split.zero.any()
 
 
 def parallel_sum(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

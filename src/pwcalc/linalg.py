@@ -178,12 +178,20 @@ def _jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hv[n:] = np.eye(n)
     if n < 2:
         return np.diag(h).real.astype(np.float64), hv[n:].astype(np.complex128)
-    target = n * float(np.finfo(np.float64).eps) * _norm(h)
     flat = hv.reshape(-1)
-    # tau overflows to inf, and |tau| + hypot(1, tau) with it, when
-    # h[p, q] is negligible next to the diagonal gap; t is then 0 and the
-    # rotation the identity
+    # the norm overflows for large finite entries (handled below); tau
+    # overflows to inf, and |tau| + hypot(1, tau) with it, when h[p, q] is
+    # negligible next to the diagonal gap; t is then 0 and the rotation
+    # the identity
     with np.errstate(over="ignore"):
+        norm = _norm(h)
+        if norm == np.inf:
+            # solve the matrix scaled by a power of two, exact for every
+            # entry that stays normal, and scale the spectrum back
+            k = int(np.frexp(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))[1])
+            vals, vecs = _jacobi_eig(mat * np.ldexp(1.0, -k))
+            return np.ldexp(vals, k), vecs
+        target = n * float(np.finfo(np.float64).eps) * norm
         for _ in range(MAX_JACOBI_SWEEPS):
             if _offdiag_norm(h) <= target:
                 vals = np.diag(h).real.copy()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PwRep, build_rep, zero_split
+from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
 from .functions import PwFunction, abs_part
@@ -60,21 +60,23 @@ def _require_definite(rep: PwRep) -> None:
 def _ratio(rep: PwRep, fn: PwFunction):
     """Ratio ``fn(x)/x`` on the outer Gram ``dec`` of the first contraction.
 
-    Returns ``(dec, hvals, suppressed, near, margin)``. Endpoints are
-    classified as in the direct evaluation route, so both sides of the
-    reconstruction identity kill the same directions.
+    Returns ``(dec, hvals, margin)``. ``a`` is definite, so ``dec`` has the
+    spectrum of ``gram_a`` in the same ascending order and takes the masks
+    of ``rep.split``: both sides of the reconstruction identity kill the
+    same directions, where ``fn`` is 0. ``margin`` is the distance of
+    ``dec``'s smallest retained eigenvalue above ``zero_tol``.
     """
-    tol = rep.tol
-    dec = eig_hermitian(hermitize(rep.contr_a @ rep.contr_a.conj().T), tol)
+    zero = rep.split.zero
+    dec = eig_hermitian(hermitize(rep.contr_a @ rep.contr_a.conj().T), rep.tol)
     w = dec.eigenvalues
-    suppressed, near, margin = zero_split(w, tol)
-    fvals = fn.values(w, suppressed, w >= 1.0 - tol.one_tol)
+    fvals = fn.values(w, zero, rep.split.one)
     if (fvals < 0.0).any():
         raise InputError(
             f"profile {fn.name!r} is negative on the spectrum; the "
             f"congruence form requires a nonnegative profile")
-    hvals = np.where(suppressed, 0.0, fvals / np.maximum(w, tol.zero_tol))
-    return dec, hvals, suppressed, near, margin
+    kept = w[~zero]
+    margin = float(kept.min() - rep.tol.zero_tol) if kept.size else math.inf
+    return dec, fvals / np.where(zero, 1.0, w), margin
 
 
 def rn_factor(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RnFactorization:
@@ -113,7 +115,7 @@ def kubo_ando_form(a, b, fn: PwFunction,
             f"requires a bounded profile")
     rep = build_rep(a, b, tol)
     _require_definite(rep)
-    dec, hvals, suppressed, near, margin = _ratio(rep, fn)
+    dec, hvals, margin = _ratio(rep, fn)
     factor = hermitize(dec.apply(hvals))
     root = psd_sqrt(factor, tol) @ rep.a_half
     value = hermitize(root.conj().T @ root)
@@ -123,8 +125,8 @@ def kubo_ando_form(a, b, fn: PwFunction,
     condition = float(hvals.max()) if hvals.size else 0.0
     return RnFactorization(factor=factor, root=root, value=value,
                            residual=residual, condition=condition,
-                           infinite_directions=int(suppressed.sum()),
-                           near_singular=near, margin=margin)
+                           infinite_directions=int(rep.split.zero.sum()),
+                           near_singular=rep.split.near_zero, margin=margin)
 
 
 def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -142,6 +144,6 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if vec.shape[0] != rep.n:
         raise InputError(
             f"vector length {vec.shape[0]} does not match dimension {rep.n}")
-    dec, hvals, _, _, _ = _ratio(rep, abs_part())
+    dec, hvals, _ = _ratio(rep, abs_part())
     coords = np.abs(dec.basis.conj().T @ vec) ** 2
     return float((hvals * coords).sum())

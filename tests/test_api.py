@@ -72,6 +72,9 @@ SOLVES = [
      pwcalc.solvable_subspace_projection, 3),
     ("trace_functional", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.trace_functional(a, b, pwcalc.entropy()), 5),
+    ("is_abs_continuous", "a3.json", "b3.json", pwcalc.is_abs_continuous, 4),
+    ("is_mutually_singular", "sing_a2.json", "sing_b2.json",
+     pwcalc.is_mutually_singular, 4),
 ]
 
 

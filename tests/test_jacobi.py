@@ -246,6 +246,18 @@ class TestKernel:
             vals, vecs = _jacobi_eig(m)
         _check_eigenpairs(m, vals, vecs)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_overflowing_norm_is_solved_scaled(self, dtype):
+        # every entry is finite but the Frobenius norm overflows; the
+        # unscaled stopping rule accepted the unrotated diagonal
+        for m, want in (([[1e200, 2e200], [2e200, 1e200]], [-1e200, 3e200]),
+                        ([[1e200] * 2] * 2, [0.0, 2e200])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals, vecs = _jacobi_eig(np.array(m, dtype=dtype))
+            assert vals.tolist() == want
+            assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() < 1e-15
+
     def test_memory_layout_does_not_change_bits(self, rng):
         m = rand_hermitian(rng, 7)
         padded = np.zeros((14, 21), dtype=np.complex128)

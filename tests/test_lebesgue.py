@@ -9,11 +9,11 @@ from pwcalc import (abs_cont_part, abs_continuity_projection, build_rep,
                     is_abs_continuous, is_mutually_singular,
                     lebesgue_decompose, kron, parallel_sum,
                     parallel_sum_expressions, parallel_sum_limit,
-                    polar_isometry, solvable_subspace_projection,
+                    polar_isometry, rn_factor, solvable_subspace_projection,
                     ToleranceConfig)
 
-from conftest import (anderson_duffin, dominated_matrix, eigmin, np_sqrtm,
-                      rand_pair, rand_psd, rand_unitary, spec_norm,
+from conftest import (SEED, anderson_duffin, dominated_matrix, eigmin,
+                      np_sqrtm, rand_pair, rand_psd, rand_unitary, spec_norm,
                       structured_pair)
 
 ANDO_A = np.diag([1.0, 0.0])
@@ -212,6 +212,50 @@ class TestPredicates:
         b = rand_psd(rng, 4)
         assert is_abs_continuous(a, b) == (spec_norm(
             b - abs_cont_part(a, b)) < 1e-7)
+
+
+class TestOneSplit:
+    """Every 0/1 decision reads the pair's one spectral split, so the
+    operations agree with each other under any tolerances."""
+
+    @pytest.mark.parametrize("zero_tol,one_tol",
+                             [(1e-8, 1e-8), (0.5, 1e-8), (1e-8, 0.5), (0.2, 0.3)])
+    def test_consistent_answers(self, zero_tol, one_tol):
+        tol = ToleranceConfig(zero_tol=zero_tol, one_tol=one_tol)
+        rng = np.random.default_rng(SEED + 7)
+        for k in range(24):
+            n = int(rng.integers(2, 9))
+            rank_a = n if k % 3 == 0 else int(rng.integers(0, n + 1))
+            a, b = rand_pair(rng, n, rank_a, int(rng.integers(0, n + 1)))
+            dec = lebesgue_decompose(a, b, tol)
+            b_half = np_sqrtm(b)
+            # b^(1/2) P b^(1/2) is abs_part plus the directions the split
+            # rounds to 1, where abs_part is 0 and b weighs at most one_tol
+            gap = b_half @ dec.projection @ b_half - dec.abs_part
+            assert eigmin(gap) >= -1e-9
+            assert eigmin(one_tol * (a + b) - gap) >= -1e-9
+            assert is_abs_continuous(a, b, tol) == (dec.num_zero_eigs == 0)
+            assert (is_mutually_singular(a, b, tol).is_singular
+                    == (not dec.abs_part.any()))
+            if rank_a == n:
+                assert (rn_factor(a, b, tol).infinite_directions
+                        == dec.num_zero_eigs)
+
+    def test_fixture_pair_under_wide_tolerances(self):
+        a = np.diag([1.0, 1.0, 0.0])
+        b = np.diag([5.0, 0.0, 3.0])
+        # x = 1/6 on e1 is classified as 0: b is singular to a
+        tol = ToleranceConfig(zero_tol=0.5)
+        dec = lebesgue_decompose(a, b, tol)
+        b_half = np_sqrtm(b)
+        assert np.abs(dec.abs_part).max() == 0.0
+        assert np.abs(b_half @ dec.projection @ b_half).max() < 1e-12
+        assert is_mutually_singular(a, b, tol).is_singular
+        # x = 1/6 is retained: b has an absolutely continuous part
+        tol = ToleranceConfig(one_tol=0.5)
+        np.testing.assert_allclose(lebesgue_decompose(a, b, tol).abs_part,
+                                   np.diag([5.0, 0.0, 0.0]), atol=1e-12)
+        assert not is_mutually_singular(a, b, tol).is_singular
 
 
 class TestParallelSum:

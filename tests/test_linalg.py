@@ -74,6 +74,13 @@ class TestValidation:
         with pytest.raises(NotPsdError):
             validate_psd(np.diag([1.0, -1.0]))
 
+    def test_overflowing_norm(self):
+        # eigenvalues -1e200 and 3e200 although the Frobenius norm overflows
+        with pytest.raises(NotPsdError):
+            validate_psd([[1e200, 2e200], [2e200, 1e200]])
+        _, min_eig = validate_psd([[1e200] * 2] * 2)
+        assert min_eig == 0.0
+
 
 class TestSqrt:
     def test_diagonal(self):
