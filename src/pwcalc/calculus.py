@@ -167,6 +167,14 @@ class PwRep:
                 f"got {mm.shape}")
         return hermitize(self.coord_map.conj().T @ mm @ self.coord_map)
 
+    def _push(self, vals: np.ndarray) -> np.ndarray:
+        """:meth:`from_support` of ``gram_a_spec.apply(vals)`` for finite
+        ``vals``, without its checks: the matrix is ``complex128``,
+        finite and of the support's shape by construction, and
+        ``hermitian_part`` of such a matrix is ``hermitize`` of it."""
+        mm = hermitize(self.gram_a_spec.apply(vals))
+        return hermitize(self.coord_map.conj().T @ mm @ self.coord_map)
+
     def to_support(self, c) -> np.ndarray:
         """Invert :meth:`from_support` on operators dominated by ``a + b``.
 
@@ -209,7 +217,7 @@ class PwRep:
             raise ExtendedValueError(
                 f"extended value: profile {fn.name!r} is infinite on the "
                 f"spectrum of the pair; use a pairing (pair/trace) instead")
-        return self.from_support(self.gram_a_spec.apply(vals))
+        return self._push(vals)
 
     def pairing_weights(self, rho) -> np.ndarray:
         """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis."""

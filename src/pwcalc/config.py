@@ -30,7 +30,8 @@ class ToleranceConfig:
         of 0 are classified as exactly 0 (absolute, valid because that
         spectrum lives in [0, 1]).
     one_tol : float
-        Same classification at the other endpoint 1.
+        Same classification at the other endpoint 1. The two windows
+        must not overlap: ``zero_tol + one_tol < 1``.
     weight_tol : float
         Spectral weights at or below this value contribute nothing to a
         pairing, implementing the convention ``0 * inf = 0``.
@@ -56,6 +57,10 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0):
                 raise InputError(f"{name} must be strictly positive, got {value!r}")
+        if not self.zero_tol + self.one_tol < 1.0:
+            raise InputError(
+                f"zero_tol + one_tol must be below 1, got {self.zero_tol!r} "
+                f"+ {self.one_tol!r}: an eigenvalue would be both 0 and 1")
         if self.support_tol is not None and not self.support_tol > 0:
             raise InputError(f"support_tol must be strictly positive or None, "
                              f"got {self.support_tol!r}")

@@ -46,13 +46,16 @@ class PwFunction:
                one_mask: np.ndarray) -> np.ndarray:
         """Evaluate on classified eigenvalues; entries may be +inf."""
         out = np.empty(len(x), dtype=np.float64)
-        for i, xi in enumerate(x):
-            if zero_mask[i]:
+        # loop over Python floats and bools: indexing numpy scalars costs
+        # more than most profile calls
+        for i, (xi, at_zero, at_one) in enumerate(
+                zip(x.tolist(), zero_mask.tolist(), one_mask.tolist())):
+            if at_zero:
                 val = self.at_zero
-            elif one_mask[i]:
+            elif at_one:
                 val = self.at_one
             else:
-                val = float(self.profile(float(min(max(xi, 0.0), 1.0))))
+                val = float(self.profile(min(max(xi, 0.0), 1.0)))
             if math.isnan(val):
                 raise NumericError(
                     f"profile {self.name!r} returned NaN at x = {xi!r}")

@@ -19,7 +19,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import abs_part, parallel, scaled_parallel
 from .linalg import (_sqrt_of, _support_of, _validated, eig_hermitian,
-                     frobenius, hermitian_norm, hermitize, psd_sqrt)
+                     frobenius, hermitian_norm, hermitize)
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,12 @@ class LebesgueDecomposition:
     parts are computed spectrally, not by subtraction, so the residual
     is an honest diagnostic). ``projection`` is the orthogonal
     projection implementing ``abs_part = b^(1/2) P b^(1/2)``.
+
+    ``sing_part`` and ``projection`` are read off the eigenvectors ``W0``
+    that the split classifies as 0, with ``Y`` the second contraction
+    and ``T`` the coordinate map: ``sing_part = T* W0 diag(y0) W0* T``
+    and ``projection = I - U U*`` with ``U = Y W0 / sqrt(y0)``, where
+    ``y0 = ||Y w||^2`` per column.
     """
 
     abs_part: np.ndarray
@@ -67,21 +73,36 @@ def abs_cont_part(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return build_rep(a, b, tol).eval(abs_part())
 
 
+def _killed_directions(rep: PwRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(W0, Y W0, y0)``: the split's zero eigenvectors ``W0`` of
+    ``gram_a``, their images under ``Y = contr_b`` and ``y0 = ||Y w||^2``
+    per column.
+
+    ``Y* Y = I - gram_a``, so the columns of ``Y W0`` are orthogonal and
+    ``y0 = 1 - x0``; ``zero_tol + one_tol < 1`` keeps ``y0`` above
+    ``one_tol``.
+    """
+    w0 = rep.gram_a_spec.basis[:, rep.split.zero]
+    yw = rep.contr_b @ w0
+    return w0, yw, np.sum(np.abs(yw) ** 2, axis=0)
+
+
 def _projection_from_rep(rep: PwRep) -> np.ndarray:
-    # the nonzero spectrum of Y Y* is 1 - x, so the split's k0 zero
-    # eigenvalues of gram_a are its k0 largest: the killed directions
-    dec = eig_hermitian(hermitize(rep.contr_b @ rep.contr_b.conj().T), rep.tol)
-    keep = np.arange(rep.n) < rep.n - int(rep.split.zero.sum())
-    return hermitize(dec.apply(np.where(keep, 1.0, 0.0)))
+    # P = I - U U*, where U = Y W0 / sqrt(y0) is orthonormal and spans
+    # the directions the split kills
+    _, yw, y0 = _killed_directions(rep)
+    if not (y0 > 0.0).all():
+        raise NumericError(
+            "a direction classified as 0 has no weight in the second "
+            "contraction; the representation is inconsistent")
+    u = yw / np.sqrt(y0)[None, :]
+    return hermitize(np.eye(rep.n, dtype=np.complex128) - u @ u.conj().T)
 
 
 def _singular_part_from_rep(rep: PwRep) -> np.ndarray:
-    split = rep.split
-    v0 = rep.gram_a_spec.basis[:, split.zero]
-    if v0.shape[1] == 0:
-        return np.zeros((rep.n, rep.n), dtype=np.complex128)
-    core = hermitize(v0.conj().T @ rep.gram_b @ v0)
-    factor = psd_sqrt(core, rep.tol) @ v0.conj().T @ rep.coord_map
+    # T* W0 diag(y0) W0* T, as factor* factor
+    w0, _, y0 = _killed_directions(rep)
+    factor = np.sqrt(y0)[:, None] * (w0.conj().T @ rep.coord_map)
     return hermitize(factor.conj().T @ factor)
 
 
@@ -114,9 +135,11 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
 def abs_continuity_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Projection ``P`` with ``abs_cont_part(a, b) = b^(1/2) P b^(1/2)``.
 
-    Computed spectrally from the second contraction's outer Gram: its
-    eigenvectors for the largest eigenvalues, as many as the split has
-    zeros, span the directions killed by the decomposition.
+    The decomposition kills the directions ``Y w``, where ``w`` runs over
+    the eigenvectors of ``gram_a`` that the split classifies as 0 and
+    ``Y`` is the second contraction. ``Y* Y = I - gram_a``, so the
+    normalized ``u = Y w / ||Y w||`` are orthonormal and
+    ``P = I - sum u u*``; no eigensolve beyond the pair's own is needed.
     """
     return _projection_from_rep(build_rep(a, b, tol))
 
@@ -205,7 +228,7 @@ def parallel_sum_limit(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ParallelSumL
         return scaled_parallel(n).values(x, split.zero, split.one)
 
     prev_vals = scaled_values(1.0)
-    prev = rep.from_support(rep.gram_a_spec.apply(prev_vals))
+    prev = rep._push(prev_vals)
     iterates = [prev]
     gaps: list[float] = []
     converged = False
@@ -215,7 +238,7 @@ def parallel_sum_limit(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ParallelSumL
         if float((cur_vals - prev_vals).min(initial=0.0)) < -1e-9:
             raise NumericError(
                 "parallel-sum profile family failed to be nondecreasing")
-        cur = rep.from_support(rep.gram_a_spec.apply(cur_vals))
+        cur = rep._push(cur_vals)
         gap = frobenius(cur - prev)
         gaps.append(gap)
         iterates.append(cur)

@@ -46,8 +46,13 @@ def _as_square(a) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, ``(m + m*) / 2``."""
-    return 0.5 * (m + m.conj().T)
+    """Project onto the Hermitian part, ``(m + m*) / 2``.
+
+    Halving first cannot overflow for finite entries, and it gives the
+    bits of ``(m + m*) / 2`` wherever the halves stay normal.
+    """
+    h = 0.5 * m
+    return h + h.conj().T
 
 
 def hermitian_part(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -190,7 +195,12 @@ def _jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # entry that stays normal, and scale the spectrum back
             k = int(np.frexp(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))[1])
             vals, vecs = _jacobi_eig(mat * np.ldexp(1.0, -k))
-            return np.ldexp(vals, k), vecs
+            vals = np.ldexp(vals, k)
+            if not np.isfinite(vals).all():
+                raise NumericError(
+                    "eigenvalue outside the float64 range: the matrix's "
+                    "spectral norm overflows")
+            return vals, vecs
         target = n * float(np.finfo(np.float64).eps) * norm
         for _ in range(MAX_JACOBI_SWEEPS):
             if _offdiag_norm(h) <= target:

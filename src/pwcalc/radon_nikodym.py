@@ -21,7 +21,7 @@ from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
 from .functions import PwFunction, abs_part
-from .linalg import eig_hermitian, hermitian_norm, hermitize, psd_sqrt
+from .linalg import eig_hermitian, hermitian_norm, hermitize
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,11 @@ def kubo_ando_form(a, b, fn: PwFunction,
     _require_definite(rep)
     dec, hvals, margin = _ratio(rep, fn)
     factor = hermitize(dec.apply(hvals))
-    root = psd_sqrt(factor, tol) @ rep.a_half
+    # factor's root shares dec's basis; h at or below the support
+    # threshold counts as zero, as for any PSD root
+    th = tol.support_threshold(hvals.size, float(hvals.max()))
+    root_h = hermitize(dec.apply(np.sqrt(np.where(hvals > th, hvals, 0.0))))
+    root = root_h @ rep.a_half
     value = hermitize(root.conj().T @ root)
     target = rep.eval(fn)
     scale = max(hermitian_norm(target), 1e-300)

@@ -57,14 +57,16 @@ def _fixture_pair(a, b):
 # and should be deliberate.
 SOLVES = [
     ("build_rep", "a3.json", "b3.json", lambda a, b: pwcalc.build_rep(a, b), 4),
-    ("lebesgue_decompose", "a3.json", "b3.json", pwcalc.lebesgue_decompose, 7),
+    ("lebesgue_decompose", "a3.json", "b3.json", pwcalc.lebesgue_decompose, 5),
+    ("abs_continuity_projection", "a3.json", "b3.json",
+     pwcalc.abs_continuity_projection, 4),
     ("build_rep", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.build_rep(a, b), 4),
     ("lebesgue_decompose", "a2pd.json", "b2sing.json",
-     pwcalc.lebesgue_decompose, 6),
-    ("rn_factor", "a2pd.json", "b2sing.json", pwcalc.rn_factor, 8),
+     pwcalc.lebesgue_decompose, 5),
+    ("rn_factor", "a2pd.json", "b2sing.json", pwcalc.rn_factor, 7),
     ("kubo_ando_form", "a2pd.json", "b2sing.json",
-     lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.parallel()), 8),
+     lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.parallel()), 7),
     ("rn_quadratic_form", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.rn_quadratic_form(
          a, b, load_vector(str(FIXTURES / "xi2.json"))), 5),
@@ -134,3 +136,70 @@ def test_one_decomposition_per_input_is_bit_exact(pair):
     for fn in (pwcalc.entropy(), pwcalc.parallel(), pwcalc.power(2.0)):
         expected = rep.pairing(fn, rho).value
         assert repr(pwcalc.trace_functional(a, b, fn)) == repr(expected)
+
+
+# The solves that the eigenbasis formulas replaced: Y Y* diagonalized for
+# the projection, the root of W0* gram_b W0 for the singular part and the
+# root of the ratio factor for the Kubo-Ando root.
+def _projection_by_solve(rep):
+    dec = pwcalc.eig_hermitian(
+        pwcalc.hermitize(rep.contr_b @ rep.contr_b.conj().T), rep.tol)
+    keep = np.arange(rep.n) < rep.n - int(rep.split.zero.sum())
+    return pwcalc.hermitize(dec.apply(np.where(keep, 1.0, 0.0)))
+
+
+def _singular_part_by_solve(rep):
+    v0 = rep.gram_a_spec.basis[:, rep.split.zero]
+    if v0.shape[1] == 0:
+        return np.zeros((rep.n, rep.n), dtype=np.complex128)
+    core = pwcalc.hermitize(v0.conj().T @ rep.gram_b @ v0)
+    factor = pwcalc.psd_sqrt(core, rep.tol) @ v0.conj().T @ rep.coord_map
+    return pwcalc.hermitize(factor.conj().T @ factor)
+
+
+def _kubo_root_by_solve(rep, factor):
+    return pwcalc.psd_sqrt(factor, rep.tol) @ rep.a_half
+
+
+def _scaled_pairs(count, definite):
+    """Seeded pairs, n 2-12, random ranks (``a`` definite if asked), real
+    and complex, jointly scaled by 1e-6..1e6; yields ``(a, b, scale)``."""
+    rng = np.random.default_rng(8)
+    for k in range(count):
+        n = int(rng.integers(2, 13))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        rank_a = n if definite else int(rng.integers(0, n + 1))
+        a, b = rand_pair(rng, n, rank_a, int(rng.integers(0, n + 1)), scale)
+        if k % 2:
+            a, b = a.real, b.real
+        yield a, b, scale
+
+
+# zero_tol = 0.3 classifies eigenvalues well inside (0, 1) as 0, where
+# y0 = 1 - x0 is far from 1
+@pytest.mark.parametrize("tol", [pwcalc.DEFAULT_TOL,
+                                 pwcalc.ToleranceConfig(zero_tol=0.3)],
+                         ids=["default", "zero_tol=0.3"])
+def test_lebesgue_parts_match_the_solves_they_replace(tol):
+    zero_dirs = 0
+    for a, b, scale in _scaled_pairs(48, definite=False):
+        rep = pwcalc.build_rep(a, b, tol)
+        dec = pwcalc.lebesgue_decompose(a, b, tol)
+        zero_dirs += dec.num_zero_eigs
+        assert np.abs(dec.projection - _projection_by_solve(rep)).max() <= 1e-12
+        assert (np.abs(dec.sing_part - _singular_part_by_solve(rep)).max()
+                <= 1e-12 * scale)
+        assert (pwcalc.abs_continuity_projection(a, b, tol).tobytes()
+                == dec.projection.tobytes())
+    assert zero_dirs > 0  # the pairs exercise the killed directions
+
+
+@pytest.mark.parametrize("fn", [pwcalc.abs_part(), pwcalc.parallel(),
+                                pwcalc.geometric(0.3)], ids=lambda fn: fn.name)
+def test_kubo_root_matches_the_solve_it_replaced(fn):
+    for a, b, _ in _scaled_pairs(40, definite=True):
+        rep = pwcalc.build_rep(a, b)
+        res = pwcalc.kubo_ando_form(a, b, fn)
+        ref = _kubo_root_by_solve(rep, res.factor)
+        assert (np.abs(res.root - ref).max()
+                <= 1e-10 * np.linalg.norm(ref, 2))

@@ -191,6 +191,20 @@ class TestEval:
         with pytest.raises(ExtendedValueError):
             pw_eval([[1.0]], [[0.0]], entropy())
 
+    def test_same_bits_as_validated_push(self, rng):
+        # eval skips from_support's checks; the result must not change
+        for k in range(20):
+            a, b = random_rank_pair(rng)
+            if k % 2:
+                a, b = a.real, b.real
+            rep = build_rep(a, b)
+            x, split = rep.gram_a_spec.eigenvalues, rep.split
+            for fn in (abs_part(), parallel(), geometric(0.3), left(), right(),
+                       arithmetic(), scaled_parallel(8.0)):
+                vals = fn.values(x, split.zero, split.one)
+                ref = rep.from_support(rep.gram_a_spec.apply(vals))
+                assert rep.eval(fn).tobytes() == ref.tobytes()
+
     def test_psd_when_profile_nonnegative(self, rng):
         a, b = rand_pair(rng, 6, 4, 5)
         out = pw_eval(a, b, parallel())

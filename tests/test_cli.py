@@ -162,6 +162,11 @@ class TestExitCodes:
                           "--b", "b3.json"], 2)
         assert "unknown profile" in rep["diagnostics"]["error"]
 
+    def test_overlapping_tolerance_windows(self):
+        rep = run_report(["lebesgue", "--a", "a3.json", "--b", "b3.json",
+                          "--tol-zero", "0.7", "--tol-one", "0.7"], 2)
+        assert "zero_tol + one_tol" in rep["diagnostics"]["error"]
+
     def test_unknown_subcommand_is_usage_error(self):
         proc = run_cli(["frobnicate", "--a", "a3.json", "--b", "b3.json"])
         assert proc.returncode == 2

@@ -106,6 +106,21 @@ class TestGuards:
         with pytest.raises(InputError):
             values_at(fn, [0.5])
 
+    def test_profile_gets_python_floats(self):
+        seen = []
+        fn = PwFunction("spy", lambda x: seen.append(x) or x, 0.0, 1.0, True)
+        values_at(fn, [0.25, -1e-15, 1.0 + 1e-15])
+        assert seen == [0.25, 0.0, 1.0]
+        assert all(type(x) is float for x in seen)
+
+    def test_messages_print_plain_floats(self):
+        nan = PwFunction("bad", lambda x: float("nan"), 0.0, 0.0, True)
+        with pytest.raises(NumericError, match=r"at x = 0\.5$"):
+            values_at(nan, [0.5])
+        neg = PwFunction("bad", lambda x: -math.inf, 0.0, 0.0, True)
+        with pytest.raises(InputError, match=r"at x = 0\.5;"):
+            values_at(neg, [0.5])
+
     def test_out_of_range_eigenvalues_clipped(self):
         # rounding can push retained eigenvalues slightly outside [0, 1]
         fn = geometric(0.5)

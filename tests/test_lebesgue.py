@@ -1,11 +1,13 @@
 """Tests for the decomposition, projections, predicates and parallel sums."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pwcalc import (abs_cont_part, abs_continuity_projection, build_rep,
+from pwcalc import lebesgue
+from pwcalc import (NumericError, abs_cont_part, abs_continuity_projection, build_rep,
                     is_abs_continuous, is_mutually_singular,
                     lebesgue_decompose, kron, parallel_sum,
                     parallel_sum_expressions, parallel_sum_limit,
@@ -174,6 +176,13 @@ class TestProjections:
             p1 = abs_continuity_projection(a, b)
             p2 = solvable_subspace_projection(a, b)
             assert spec_norm(p1 - p2) < 1e-7
+
+    def test_killed_direction_without_weight(self):
+        # y0 = 0 on a zero direction is an inconsistent representation
+        rep = build_rep(ANDO_A, ANDO_B)
+        broken = dataclasses.replace(rep, contr_b=np.zeros_like(rep.contr_b))
+        with pytest.raises(NumericError):
+            lebesgue._projection_from_rep(broken)
 
     def test_isometry_identity(self, rng):
         # two expressions of the projection from the polar parts agree

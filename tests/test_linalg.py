@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pwcalc import (InputError, NotPsdError, ToleranceConfig, eig_hermitian,
-                    hermitian_part, kron, polar_isometry, psd_sqrt,
-                    support_projection, validate_psd)
+from pwcalc import (InputError, NotPsdError, NumericError, ToleranceConfig,
+                    eig_hermitian, hermitian_part, hermitize, kron,
+                    polar_isometry, psd_sqrt, support_projection, validate_psd)
+from pwcalc.linalg import _jacobi_eig
 
 from conftest import rand_complex, rand_hermitian, rand_psd
 
@@ -80,6 +81,21 @@ class TestValidation:
             validate_psd([[1e200, 2e200], [2e200, 1e200]])
         _, min_eig = validate_psd([[1e200] * 2] * 2)
         assert min_eig == 0.0
+
+    def test_entries_near_the_float_limit(self):
+        # m + m* overflows here; each half does not
+        _, min_eig = validate_psd(np.diag([1e308, 1e308]))
+        assert min_eig == 1e308
+        h = hermitize(np.array([[1e308, 1.5e308], [1.7e308, 1e308]]))
+        assert h[0, 1] == h[1, 0] == 1.6e308
+
+    def test_spectrum_beyond_the_float_limit(self):
+        # eigenvalues +-1.97e308: finite entries, spectrum out of range
+        m = np.array([[1e308, 1.7e308], [1.7e308, -1e308]])
+        with pytest.raises(NumericError, match="float64 range"):
+            eig_hermitian(m)
+        with pytest.raises(NumericError):
+            _jacobi_eig(m.astype(np.complex128))
 
 
 class TestSqrt:
@@ -223,6 +239,15 @@ class TestToleranceConfig:
             ToleranceConfig(zero_tol=0.0)
         with pytest.raises(InputError):
             ToleranceConfig(max_doublings=0)
+
+    def test_rejects_overlapping_windows(self):
+        # an eigenvalue in [0.3, 0.7] would be classified both 0 and 1
+        with pytest.raises(InputError, match="below 1"):
+            ToleranceConfig(zero_tol=0.7, one_tol=0.7)
+        with pytest.raises(InputError):
+            ToleranceConfig(zero_tol=0.5, one_tol=0.5)
+        for zero_tol, one_tol in ((0.5, 1e-8), (1e-8, 0.5), (0.2, 0.3)):
+            ToleranceConfig(zero_tol=zero_tol, one_tol=one_tol)
 
     def test_support_threshold_auto(self):
         tol = ToleranceConfig()
