@@ -33,7 +33,7 @@ from .errors import (ExtendedValueError, InputError, NotPsdError, NumericError,
 from .fileio import (INF_SENTINEL, dumps_report, load_matrix, load_vector,
                      matrix_payload, sha256_file)
 from .functions import named_function
-from .linalg import hermitian_norm
+from .linalg import frobenius, hermitian_norm
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -117,7 +117,7 @@ def _cmd_rep(args, tol, warnings):
     rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
     eye = np.eye(rep.rank, dtype=np.complex128)
     diagnostics = _margin_diagnostics(rep)
-    diagnostics["identity_residual"] = hermitian_norm(
+    diagnostics["identity_residual"] = frobenius(
         rep.contr_a.conj().T @ rep.contr_a
         + rep.contr_b.conj().T @ rep.contr_b - eye)
     outputs = {

@@ -21,6 +21,7 @@ and Veselic, 1992).
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,15 +61,24 @@ def hermitian_part(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     The deviation ``max |a - a*|`` must stay below
     ``herm_tol * max |entry|``, so the verdict does not change when ``a``
-    is scaled; the zero matrix passes with deviation 0.
+    is scaled; the zero matrix passes with deviation 0. Both sides are
+    scanned on the halves ``a / 2``, which cannot overflow for finite
+    entries and give the same verdict wherever they stay normal.
     """
     m = _as_square(a)
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-    if dev > tol.herm_tol * scale:
+    h = 0.5 * m
+    half_scale = float(np.abs(h).max()) if m.size else 0.0
+    half_dev = float(np.abs(h - h.conj().T).max()) if m.size else 0.0
+    if half_dev > tol.herm_tol * half_scale:
+        dev, scale = 2.0 * half_dev, 2.0 * half_scale
+        if math.isfinite(dev) and math.isfinite(scale):
+            raise InputError(
+                f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds "
+                f"herm_tol*scale = {tol.herm_tol * scale:.3e}")
         raise InputError(
-            f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds "
-            f"herm_tol*scale = {tol.herm_tol * scale:.3e}")
+            f"matrix is not Hermitian: half its asymmetry, {half_dev:.3e}, "
+            f"exceeds herm_tol*scale/2 = {tol.herm_tol * half_scale:.3e} "
+            f"(the asymmetry or the scale overflows float64)")
     return hermitize(m)
 
 

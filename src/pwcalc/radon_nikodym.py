@@ -21,15 +21,16 @@ from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
 from .functions import PwFunction, abs_part
-from .linalg import eig_hermitian, hermitian_norm, hermitize
+from .linalg import eig_hermitian, frobenius, hermitize
 
 
 @dataclass(frozen=True)
 class RnFactorization:
     """Derivative factor with its conditioning diagnostics.
 
-    ``value = root* root`` reproduces the target operator with relative
-    ``residual``; ``condition`` is the largest ratio value used, which
+    ``value = root* root`` reproduces the target operator with
+    ``residual = ||value - target||_F / ||target||_F``, relative and in the
+    Frobenius norm; ``condition`` is the largest ratio value used, which
     scales the attainable accuracy. ``infinite_directions`` counts
     eigenvalues suppressed to zero by classification and
     ``near_singular`` those retained but within a factor 10 of the
@@ -103,8 +104,9 @@ def kubo_ando_form(a, b, fn: PwFunction,
 
     Requires a nonnegative bounded profile with ``fn(0) = 0`` and a
     positive definite base. The ratio profile ``fn(x)/x`` is applied to
-    the outer Gram of the first contraction; the reconstruction residual
-    against the direct evaluation is reported.
+    the outer Gram of the first contraction. The reconstruction residual
+    against the direct evaluation is reported relative to it, in the
+    Frobenius norm (see :class:`RnFactorization`).
     """
     if not fn.vanishes_at_zero or fn.at_zero != 0.0:
         raise InputError(
@@ -124,8 +126,8 @@ def kubo_ando_form(a, b, fn: PwFunction,
     root = root_h @ rep.a_half
     value = hermitize(root.conj().T @ root)
     target = rep.eval(fn)
-    scale = max(hermitian_norm(target), 1e-300)
-    residual = hermitian_norm(value - target) / scale
+    scale = max(frobenius(target), 1e-300)
+    residual = frobenius(value - target) / scale
     condition = float(hvals.max()) if hvals.size else 0.0
     return RnFactorization(factor=factor, root=root, value=value,
                            residual=residual, condition=condition,

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import with_package_path
+from conftest import rand_pair, with_package_path
+from pwcalc import build_rep
 from pwcalc.cli import main
 from pwcalc.fileio import dumps_report, load_matrix, load_vector, matrix_payload
 
@@ -258,3 +259,16 @@ class TestInProcessMain:
         out = capsys.readouterr().out
         assert code == 3
         assert json.loads(out)["status"] == "error"
+
+    def test_rep_identity_residual_is_frobenius(self, capsys, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, m in zip(paths, rand_pair(np.random.default_rng(11), 6, 4, 3)):
+            path.write_text(json.dumps(matrix_payload(m)))
+        assert main(["rep", "--a", str(paths[0]), "--b", str(paths[1])]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rep = build_rep(*(load_matrix(str(p)) for p in paths))
+        x, y = rep.contr_a, rep.contr_b
+        gap = (x.conj().T @ x + y.conj().T @ y
+               - np.eye(rep.rank, dtype=np.complex128))
+        residual = report["diagnostics"]["identity_residual"]
+        assert residual == float(np.linalg.norm(gap)) > 0.0

@@ -65,6 +65,35 @@ class TestValidation:
         tiny = 1e-12 * np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
         np.testing.assert_array_equal(hermitian_part(tiny), tiny)
 
+    def test_asymmetry_near_the_float_limit(self):
+        # m - m* overflows here; the halves do not
+        with pytest.raises(InputError, match="overflows float64") as err:
+            hermitian_part([[0.0, 1e308], [-1e308, 0.0]])
+        assert "inf" not in str(err.value)
+
+    def test_halved_scan_keeps_the_verdict_and_message(self, rng):
+        # the full-width scan m - m*, on asymmetries around herm_tol*scale
+        tol = ToleranceConfig()
+        rejected = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            scale = 10.0 ** rng.uniform(-150.0, 150.0)
+            m = scale * (rand_hermitian(rng, n, real=trial % 2 == 0)
+                         + tol.herm_tol * rng.uniform(0.0, 2.0)
+                         * rand_complex(rng, n, n))
+            dev = float(np.abs(m - m.conj().T).max())
+            bound = tol.herm_tol * float(np.abs(m).max())
+            if dev > bound:
+                rejected += 1
+                with pytest.raises(InputError) as err:
+                    hermitian_part(m, tol)
+                assert str(err.value) == (
+                    f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds "
+                    f"herm_tol*scale = {bound:.3e}")
+            else:
+                assert hermitian_part(m, tol).tobytes() == hermitize(m).tobytes()
+        assert 0 < rejected < 300
+
     def test_clamps_rounding_noise(self):
         m = np.diag([1.0, -1e-12])
         out, min_eig = validate_psd(m)
