@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import DominationError, ExtendedValueError, InputError, NumericError
 from .functions import PwFunction
 from .linalg import (SpectralDecomposition, _above_support, _sqrt_of, _validated,
@@ -32,7 +32,11 @@ from .linalg import (SpectralDecomposition, _above_support, _sqrt_of, _validated
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
+# gram_a's spectrum may leave [0, 1] by its rounding noise, about
+# n * eps * cond(a + b) on the support, and never need be held tighter
+# than _SPECTRUM_SLACK
 _SPECTRUM_SLACK = 1e-9
+_SPECTRUM_NOISE_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -330,10 +334,14 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
     if rank:
         lo = float(spec.eigenvalues[0])
         hi = float(spec.eigenvalues[-1])
-        if lo < -_SPECTRUM_SLACK or hi > 1.0 + _SPECTRUM_SLACK:
+        slack = max(_SPECTRUM_SLACK,
+                    _SPECTRUM_NOISE_FACTOR * n * EPS * float(lam[-1] / lam[0]))
+        if lo < -slack or hi > 1.0 + slack:
+            excess = max(-lo, hi - 1.0)
             raise NumericError(
-                f"commuting representative has spectrum outside [0, 1]: "
-                f"[{lo:.3e}, {hi:.3e}]")
+                f"commuting representative has spectrum outside [0, 1] by "
+                f"{excess:.3e}, beyond its rounding slack {slack:.3e}: "
+                f"[{lo!r}, {hi!r}]")
     resid_a = frobenius(contr_a @ coord_map - a_half)
     resid_b = frobenius(contr_b @ coord_map - b_half)
     limit_a = _REP_RESIDUAL_LIMIT * max(1.0, frobenius(a_half))

@@ -19,7 +19,12 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import abs_part, parallel, scaled_parallel
 from .linalg import (_sqrt_of, _support_of, _validated, eig_hermitian,
-                     frobenius, hermitian_norm, hermitize)
+                     frobenius, hermitize)
+
+# residual_sum above this fraction of ||b||_F means the parts lost part of b
+# (an eigenvalue classified as 1 below 1 weighs in neither part); rounding
+# alone stays near n * eps * cond
+RESIDUAL_WARN_FACTOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -28,8 +33,11 @@ class LebesgueDecomposition:
 
     ``abs_part + sing_part`` reproduces ``b`` up to rounding (the two
     parts are computed spectrally, not by subtraction, so the residual
-    is an honest diagnostic). ``projection`` is the orthogonal
-    projection implementing ``abs_part = b^(1/2) P b^(1/2)``.
+    is an honest diagnostic). ``residual_sum`` is
+    ``||b - abs_part - sing_part||_F``, absolute and in the Frobenius
+    norm; above ``RESIDUAL_WARN_FACTOR * ||b||_F`` a warning names both
+    numbers. ``projection`` is the orthogonal projection implementing
+    ``abs_part = b^(1/2) P b^(1/2)``.
 
     ``sing_part`` and ``projection`` are read off the eigenvectors ``W0``
     that the split classifies as 0, with ``Y`` the second contraction
@@ -112,7 +120,9 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
     Both parts come from the spectral split of the commuting
     representative, so ``abs_part + sing_part = b`` holds only up to
     floating error; the deviation is reported in ``residual_sum`` rather
-    than hidden by computing one part as a difference.
+    than hidden by computing one part as a difference. A deviation above
+    rounding level warns: the weight of ``b`` on eigenvalues that
+    ``one_tol`` classifies as 1 below 1 lies in neither part.
     """
     rep = build_rep(a, b, tol)
     bc = rep.eval(abs_part())
@@ -125,7 +135,13 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
             f"low spectral margin: {split.near_zero} eigenvalue(s) retained "
             f"within 10*zero_tol of the classification threshold zero_tol="
             f"{tol.zero_tol:g}, margin={split.margin:.3e}")
-    residual = hermitian_norm(rep.b - bc - bs)
+    residual = frobenius(rep.b - bc - bs)
+    b_norm = frobenius(rep.b)
+    if residual > RESIDUAL_WARN_FACTOR * b_norm:
+        warnings.append(
+            f"parts do not sum to b: residual_sum={residual:.3e} exceeds "
+            f"{RESIDUAL_WARN_FACTOR:g}*||b||_F with ||b||_F={b_norm:.3e} "
+            f"(classification at one_tol={tol.one_tol:g})")
     return LebesgueDecomposition(
         abs_part=bc, sing_part=bs, projection=proj, rank=rep.rank,
         num_zero_eigs=int(split.zero.sum()), spectral_margin=split.margin,

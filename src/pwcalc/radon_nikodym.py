@@ -21,7 +21,7 @@ from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
 from .functions import PwFunction, abs_part
-from .linalg import eig_hermitian, frobenius, hermitize
+from .linalg import SpectralDecomposition, frobenius, hermitize
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,23 @@ def _require_definite(rep: PwRep) -> None:
 def _ratio(rep: PwRep, fn: PwFunction):
     """Ratio ``fn(x)/x`` on the outer Gram ``dec`` of the first contraction.
 
-    Returns ``(dec, hvals, margin)``. ``a`` is definite, so ``dec`` has the
-    spectrum of ``gram_a`` in the same ascending order and takes the masks
-    of ``rep.split``: both sides of the reconstruction identity kill the
-    same directions, where ``fn`` is 0. ``margin`` is the distance of
-    ``dec``'s smallest retained eigenvalue above ``zero_tol``.
+    Returns ``(dec, hvals, margin)``. ``X X*`` shares its spectrum with
+    ``gram_a = X* X``, and ``X`` maps the eigenbasis ``W`` of one onto that
+    of the other, so no solve is needed: ``dec`` takes ``gram_a``'s
+    eigenvalues ``x`` and the columns of ``X W``, each normalized by its
+    computed norm. ``a`` is definite, so ``X`` is invertible and no column
+    vanishes; ``sqrt(x)`` would be NaN where ``x`` rounds to or below 0.
+    The masks of ``rep.split`` index ``x`` itself: both sides of the
+    reconstruction identity kill the same directions, where ``fn`` is 0.
+    ``margin`` is the distance of the smallest retained eigenvalue above
+    ``zero_tol``.
     """
     zero = rep.split.zero
-    dec = eig_hermitian(hermitize(rep.contr_a @ rep.contr_a.conj().T), rep.tol)
-    w = dec.eigenvalues
+    spec = rep.gram_a_spec
+    xw = rep.contr_a @ spec.basis
+    w = spec.eigenvalues
+    dec = SpectralDecomposition(
+        w, xw / np.sqrt(np.sum(np.abs(xw) ** 2, axis=0))[None, :])
     fvals = fn.values(w, zero, rep.split.one)
     if (fvals < 0.0).any():
         raise InputError(

@@ -64,19 +64,19 @@ def _fixture_pair(a, b):
 # and should be deliberate.
 SOLVES = [
     ("build_rep", "a3.json", "b3.json", lambda a, b: pwcalc.build_rep(a, b), 4),
-    ("lebesgue_decompose", "a3.json", "b3.json", pwcalc.lebesgue_decompose, 5),
+    ("lebesgue_decompose", "a3.json", "b3.json", pwcalc.lebesgue_decompose, 4),
     ("abs_continuity_projection", "a3.json", "b3.json",
      pwcalc.abs_continuity_projection, 4),
     ("build_rep", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.build_rep(a, b), 4),
     ("lebesgue_decompose", "a2pd.json", "b2sing.json",
-     pwcalc.lebesgue_decompose, 5),
-    ("rn_factor", "a2pd.json", "b2sing.json", pwcalc.rn_factor, 5),
+     pwcalc.lebesgue_decompose, 4),
+    ("rn_factor", "a2pd.json", "b2sing.json", pwcalc.rn_factor, 4),
     ("kubo_ando_form", "a2pd.json", "b2sing.json",
-     lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.parallel()), 5),
+     lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.parallel()), 4),
     ("rn_quadratic_form", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.rn_quadratic_form(
-         a, b, load_vector(str(FIXTURES / "xi2.json"))), 5),
+         a, b, load_vector(str(FIXTURES / "xi2.json"))), 4),
     ("solvable_subspace_projection", "a2pd.json", "b2sing.json",
      pwcalc.solvable_subspace_projection, 3),
     ("trace_functional", "a2pd.json", "b2sing.json",
@@ -254,6 +254,16 @@ def test_residual_is_relative_frobenius():
         assert spectral / math.sqrt(n) <= res.residual <= math.sqrt(n) * spectral
         tiny += 0.0 < res.residual < 1e-12
     assert tiny >= 20  # rounding-level, and not all exactly zero
+
+
+def test_residual_sum_is_frobenius():
+    moved = 0
+    for a, b, _ in _scaled_pairs(24, definite=False):
+        dec = pwcalc.lebesgue_decompose(a, b)
+        gap = pwcalc.validate_psd(b)[0] - dec.abs_part - dec.sing_part
+        assert repr(dec.residual_sum) == repr(linalg.frobenius(gap))
+        moved += dec.residual_sum > 0.0
+    assert moved >= 20  # rounding-level, and not all exactly zero
 
 
 def _numpy_linalg_uses(tree):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from pwcalc import (DominationError, ExtendedValueError, InputError,
-                    PwFunction, abs_part, arithmetic, build_rep, eig_hermitian,
-                    entropy, eval_sequence, geometric, left, parallel,
+                    NumericError, PwFunction, SpectralDecomposition, abs_part,
+                    arithmetic, build_rep, eig_hermitian, entropy,
+                    eval_sequence, geometric, left, parallel, parallel_sum,
                     polar_isometry, power, psd_sqrt, pw_eval, pw_pairing,
                     right, rn_cutoff, scaled_parallel, validate_psd)
+from pwcalc import calculus
 
 from conftest import (dominated_matrix, geometric_mean_oracle, np_sqrtm,
                       rand_complex, rand_pair, rand_psd, rand_state,
@@ -93,6 +95,31 @@ class TestBuildRep:
             x = rep.gram_a_spec.eigenvalues
             if x.size:
                 assert x.min() > -1e-9 and x.max() < 1 + 1e-9
+
+    def test_ill_conditioned_pairs_are_accepted(self):
+        # gram_a's rounding noise, about eps * cond(a + b), exceeds 1e-9 here
+        t = np.pi / 7
+        r = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        a = r @ np.diag([1.0, 1e-9]) @ r.T
+        assert np.abs(parallel_sum(a, np.zeros((2, 2)))).max() == 0.0
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+        a = q @ np.diag([1.0, 1e-3, 1e-6, 1e-9]) @ q.T
+        assert np.abs(parallel_sum(a, np.zeros((4, 4)))).max() <= 1e-15
+
+    def test_spectrum_excess_is_reported(self, monkeypatch):
+        # build_rep's second solve is gram_a's, [0.5, 0.5] for this pair
+        solves = []
+
+        def shifted(m, tol):
+            dec = eig_hermitian(m, tol)
+            solves.append(m)
+            if len(solves) < 2:
+                return dec
+            return SpectralDecomposition(dec.eigenvalues + 0.51, dec.basis)
+
+        monkeypatch.setattr(calculus, "eig_hermitian", shifted)
+        with pytest.raises(NumericError, match=r"outside \[0, 1\] by 1\.000e-02"):
+            build_rep(np.eye(2), np.eye(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):

@@ -272,3 +272,16 @@ class TestInProcessMain:
                - np.eye(rep.rank, dtype=np.complex128))
         residual = report["diagnostics"]["identity_residual"]
         assert residual == float(np.linalg.norm(gap)) > 0.0
+
+    def test_lebesgue_warns_when_parts_lose_b(self, capsys, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, m in zip(paths, rand_pair(np.random.default_rng(3), 5, 3, 4)):
+            path.write_text(json.dumps(matrix_payload(m)))
+        argv = ["lebesgue", "--a", str(paths[0]), "--b", str(paths[1])]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+        assert main([*argv, "--tol-one", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "warning"
+        [warning] = report["diagnostics"]["warnings"]
+        assert "residual_sum" in warning and "||b||_F" in warning

@@ -267,6 +267,20 @@ class TestOneSplit:
         assert not is_mutually_singular(a, b, tol).is_singular
 
 
+class TestResidualWarning:
+    def test_lost_part_of_b_warns(self):
+        # x in [1 - one_tol, 1) is classified as 1: abs_part is 0 there and
+        # the singular part covers only the zero directions
+        a, b = rand_pair(np.random.default_rng(3), 5, 3, 4)
+        dec = lebesgue_decompose(a, b, ToleranceConfig(one_tol=0.5))
+        b_norm = float(np.linalg.norm(b))
+        assert dec.residual_sum > lebesgue.RESIDUAL_WARN_FACTOR * b_norm
+        assert len(dec.warnings) == 1
+        assert f"residual_sum={dec.residual_sum:.3e}" in dec.warnings[0]
+        assert f"||b||_F={b_norm:.3e}" in dec.warnings[0]
+        assert lebesgue_decompose(a, b).warnings == ()
+
+
 class TestParallelSum:
     def test_scalars_and_disjoint(self):
         np.testing.assert_allclose(parallel_sum(np.eye(2), np.eye(2)),

@@ -1,6 +1,7 @@
 """Tests for derivative factorizations over a positive definite base."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 from pwcalc import (InputError, abs_cont_part, abs_part, build_rep, geometric,
                     kubo_ando_form, left, parallel, parallel_sum, pw_eval,
                     rn_cutoff, rn_factor, rn_quadratic_form, entropy)
+from pwcalc import radon_nikodym
 from pwcalc.fileio import load_matrix
 
 from conftest import (eigmin, geometric_mean_oracle, np_sqrtm, rand_complex,
-                      rand_pair, rand_psd, spec_norm)
+                      rand_pair, rand_psd, rand_unitary, spec_norm)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+EPS = float(np.finfo(np.float64).eps)
 
 
 def definite(rng, n, floor=0.2):
@@ -184,3 +187,65 @@ class TestQuadraticForm:
     def test_dimension_guard(self, rng):
         with pytest.raises(InputError):
             rn_quadratic_form(np.eye(2), np.eye(2), np.ones(3))
+
+
+def _conditioned_pairs(count):
+    """Seeded definite ``a`` (n 1-8, real and complex, cond(a) up to 1e6,
+    spectral norm 1) with ``b`` of random rank."""
+    rng = np.random.default_rng(12)
+    for k in range(count):
+        n = int(rng.integers(1, 9))
+        u = rand_unitary(rng, n)
+        a = (u * np.logspace(0.0, -rng.uniform(0.0, 6.0), n)[None, :]) @ u.conj().T
+        b = rand_psd(rng, n, rank=int(rng.integers(0, n + 1)))
+        if k % 2:
+            a, b = a.real, b.real
+        yield a, b
+
+
+class TestRatioFromGramA:
+    """``_ratio`` takes the eigenbasis of ``X X*`` as the normalized columns
+    of ``X W``, with ``W`` the eigenbasis of ``gram_a = X* X``."""
+
+    def test_factor_and_basis_against_numpy(self, monkeypatch):
+        decs = []
+        real = radon_nikodym._ratio
+
+        def recording(rep, fn):
+            out = real(rep, fn)
+            decs.append(out[0])
+            return out
+
+        monkeypatch.setattr(radon_nikodym, "_ratio", recording)
+        for a, b in _conditioned_pairs(400):
+            n = a.shape[0]
+            w, v = np.linalg.eigh(a)
+            a_inv_half = (v * w ** -0.5) @ v.conj().T
+            oracle = a_inv_half @ b @ a_inv_half
+            noise = 10 * n * EPS * (w[-1] / w[0])
+            res = rn_factor(a, b)
+            assert res.infinite_directions == 0
+            assert (spec_norm(res.factor - oracle)
+                    <= noise * max(1.0, spec_norm(oracle)))
+            basis = decs[-1].basis
+            assert spec_norm(basis.conj().T @ basis - np.eye(n)) <= noise
+
+    def test_reads_gram_a_spectrum(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(1, 7))
+            rep = build_rep(definite(rng, n), rand_psd(rng, n, rank=2))
+            dec, _, _ = radon_nikodym._ratio(rep, abs_part())
+            x = rep.gram_a_spec.eigenvalues
+            assert dec.eigenvalues.tobytes() == x.tobytes()
+            outer = rep.contr_a @ rep.contr_a.conj().T
+            assert np.abs(outer @ dec.basis - dec.basis * x[None, :]).max() < 1e-12
+
+    def test_near_singular_base_stays_finite(self):
+        t = np.pi / 7
+        r = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        a = r @ np.diag([1.0, 1e-12]) @ r.T
+        res = rn_factor(a, np.eye(2))
+        assert res.infinite_directions == 1
+        for m in (res.factor, res.root, res.value):
+            assert np.isfinite(m).all()
+        assert math.isfinite(res.residual) and math.isfinite(res.margin)
