@@ -27,8 +27,8 @@ from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import DominationError, ExtendedValueError, InputError, NumericError
 from .functions import PwFunction
 from .linalg import (SpectralDecomposition, _above_support, _sqrt_of, _validated,
-                     eig_hermitian, frobenius, hermitian_part, hermitize,
-                     validate_psd)
+                     _validated_pair, eig_hermitian, frobenius, hermitian_part,
+                     hermitize, validate_psd)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -51,8 +51,8 @@ class SpectrumSplit:
     retained eigenvalues below ``10 * zero_tol``.
 
     It is computed once per pair by :func:`_classify` and every 0/1
-    decision reads it: profile values in ``eval`` and the pairings, the
-    absolutely continuous and singular parts and the projection of the
+    decision reads it: every profile value (through :meth:`PwRep.values`),
+    the absolutely continuous and singular parts and the projection of the
     Lebesgue decomposition, both singularity predicates and the
     suppressed directions of the derivative factors.
     """
@@ -215,13 +215,20 @@ class PwRep:
             eigenvalue; the operator is unbounded and only pairings can
             represent it.
         """
+        return self._push(self._bounded_values(fn))
+
+    def values(self, fn: PwFunction) -> np.ndarray:
+        """``fn`` on ``gram_a``'s spectrum as :attr:`split` classifies it."""
         split = self.split
-        vals = fn.values(self.gram_a_spec.eigenvalues, split.zero, split.one)
+        return fn.values(self.gram_a_spec.eigenvalues, split.zero, split.one)
+
+    def _bounded_values(self, fn: PwFunction) -> np.ndarray:
+        vals = self.values(fn)
         if np.isinf(vals).any():
             raise ExtendedValueError(
                 f"extended value: profile {fn.name!r} is infinite on the "
                 f"spectrum of the pair; use a pairing (pair/trace) instead")
-        return self._push(vals)
+        return vals
 
     def pairing_weights(self, rho) -> np.ndarray:
         """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis."""
@@ -229,6 +236,10 @@ class PwRep:
         if rv.shape != (self.n, self.n):
             raise InputError(
                 f"state must be {self.n}x{self.n}, got {rv.shape}")
+        return self._weights(rv)
+
+    def _weights(self, rv: np.ndarray) -> np.ndarray:
+        """:meth:`pairing_weights` of a validated ``complex128`` state."""
         m = self.coord_map @ rv @ self.coord_map.conj().T
         vecs = self.gram_a_spec.basis
         w = np.real(np.sum(vecs.conj() * (m @ vecs), axis=0))
@@ -247,8 +258,7 @@ class PwRep:
         return self._pairing_from_weights(fn, w)
 
     def _pairing_from_weights(self, fn: PwFunction, w: np.ndarray) -> PairingResult:
-        split = self.split
-        vals = fn.values(self.gram_a_spec.eigenvalues, split.zero, split.one)
+        vals = self.values(fn)
         inf_mask = np.isinf(vals)
         infinite_weight = float(w[inf_mask].sum())
         keep = (~inf_mask) & (w > self.tol.weight_tol)
@@ -304,16 +314,18 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
     InputError
         On dimension mismatch or failed validation.
     NumericError
-        If the reconstruction residuals of the contractions exceed 1e-6,
-        which indicates a numerically hopeless input.
+        If ``a + b`` overflows ``float64``, or the reconstruction residuals
+        of the contractions exceed 1e-6, which indicates a numerically
+        hopeless input.
     """
-    av, a_dec = _validated(a, tol)
-    bv, b_dec = _validated(b, tol)
-    if av.shape != bv.shape:
-        raise InputError(
-            f"pair members differ in size: {av.shape} vs {bv.shape}")
+    av, a_dec, bv, b_dec = _validated_pair(a, b, tol)
     n = av.shape[0]
-    total = hermitize(av + bv)
+    with np.errstate(over="ignore"):
+        total = av + bv
+    if not np.isfinite(total).all():
+        raise NumericError(
+            "pair sum outside the float64 range: an entry of a + b overflows")
+    total = hermitize(total)
     dec = eig_hermitian(total, tol)
     keep = _above_support(dec.eigenvalues, tol)
     lam = dec.eigenvalues[keep]

@@ -8,8 +8,8 @@ subcommand, missing or unexpected flag) exit 2 without a report.
 
 Exit codes: 0 success, 1 internal failure, 2 invalid input (parsing,
 validation, preconditions), 3 numeric failure (eigensolver, matrices
-that are not PSD), 4 when a bounded result was requested but the value
-is +inf.
+that are not PSD, a sum or Kronecker product beyond float64), 4 when a
+bounded result was requested but the value is +inf.
 
 The environment variable ``PWCALC_TOL_ZERO`` overrides the default of
 ``--tol-zero``; an explicit flag wins over the environment.
@@ -187,8 +187,8 @@ def _cmd_singular(args, tol, warnings):
 
 def _cmd_abscont(args, tol, warnings):
     rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
-    deviation = hermitian_norm(leb._projection_from_rep(rep)
-                               - np.eye(rep.n, dtype=np.complex128))
+    proj = leb._projection(rep.n, leb._killed_directions(rep)[1])
+    deviation = hermitian_norm(proj - np.eye(rep.n, dtype=np.complex128))
     return {"is_abs_continuous": not rep.split.zero.any(),
             "projection_deviation": deviation}, {}
 

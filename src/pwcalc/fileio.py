@@ -50,26 +50,23 @@ def _dimension(data, path) -> int:
     return n
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Read a complex matrix from a matrix file."""
+def _load(path: str, ndim: int) -> np.ndarray:
     data = _load_json(path)
-    n = _dimension(data, path)
-    re = _shape_check(data, "re", (n, n))
+    shape = (_dimension(data, path),) * ndim
+    re = _shape_check(data, "re", shape)
     if data.get("im") is None:
         return re.astype(np.complex128)
-    im = _shape_check(data, "im", (n, n))
-    return re + 1j * im
+    return re + 1j * _shape_check(data, "im", shape)
+
+
+def load_matrix(path: str) -> np.ndarray:
+    """Read a complex matrix from a matrix file."""
+    return _load(path, 2)
 
 
 def load_vector(path: str) -> np.ndarray:
     """Read a complex vector from a vector file (flat ``re``/``im``)."""
-    data = _load_json(path)
-    n = _dimension(data, path)
-    re = _shape_check(data, "re", (n,))
-    if data.get("im") is None:
-        return re.astype(np.complex128)
-    im = _shape_check(data, "im", (n,))
-    return re + 1j * im
+    return _load(path, 1)
 
 
 def matrix_payload(m: np.ndarray) -> dict:

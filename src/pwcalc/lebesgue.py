@@ -16,9 +16,9 @@ import numpy as np
 
 from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import InputError, NumericError
+from .errors import NumericError
 from .functions import abs_part, parallel, scaled_parallel
-from .linalg import (_sqrt_of, _support_of, _validated, eig_hermitian,
+from .linalg import (_sqrt_of, _support_of, _validated_pair, eig_hermitian,
                      frobenius, hermitize)
 
 # residual_sum above this fraction of ||b||_F means the parts lost part of b
@@ -82,34 +82,30 @@ def abs_cont_part(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _killed_directions(rep: PwRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(W0, Y W0, y0)``: the split's zero eigenvectors ``W0`` of
-    ``gram_a``, their images under ``Y = contr_b`` and ``y0 = ||Y w||^2``
-    per column.
+    """``(W0, U, y0)``: the split's zero eigenvectors ``W0`` of ``gram_a``,
+    ``y0 = ||Y w||^2`` per column for ``Y = contr_b`` and the killed
+    directions ``U = Y W0 / sqrt(y0)``.
 
-    ``Y* Y = I - gram_a``, so the columns of ``Y W0`` are orthogonal and
-    ``y0 = 1 - x0``; ``zero_tol + one_tol < 1`` keeps ``y0`` above
-    ``one_tol``.
+    ``Y* Y = I - gram_a``, so ``U`` is orthonormal and ``y0 = 1 - x0``;
+    ``zero_tol + one_tol < 1`` keeps ``y0`` above ``one_tol``.
     """
     w0 = rep.gram_a_spec.basis[:, rep.split.zero]
     yw = rep.contr_b @ w0
-    return w0, yw, np.sum(np.abs(yw) ** 2, axis=0)
-
-
-def _projection_from_rep(rep: PwRep) -> np.ndarray:
-    # P = I - U U*, where U = Y W0 / sqrt(y0) is orthonormal and spans
-    # the directions the split kills
-    _, yw, y0 = _killed_directions(rep)
+    y0 = np.sum(np.abs(yw) ** 2, axis=0)
     if not (y0 > 0.0).all():
         raise NumericError(
             "a direction classified as 0 has no weight in the second "
             "contraction; the representation is inconsistent")
-    u = yw / np.sqrt(y0)[None, :]
-    return hermitize(np.eye(rep.n, dtype=np.complex128) - u @ u.conj().T)
+    return w0, yw / np.sqrt(y0)[None, :], y0
 
 
-def _singular_part_from_rep(rep: PwRep) -> np.ndarray:
+def _projection(n: int, u: np.ndarray) -> np.ndarray:
+    # P = I - U U* for the orthonormal killed directions U
+    return hermitize(np.eye(n, dtype=np.complex128) - u @ u.conj().T)
+
+
+def _singular_part(rep: PwRep, w0: np.ndarray, y0: np.ndarray) -> np.ndarray:
     # T* W0 diag(y0) W0* T, as factor* factor
-    w0, _, y0 = _killed_directions(rep)
     factor = np.sqrt(y0)[:, None] * (w0.conj().T @ rep.coord_map)
     return hermitize(factor.conj().T @ factor)
 
@@ -126,8 +122,9 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
     """
     rep = build_rep(a, b, tol)
     bc = rep.eval(abs_part())
-    bs = _singular_part_from_rep(rep)
-    proj = _projection_from_rep(rep)
+    w0, u, y0 = _killed_directions(rep)
+    bs = _singular_part(rep, w0, y0)
+    proj = _projection(rep.n, u)
     split = rep.split
     warnings = []
     if split.near_zero:
@@ -157,7 +154,8 @@ def abs_continuity_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
     normalized ``u = Y w / ||Y w||`` are orthonormal and
     ``P = I - sum u u*``; no eigensolve beyond the pair's own is needed.
     """
-    return _projection_from_rep(build_rep(a, b, tol))
+    rep = build_rep(a, b, tol)
+    return _projection(rep.n, _killed_directions(rep)[1])
 
 
 def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -169,11 +167,7 @@ def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np
     ``(I - P_ran(a)) b^(1/2)``. Serves as an independent route to
     :func:`abs_continuity_projection`.
     """
-    av, a_dec = _validated(a, tol)
-    bv, b_dec = _validated(b, tol)
-    if av.shape != bv.shape:
-        raise InputError(
-            f"pair members differ in size: {av.shape} vs {bv.shape}")
+    av, a_dec, _, b_dec = _validated_pair(a, b, tol)
     n = av.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)
@@ -237,20 +231,14 @@ def parallel_sum_limit(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ParallelSumL
     the ``converged`` flag, not as an exception.
     """
     rep = build_rep(a, b, tol)
-    split = rep.split
-    x = rep.gram_a_spec.eigenvalues
-
-    def scaled_values(n):
-        return scaled_parallel(n).values(x, split.zero, split.one)
-
-    prev_vals = scaled_values(1.0)
+    prev_vals = rep.values(scaled_parallel(1.0))
     prev = rep._push(prev_vals)
     iterates = [prev]
     gaps: list[float] = []
     converged = False
     doublings = 0
     for k in range(1, tol.max_doublings + 1):
-        cur_vals = scaled_values(2.0 ** k)
+        cur_vals = rep.values(scaled_parallel(2.0 ** k))
         if float((cur_vals - prev_vals).min(initial=0.0)) < -1e-9:
             raise NumericError(
                 "parallel-sum profile family failed to be nondecreasing")

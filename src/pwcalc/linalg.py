@@ -97,18 +97,18 @@ class SpectralDecomposition:
         return self.apply(self.eigenvalues)
 
 
-def _norm(m: np.ndarray) -> float:
+def frobenius(m) -> float:
     """Frobenius norm of ``m``, summed as for ``complex128`` whatever its
     dtype: numpy sums a complex array through a strided view of its real
     parts, in another order than a contiguous ``float64`` array, and the
     kernel's stopping rule must not depend on the dtype of its rounds."""
-    return float(np.linalg.norm(m.astype(np.complex128, copy=False)))
+    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
 
 
 def _offdiag_norm(h: np.ndarray) -> float:
     m = h.astype(np.complex128)
     np.fill_diagonal(m, 0.0)
-    return _norm(m)
+    return frobenius(m)
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -199,7 +199,7 @@ def _jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # negligible next to the diagonal gap; t is then 0 and the rotation
     # the identity
     with np.errstate(over="ignore"):
-        norm = _norm(h)
+        norm = frobenius(h)
         if norm == np.inf:
             # solve the matrix scaled by a power of two, exact for every
             # entry that stays normal, and scale the spectrum back
@@ -302,6 +302,16 @@ def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecompositi
     return hermitize(np.asarray(a, dtype=np.complex128)), dec
 
 
+def _validated_pair(a, b, tol: ToleranceConfig):
+    """``(av, a_dec, bv, b_dec)``: :func:`_validated` of a pair of one size."""
+    av, a_dec = _validated(a, tol)
+    bv, b_dec = _validated(b, tol)
+    if av.shape != bv.shape:
+        raise InputError(
+            f"pair members differ in size: {av.shape} vs {bv.shape}")
+    return av, a_dec, bv, b_dec
+
+
 def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Validate positive semidefiniteness and clamp rounding-level negatives.
 
@@ -379,7 +389,14 @@ def kron(a, b) -> np.ndarray:
         raise InputError(
             f"Kronecker product dimension {rows}x{cols} exceeds the "
             f"configured maximum {KRON_MAX_DIM}")
-    return np.kron(ma, mb)
+    # non-finite factors are rejected where the product is validated; finite
+    # factors whose product leaves the float64 range fail as the kernel does
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.kron(ma, mb)
+    if np.isfinite(ma).all() and np.isfinite(mb).all() and not np.isfinite(out).all():
+        raise NumericError(
+            "Kronecker product outside the float64 range: an entry overflows")
+    return out
 
 
 def hermitian_norm(a) -> float:
@@ -389,7 +406,3 @@ def hermitian_norm(a) -> float:
         return 0.0
     vals, _ = _jacobi_eig(m)
     return float(np.abs(vals).max())
-
-
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))

@@ -64,9 +64,10 @@ def entropy_pairing(a, b, rho,
 
 def trace_functional(a, b, fn: PwFunction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Trace of the calculus value, realized as the pairing with identity."""
+    """Trace of the calculus value: the pairing with the identity state."""
     rep = build_rep(a, b, tol)
-    return rep.pairing(fn, np.eye(rep.n)).value
+    w = rep._weights(np.eye(rep.n, dtype=np.complex128))
+    return rep._pairing_from_weights(fn, w).value
 
 
 def _ext_mul(u: float, v: float) -> float:

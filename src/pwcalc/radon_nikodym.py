@@ -58,19 +58,19 @@ def _require_definite(rep: PwRep) -> None:
             f"{smallest:.3e} at support threshold {th:.3e}")
 
 
-def _ratio(rep: PwRep, fn: PwFunction):
-    """Ratio ``fn(x)/x`` on the outer Gram ``dec`` of the first contraction.
+def _ratio(rep: PwRep, fvals: np.ndarray):
+    """Ratio ``fvals/x`` on the outer Gram ``dec`` of the first contraction.
 
-    Returns ``(dec, hvals, margin)``. ``X X*`` shares its spectrum with
-    ``gram_a = X* X``, and ``X`` maps the eigenbasis ``W`` of one onto that
-    of the other, so no solve is needed: ``dec`` takes ``gram_a``'s
-    eigenvalues ``x`` and the columns of ``X W``, each normalized by its
-    computed norm. ``a`` is definite, so ``X`` is invertible and no column
-    vanishes; ``sqrt(x)`` would be NaN where ``x`` rounds to or below 0.
-    The masks of ``rep.split`` index ``x`` itself: both sides of the
-    reconstruction identity kill the same directions, where ``fn`` is 0.
-    ``margin`` is the distance of the smallest retained eigenvalue above
-    ``zero_tol``.
+    ``fvals`` are a profile's :meth:`PwRep.values`; returns ``(dec, hvals,
+    margin)``. ``X X*`` shares its spectrum with ``gram_a = X* X``, and
+    ``X`` maps the eigenbasis ``W`` of one onto that of the other, so no
+    solve is needed: ``dec`` takes ``gram_a``'s eigenvalues ``x`` and the
+    columns of ``X W``, each normalized by its computed norm. ``a`` is
+    definite, so ``X`` is invertible and no column vanishes; ``sqrt(x)``
+    would be NaN where ``x`` rounds to or below 0. The masks of
+    ``rep.split`` index ``x`` itself: both sides of the reconstruction
+    identity kill the same directions, where ``fvals`` is 0. ``margin`` is
+    the distance of the smallest retained eigenvalue above ``zero_tol``.
     """
     zero = rep.split.zero
     spec = rep.gram_a_spec
@@ -78,11 +78,6 @@ def _ratio(rep: PwRep, fn: PwFunction):
     w = spec.eigenvalues
     dec = SpectralDecomposition(
         w, xw / np.sqrt(np.sum(np.abs(xw) ** 2, axis=0))[None, :])
-    fvals = fn.values(w, zero, rep.split.one)
-    if (fvals < 0.0).any():
-        raise InputError(
-            f"profile {fn.name!r} is negative on the spectrum; the "
-            f"congruence form requires a nonnegative profile")
     kept = w[~zero]
     margin = float(kept.min() - rep.tol.zero_tol) if kept.size else math.inf
     return dec, fvals / np.where(zero, 1.0, w), margin
@@ -111,10 +106,11 @@ def kubo_ando_form(a, b, fn: PwFunction,
     """Congruence form ``a^(1/2) h(outer gram) a^(1/2)`` of a calculus value.
 
     Requires a nonnegative bounded profile with ``fn(0) = 0`` and a
-    positive definite base. The ratio profile ``fn(x)/x`` is applied to
-    the outer Gram of the first contraction. The reconstruction residual
-    against the direct evaluation is reported relative to it, in the
-    Frobenius norm (see :class:`RnFactorization`).
+    positive definite base; a profile that is +inf on the spectrum raises
+    :meth:`PwRep.eval`'s :class:`ExtendedValueError`. The ratio profile
+    ``fn(x)/x`` is applied to the outer Gram of the first contraction, and
+    the reconstruction residual against the direct evaluation is reported
+    relative to it, in the Frobenius norm (see :class:`RnFactorization`).
     """
     if not fn.vanishes_at_zero or fn.at_zero != 0.0:
         raise InputError(
@@ -125,7 +121,12 @@ def kubo_ando_form(a, b, fn: PwFunction,
             f"requires a bounded profile")
     rep = build_rep(a, b, tol)
     _require_definite(rep)
-    dec, hvals, margin = _ratio(rep, fn)
+    vals = rep._bounded_values(fn)
+    if (vals < 0.0).any():
+        raise InputError(
+            f"profile {fn.name!r} is negative on the spectrum; the "
+            f"congruence form requires a nonnegative profile")
+    dec, hvals, margin = _ratio(rep, vals)
     factor = hermitize(dec.apply(hvals))
     # factor's root shares dec's basis; h at or below the support
     # threshold counts as zero, as for any PSD root
@@ -133,7 +134,7 @@ def kubo_ando_form(a, b, fn: PwFunction,
     root_h = hermitize(dec.apply(np.sqrt(np.where(hvals > th, hvals, 0.0))))
     root = root_h @ rep.a_half
     value = hermitize(root.conj().T @ root)
-    target = rep.eval(fn)
+    target = rep._push(vals)
     scale = max(frobenius(target), 1e-300)
     residual = frobenius(value - target) / scale
     condition = float(hvals.max()) if hvals.size else 0.0
@@ -158,6 +159,8 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if vec.shape[0] != rep.n:
         raise InputError(
             f"vector length {vec.shape[0]} does not match dimension {rep.n}")
-    dec, hvals, _ = _ratio(rep, abs_part())
+    if not np.isfinite(vec).all():
+        raise InputError("vector contains non-finite entries")
+    dec, hvals, _ = _ratio(rep, rep.values(abs_part()))
     coords = np.abs(dec.basis.conj().T @ vec) ** 2
     return float((hvals * coords).sum())

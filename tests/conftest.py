@@ -1,4 +1,4 @@
-"""Shared generators and independent numpy-based oracles.
+"""Shared generators, independent numpy-based oracles and the CLI runner.
 
 The library deliberately runs on its own Jacobi kernel; every oracle in
 here goes through ``numpy.linalg`` instead so the two routes stay
@@ -7,12 +7,54 @@ whole suite is reproducible.
 """
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 SEED = 20240811
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# CLI argv of each golden report, run in FIXTURES; the report of NAME is
+# golden/NAME.json
+GOLDEN_CASES = {
+    "rep": ["rep", "--a", "a3.json", "--b", "b3.json"],
+    "eval_parallel": ["eval", "--phi", "parallel", "--a", "a3.json", "--b", "b3.json"],
+    "lebesgue": ["lebesgue", "--a", "a3.json", "--b", "b3.json"],
+    "psum": ["psum", "--a", "a3.json", "--b", "b3.json"],
+    "psum_limit": ["psum-limit", "--a", "a3.json", "--b", "b3.json"],
+    "singular": ["singular", "--a", "sing_a2.json", "--b", "sing_b2.json"],
+    "abscont": ["abscont", "--a", "a3.json", "--b", "b3.json"],
+    "rn": ["rn", "--a", "a2pd.json", "--b", "b2sing.json"],
+    "kubo_parallel": ["kubo", "--phi", "parallel", "--a", "a2pd.json",
+                      "--b", "b2sing.json"],
+    "pair_parallel": ["pair", "--phi", "parallel", "--a", "a3.json",
+                      "--b", "b3.json", "--rho", "rho3.json"],
+    "pair_entropy_inf": ["pair", "--phi", "entropy", "--a", "a1.json",
+                         "--b", "b1.json", "--rho", "rho1.json"],
+    "trace_arith": ["trace", "--phi", "arith", "--a", "a3.json", "--b", "b3.json"],
+    "tensor_check_power": ["tensor-check", "--phi", "power:2", "--a", "a1.json",
+                           "--b", "b1.json", "--rho", "rho1.json",
+                           "--a2", "t2a.json", "--b2", "t2b.json",
+                           "--rho2", "t2rho.json"],
+    "form_p": ["form-p", "--a", "a2pd.json", "--b", "b2sing.json",
+               "--xi", "xi2.json"],
+    "eval_entropy_extended": ["eval", "--phi", "entropy", "--a", "a1.json",
+                              "--b", "b1.json"],
+}
+
+
+def run_cli(argv, cwd=FIXTURES, env_extra=None):
+    """Run ``python -m pwcalc`` on the package under test, with
+    ``PWCALC_TOL_ZERO`` scrubbed from the environment."""
+    env = {k: v for k, v in os.environ.items() if k != "PWCALC_TOL_ZERO"}
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run([sys.executable, "-m", "pwcalc", *argv],
+                          capture_output=True, cwd=cwd,
+                          env=with_package_path(env))
 
 
 @pytest.fixture

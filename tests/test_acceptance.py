@@ -6,22 +6,17 @@ under test: ``numpy.linalg`` routines, scalar formulas and hand-computed
 cases.
 """
 
-import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pwcalc as pw
-from conftest import (SEED, anderson_duffin, dominated_matrix, eigmin,
-                      np_sqrtm, rand_pair, rand_psd, rand_state, spec_norm,
-                      structured_pair, with_package_path)
+from conftest import (GOLDEN_CASES, SEED, anderson_duffin, dominated_matrix,
+                      eigmin, np_sqrtm, rand_pair, rand_psd, rand_state,
+                      run_cli, spec_norm, structured_pair)
 
-FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
 ANDO_A = np.diag([1.0, 0.0])
@@ -267,50 +262,16 @@ def test_criterion_09_hand_computed_hard_case():
             assert np.abs(pw.parallel_sum(2.0 ** k * ANDO_A, ANDO_B)).max() <= 1e-10
 
 
-GOLDEN_CASES = {
-    "rep": ["rep", "--a", "a3.json", "--b", "b3.json"],
-    "eval_parallel": ["eval", "--phi", "parallel", "--a", "a3.json", "--b", "b3.json"],
-    "lebesgue": ["lebesgue", "--a", "a3.json", "--b", "b3.json"],
-    "psum": ["psum", "--a", "a3.json", "--b", "b3.json"],
-    "psum_limit": ["psum-limit", "--a", "a3.json", "--b", "b3.json"],
-    "singular": ["singular", "--a", "sing_a2.json", "--b", "sing_b2.json"],
-    "abscont": ["abscont", "--a", "a3.json", "--b", "b3.json"],
-    "rn": ["rn", "--a", "a2pd.json", "--b", "b2sing.json"],
-    "kubo_parallel": ["kubo", "--phi", "parallel", "--a", "a2pd.json",
-                      "--b", "b2sing.json"],
-    "pair_parallel": ["pair", "--phi", "parallel", "--a", "a3.json",
-                      "--b", "b3.json", "--rho", "rho3.json"],
-    "pair_entropy_inf": ["pair", "--phi", "entropy", "--a", "a1.json",
-                         "--b", "b1.json", "--rho", "rho1.json"],
-    "trace_arith": ["trace", "--phi", "arith", "--a", "a3.json", "--b", "b3.json"],
-    "tensor_check_power": ["tensor-check", "--phi", "power:2", "--a", "a1.json",
-                           "--b", "b1.json", "--rho", "rho1.json",
-                           "--a2", "t2a.json", "--b2", "t2b.json",
-                           "--rho2", "t2rho.json"],
-    "form_p": ["form-p", "--a", "a2pd.json", "--b", "b2sing.json",
-               "--xi", "xi2.json"],
-    "eval_entropy_extended": ["eval", "--phi", "entropy", "--a", "a1.json",
-                              "--b", "b1.json"],
-}
-
-
-def _run_cli(argv):
-    env = {k: v for k, v in os.environ.items() if k != "PWCALC_TOL_ZERO"}
-    return subprocess.run([sys.executable, "-m", "pwcalc", *argv],
-                          capture_output=True, cwd=FIXTURES,
-                          env=with_package_path(env))
-
-
 def test_criterion_10_cli_contract():
     with _Failure(10, "CLI golden files, determinism, exit codes"):
         for name, argv in GOLDEN_CASES.items():
-            proc = _run_cli(argv)
+            proc = run_cli(argv)
             expected = 4 if name == "eval_entropy_extended" else 0
             assert proc.returncode == expected, f"{name}: {proc.stderr.decode()}"
             assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes(), \
                 f"{name}: {proc.stderr.decode()}"
         # byte-identical rerun
-        again = _run_cli(GOLDEN_CASES["lebesgue"])
+        again = run_cli(GOLDEN_CASES["lebesgue"])
         assert again.stdout == (GOLDEN / "lebesgue.json").read_bytes(), \
             again.stderr.decode()
         # exit-code table
@@ -320,5 +281,5 @@ def test_criterion_10_cli_contract():
                 (["psum", "--a", "bad_nonpsd.json", "--b", "b3.json"], 3),
                 (["eval", "--phi", "entropy", "--a", "a1.json",
                   "--b", "b1.json"], 4)]:
-            proc = _run_cli(argv)
+            proc = run_cli(argv)
             assert proc.returncode == expected, proc.stderr.decode()

@@ -80,7 +80,7 @@ SOLVES = [
     ("solvable_subspace_projection", "a2pd.json", "b2sing.json",
      pwcalc.solvable_subspace_projection, 3),
     ("trace_functional", "a2pd.json", "b2sing.json",
-     lambda a, b: pwcalc.trace_functional(a, b, pwcalc.entropy()), 5),
+     lambda a, b: pwcalc.trace_functional(a, b, pwcalc.entropy()), 4),
     ("is_abs_continuous", "a3.json", "b3.json", pwcalc.is_abs_continuous, 4),
     ("is_mutually_singular", "sing_a2.json", "sing_b2.json",
      pwcalc.is_mutually_singular, 4),
@@ -306,3 +306,45 @@ def test_the_jacobi_kernel_is_the_only_eigensolver():
              for file, hits in uses.items() for line, name in hits
              if name != "norm"]
     assert found == []
+
+
+def _profile_evaluations(tree):
+    """Innermost enclosing function (None at module level) of every
+    ``.values(...)`` call with more than one argument:
+    ``PwFunction.values(x, zero_mask, one_mask)`` meets the split, while
+    ``PwRep.values(fn)`` and ``dict.values()`` do not."""
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: inner functions come later
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner.update((node, getattr(func, "name", "<lambda>"))
+                         for node in ast.walk(func))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "values"
+                and len(node.args) + len(node.keywords) > 1):
+            yield owner.get(node)
+
+
+def test_profiles_meet_the_split_only_in_pwrep_values():
+    # one evaluator, so a change to how a profile reads the split is made once
+    calls = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _profile_evaluations(ast.parse(path.read_text()))]
+    assert calls == [("calculus.py", "values")]
+
+
+@pytest.mark.parametrize("op", [
+    pwcalc.rn_factor,
+    lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.parallel()),
+    lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.geometric(0.3)),
+], ids=["rn_factor", "kubo_parallel", "kubo_geom"])
+def test_kubo_ando_evaluates_its_profile_once(monkeypatch, op):
+    calls = []
+    real = pwcalc.PwFunction.values
+
+    def counting(fn, *args):
+        calls.append(fn.name)
+        return real(fn, *args)
+
+    monkeypatch.setattr(pwcalc.PwFunction, "values", counting)
+    op(*_fixture_pair("a2pd.json", "b2sing.json"))
+    assert len(calls) == 1, calls

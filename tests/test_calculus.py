@@ -125,6 +125,12 @@ class TestBuildRep:
         with pytest.raises(InputError):
             build_rep(np.eye(2), np.eye(3))
 
+    def test_overflowing_sum_is_a_numeric_error(self):
+        # both members are finite; only a + b leaves the float64 range
+        with pytest.raises(NumericError, match=r"a \+ b overflows"):
+            parallel_sum([[1e308]], [[1e308]])
+        assert np.isfinite(parallel_sum([[1e308]], [[7e307]])).all()
+
     def test_zero_pair(self):
         rep = build_rep(np.zeros((3, 3)), np.zeros((3, 3)))
         assert rep.rank == 0

@@ -2,58 +2,19 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import rand_pair, with_package_path
-from pwcalc import build_rep
+from conftest import FIXTURES, GOLDEN_CASES, rand_pair, run_cli
+from pwcalc import InputError, build_rep
 from pwcalc.cli import main
 from pwcalc.fileio import dumps_report, load_matrix, load_vector, matrix_payload
 
-FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 
-GOLDEN_CASES = {
-    "rep": ["rep", "--a", "a3.json", "--b", "b3.json"],
-    "eval_parallel": ["eval", "--phi", "parallel", "--a", "a3.json", "--b", "b3.json"],
-    "lebesgue": ["lebesgue", "--a", "a3.json", "--b", "b3.json"],
-    "psum": ["psum", "--a", "a3.json", "--b", "b3.json"],
-    "psum_limit": ["psum-limit", "--a", "a3.json", "--b", "b3.json"],
-    "singular": ["singular", "--a", "sing_a2.json", "--b", "sing_b2.json"],
-    "abscont": ["abscont", "--a", "a3.json", "--b", "b3.json"],
-    "rn": ["rn", "--a", "a2pd.json", "--b", "b2sing.json"],
-    "kubo_parallel": ["kubo", "--phi", "parallel", "--a", "a2pd.json",
-                      "--b", "b2sing.json"],
-    "pair_parallel": ["pair", "--phi", "parallel", "--a", "a3.json",
-                      "--b", "b3.json", "--rho", "rho3.json"],
-    "pair_entropy_inf": ["pair", "--phi", "entropy", "--a", "a1.json",
-                         "--b", "b1.json", "--rho", "rho1.json"],
-    "trace_arith": ["trace", "--phi", "arith", "--a", "a3.json", "--b", "b3.json"],
-    "tensor_check_power": ["tensor-check", "--phi", "power:2", "--a", "a1.json",
-                           "--b", "b1.json", "--rho", "rho1.json",
-                           "--a2", "t2a.json", "--b2", "t2b.json",
-                           "--rho2", "t2rho.json"],
-    "form_p": ["form-p", "--a", "a2pd.json", "--b", "b2sing.json",
-               "--xi", "xi2.json"],
-    "eval_entropy_extended": ["eval", "--phi", "entropy", "--a", "a1.json",
-                              "--b", "b1.json"],
-}
-
 EXPECTED_EXIT = {"eval_entropy_extended": 4}
-
-
-def run_cli(argv, cwd=FIXTURES, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "PWCALC_TOL_ZERO"}
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "pwcalc", *argv],
-                          capture_output=True, cwd=cwd,
-                          env=with_package_path(env))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -149,6 +110,15 @@ class TestExitCodes:
         assert b"unrecognized arguments" in proc.stderr
         assert proc.stdout == b""
 
+    def test_numeric_failure_overflowing_sum(self, tmp_path):
+        # both members are finite; their sum leaves the float64 range
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1, "re": [[1e308]]}')
+        proc = run_cli(["psum", "--a", str(path), "--b", str(path)], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr.decode()
+        assert proc.stderr == b""  # no warning leaks
+        assert "a + b overflows" in json.loads(proc.stdout)["diagnostics"]["error"]
+
     def test_numeric_failure_not_psd(self):
         rep = run_report(["psum", "--a", "bad_nonpsd.json", "--b", "b3.json"], 3)
         assert "not positive semidefinite" in rep["diagnostics"]["error"]
@@ -239,8 +209,20 @@ class TestFileRoundTrip:
     def test_shape_validation(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "re": [[1, 0]]}')
-        from pwcalc import InputError
         with pytest.raises(InputError):
+            load_matrix(str(path))
+
+    @pytest.mark.parametrize("text,message", [
+        ('[[1.0]]', "must contain a JSON object"),
+        ('{"n": -1, "re": []}', "nonnegative integer"),
+        ('{"n": 1.0, "re": [[1.0]]}', "nonnegative integer"),
+        ('{"n": 1, "re": [[NaN]]}', "'re' contains non-finite"),
+        ('{"n": 1, "re": [[1.0]], "im": [[Infinity]]}', "'im' contains non-finite"),
+    ], ids=["array", "negative-n", "float-n", "nan", "inf-im"])
+    def test_malformed_matrix_files(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
             load_matrix(str(path))
 
 
@@ -272,6 +254,19 @@ class TestInProcessMain:
                - np.eye(rep.rank, dtype=np.complex128))
         residual = report["diagnostics"]["identity_residual"]
         assert residual == float(np.linalg.norm(gap)) > 0.0
+
+    def test_rn_warns_near_singular_base(self, capsys, tmp_path):
+        # gram_a's small eigenvalue, 5e-8 / (1 + 5e-8), is retained within
+        # 10 * zero_tol of the threshold
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, m in zip(paths, (np.diag([1.0, 5e-8]), np.eye(2))):
+            path.write_text(json.dumps(matrix_payload(m)))
+        assert main(["rn", "--a", str(paths[0]), "--b", str(paths[1])]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "warning"
+        assert report["diagnostics"]["near_singular"] == 1
+        [warning] = report["diagnostics"]["warnings"]
+        assert warning.startswith("1 ratio eigenvalue(s) retained")
 
     def test_lebesgue_warns_when_parts_lose_b(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

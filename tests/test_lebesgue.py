@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pwcalc import lebesgue
-from pwcalc import (NumericError, abs_cont_part, abs_continuity_projection, build_rep,
+from pwcalc import (InputError, NumericError, abs_cont_part, abs_continuity_projection, build_rep,
                     is_abs_continuous, is_mutually_singular,
                     lebesgue_decompose, kron, parallel_sum,
                     parallel_sum_expressions, parallel_sum_limit,
@@ -169,6 +169,12 @@ class TestProjections:
             solvable_subspace_projection(rand_psd(rng, 4), np.zeros((4, 4))),
             np.eye(4), atol=1e-9)
 
+    def test_solvable_subspace_size_mismatch_and_empty(self):
+        with pytest.raises(InputError, match="differ in size"):
+            solvable_subspace_projection(np.eye(2), np.eye(3))
+        empty = solvable_subspace_projection(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert empty.shape == (0, 0) and empty.dtype == np.complex128
+
     def test_two_routes_agree(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 9))
@@ -182,7 +188,7 @@ class TestProjections:
         rep = build_rep(ANDO_A, ANDO_B)
         broken = dataclasses.replace(rep, contr_b=np.zeros_like(rep.contr_b))
         with pytest.raises(NumericError):
-            lebesgue._projection_from_rep(broken)
+            lebesgue._killed_directions(broken)
 
     def test_isometry_identity(self, rng):
         # two expressions of the projection from the polar parts agree

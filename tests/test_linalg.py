@@ -94,6 +94,16 @@ class TestValidation:
                 assert hermitian_part(m, tol).tobytes() == hermitize(m).tobytes()
         assert 0 < rejected < 300
 
+    @pytest.mark.parametrize("m,message", [
+        ([[1.0, 0.0, 0.0]], "square matrix"),
+        ([1.0, 2.0], "square matrix"),
+        ([[1.0, 0.0], [0.0, np.nan]], "non-finite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "non-finite"),
+    ], ids=["1x3", "vector", "nan", "inf"])
+    def test_rejects_malformed_matrices(self, m, message):
+        with pytest.raises(InputError, match=message):
+            validate_psd(m)
+
     def test_clamps_rounding_noise(self):
         m = np.diag([1.0, -1e-12])
         out, min_eig = validate_psd(m)
@@ -260,6 +270,14 @@ class TestKron:
     def test_dimension_guard(self):
         with pytest.raises(InputError):
             kron(np.eye(70), np.eye(70))
+
+    def test_overflow_is_a_numeric_error(self):
+        # finite factors, so the overflow is the product's; no warning leaks
+        for a, b in (([[1e200]], [[1e200]]), ([[1e200j]], [[1e200 + 1e200j]])):
+            with pytest.raises(NumericError, match="Kronecker product outside"):
+                kron(a, b)
+        huge = kron(np.eye(2), [[1e308]])
+        assert huge.tobytes() == np.diag([1e308, 1e308]).astype(complex).tobytes()
 
 
 class TestToleranceConfig:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from pwcalc import (InputError, abs_part, entropy, entropy_pairing, kron,
-                    power, power_pairing, tensor_pairing_check,
-                    trace_functional, weighted_geometric_mean, arithmetic)
+from pwcalc import (InputError, NumericError, abs_part, entropy,
+                    entropy_pairing, kron, power, power_pairing,
+                    tensor_pairing_check, trace_functional,
+                    weighted_geometric_mean, arithmetic)
 
 from conftest import (geometric_mean_oracle, rand_pair, rand_psd, rand_state,
                       spec_norm, structured_pair)
@@ -194,6 +195,22 @@ class TestTensorPairingCheck:
                 res = tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn)
                 assert res.infinity_consistent
                 assert res.residual is not None and res.residual < 1e-8
+
+    def test_zero_factor_absorbs_infinite_one(self):
+        # slot 1 has no weight (rho1 = 0) and slot 2 is +inf: 0 * inf = 0
+        one, zero = np.array([[1.0]]), np.array([[0.0]])
+        assert math.isinf(power_pairing(one, zero, 2.0, one).value)
+        assert math.isinf(entropy_pairing(one, zero, one).value)
+        for fn in (power(2.0), entropy()):
+            res = tensor_pairing_check(one, one, one, zero, zero, one, fn)
+            assert (res.lhs, res.rhs, res.residual) == (0.0, 0.0, 0.0)
+            assert res.infinity_consistent
+
+    def test_overflowing_factors_are_a_numeric_error(self):
+        big = np.array([[1e200]])
+        with pytest.raises(NumericError, match="Kronecker product outside"):
+            tensor_pairing_check(big, big, big, big, np.eye(1), np.eye(1),
+                                 power(2.0))
 
     def test_rejects_unknown_rule(self, rng):
         eye = np.eye(2)

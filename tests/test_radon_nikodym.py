@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwcalc import (InputError, abs_cont_part, abs_part, build_rep, geometric,
-                    kubo_ando_form, left, parallel, parallel_sum, pw_eval,
-                    rn_cutoff, rn_factor, rn_quadratic_form, entropy)
+from pwcalc import (ExtendedValueError, InputError, PwFunction, abs_cont_part,
+                    abs_part, build_rep, geometric, kubo_ando_form, left,
+                    parallel, parallel_sum, pw_eval, rn_cutoff, rn_factor,
+                    rn_quadratic_form, entropy)
 from pwcalc import radon_nikodym
 from pwcalc.fileio import load_matrix
 
@@ -160,6 +161,25 @@ class TestKuboAndoForm:
         with pytest.raises(InputError):
             kubo_ando_form(a, a, entropy())
 
+    def test_rejects_negative_profile(self, rng):
+        neg = PwFunction("neg", lambda x: -x * (1.0 - x), 0.0, 0.0, True)
+        a = definite(rng, 3)
+        with pytest.raises(InputError, match="negative on the spectrum"):
+            kubo_ando_form(a, rand_psd(rng, 3), neg)
+
+    def test_infinite_inside_raises_before_any_matrix(self):
+        # gram_a's spectrum is {1/4, 1/2}, both where the profile is +inf;
+        # eval's error comes first, with no invalid-value warning
+        spike = PwFunction(
+            "spike", lambda x: math.inf if 0.2 < x < 0.8 else x * (1.0 - x),
+            0.0, 0.0, True)
+        a, b = np.eye(2), np.diag([1.0, 3.0])
+        with pytest.raises(ExtendedValueError) as err:
+            kubo_ando_form(a, b, spike)
+        with pytest.raises(ExtendedValueError) as direct:
+            build_rep(a, b).eval(spike)
+        assert str(err.value) == str(direct.value)
+
 
 class TestQuadraticForm:
     def test_identity_pair_is_norm_squared(self, rng):
@@ -187,6 +207,13 @@ class TestQuadraticForm:
     def test_dimension_guard(self, rng):
         with pytest.raises(InputError):
             rn_quadratic_form(np.eye(2), np.eye(2), np.ones(3))
+
+    @pytest.mark.parametrize("xi", [[math.nan, 1.0], [math.inf, 1.0],
+                                    [1.0, complex(0.0, -math.inf)]],
+                             ids=["nan", "inf", "complex-inf"])
+    def test_rejects_non_finite_vector(self, xi):
+        with pytest.raises(InputError, match="non-finite"):
+            rn_quadratic_form(np.eye(2), np.diag([1.0, 0.0]), xi)
 
 
 def _conditioned_pairs(count):
@@ -234,7 +261,7 @@ class TestRatioFromGramA:
         for _ in range(10):
             n = int(rng.integers(1, 7))
             rep = build_rep(definite(rng, n), rand_psd(rng, n, rank=2))
-            dec, _, _ = radon_nikodym._ratio(rep, abs_part())
+            dec, _, _ = radon_nikodym._ratio(rep, rep.values(abs_part()))
             x = rep.gram_a_spec.eigenvalues
             assert dec.eigenvalues.tobytes() == x.tobytes()
             outer = rep.contr_a @ rep.contr_a.conj().T
