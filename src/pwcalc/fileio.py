@@ -45,7 +45,8 @@ def _load_json(path: str) -> dict:
 
 def _dimension(data, path) -> int:
     n = data.get("n")
-    if not isinstance(n, int) or n < 0:
+    # bool is an int subclass: a JSON true is not a dimension
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InputError(f"{path}: field 'n' must be a nonnegative integer")
     return n
 

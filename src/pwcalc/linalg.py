@@ -135,19 +135,32 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 # A process solves at few sizes: lib-medium's mix reaches 8 and its traced
-# run 13 (with the 64 and 128 of the kernel sweep). Rebuilding the plan
-# once per solve cost 1-4% of lib-medium's ops/s. An entry holds about
-# 24 n^2 bytes.
-@functools.lru_cache(maxsize=16)
-def _round_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The rounds of :func:`_round_robin` as read-only indices into the
-    flattened ``n x n`` matrix: ``pq`` (the ``p`` then the ``q`` of each
-    pair), the diagonal entries ``(pq, pq)``, and the off-diagonal entries
-    ``(p, q)`` then ``(q, p)``."""
+# run 13 (with the 64 and 128 of the kernel sweep), each alone and the
+# input sizes also two side by side. Rebuilding the plan once per solve
+# cost 1-4% of lib-medium's ops/s. An entry holds about 32 m n^2 bytes.
+@functools.lru_cache(maxsize=32)
+def _round_plan(n: int, m: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rounds of :func:`_round_robin` as read-only indices for ``m``
+    members of size ``n`` side by side, ``[h_1 | ... | h_m]`` over
+    ``[v_1 | ... | v_m]``.
+
+    Each round gives the columns ``pq`` (the ``p`` then the ``q`` of each
+    pair) of every member, the same rows of the ``(n m, n)`` view that
+    holds one row of one member per line, the diagonal entries
+    ``(pq, pq)`` and the off-diagonal entries ``(p, q)`` then ``(q, p)``
+    in the flattened array. Each half is pair-major: the members of a
+    pair sit together, in member order. For one member these are the
+    indices of the lone matrix.
+    """
+    members = np.arange(m)
     plan = []
     for p, q in _round_robin(n):
-        pq = np.concatenate((p, q))
-        arrays = (pq, pq * (n + 1), np.concatenate((p * n + q, q * n + p)))
+        pq = np.concatenate((p, q))[:, None]
+        qp = np.concatenate((q, p))[:, None]
+        cols = members * n + pq
+        arrays = (cols, pq * m + members, pq * (m * n) + cols,
+                  pq * (m * n) + members * n + qp)
+        arrays = tuple(a.reshape(-1) for a in arrays)
         for a in arrays:
             a.flags.writeable = False
         plan.append(arrays)
@@ -163,62 +176,86 @@ def _rotate(x: np.ndarray, y: np.ndarray, c, s, s_conj) -> None:
     y += sx
 
 
-def _jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-sided Jacobi diagonalization of a Hermitian matrix.
+def _jacobi_eig(*mats: np.ndarray):
+    """Two-sided Jacobi diagonalization of Hermitian matrices of one size.
+
+    Each member is solved as if alone, with the same output bits; solving
+    several side by side shares each round's numpy calls among them.
+    Returns ``(eigenvalues, eigenvectors)`` for one member and a list of
+    them, in member order, for several.
 
     Each sweep runs the rounds of :func:`_round_robin`. A round computes
     the rotations of all its disjoint pairs from the same matrix, then
     applies them with one gather and scatter of the paired columns of
     ``h`` and ``v`` and one of the paired rows of ``h``, and sets the 2x2
-    diagonal blocks exactly. Pairs whose ``h[p, q]`` is zero or subnormal
-    are skipped. The order is fixed, so the result is a function of the
-    input bits.
+    diagonal blocks exactly. The members sit side by side,
+    ``[h_1 | ... | h_m]`` over ``[v_1 | ... | v_m]``, and each pair of
+    each member gets its own rotation: the members' paired columns move
+    in one gather, and their rows, which they share, in one gather of
+    the ``(n m, n)`` view that holds one row of one member per line.
+    A pair whose ``h[p, q]`` is zero or subnormal is skipped in that
+    member only. Each member keeps its own stopping test and leaves the
+    array when it meets it, and a member whose norm overflows is solved
+    scaled. The order is fixed, so each result is a function of its
+    member's input bits, whatever else shares the call.
 
-    A matrix with no nonzero imaginary part is rotated in ``float64``,
-    with the bits the ``complex128`` rounds give it: every step is the
-    same IEEE operation on the same real parts. Its phase is
+    Members with no nonzero imaginary part are rotated in ``float64``,
+    with the bits the ``complex128`` rounds give them: every step is the
+    same IEEE operation on the same real parts. Their phase is
     ``apq * (1 / |apq|)``, because numpy's complex division (Smith's
     method) computes the real part of ``apq / |apq|`` as that product;
     the float quotient ``apq / |apq|`` rounds once where Smith's method
-    rounds twice. The eigenvalues are ``float64`` and the eigenvectors
+    rounds twice. If any member is complex, all are rotated in
+    ``complex128``. The eigenvalues are ``float64`` and the eigenvectors
     ``complex128`` for either dtype.
     """
-    n = mat.shape[0]
-    real = not mat.imag.any()
-    dtype = np.float64 if real else np.complex128
-    # v sits under h: both take the same column rotations
-    hv = np.empty((2 * n, n), dtype=dtype)
-    h = hv[:n]
-    h[...] = mat.real if real else mat
-    hv[n:] = np.eye(n)
-    if n < 2:
-        return np.diag(h).real.astype(np.float64), hv[n:].astype(np.complex128)
-    flat = hv.reshape(-1)
+    n = mats[0].shape[0]
+    real = not any(m.imag.any() for m in mats)
+    hv = np.empty((2 * n, len(mats) * n), dtype=np.float64 if real else np.complex128)
+    members = [hv[:, j * n:(j + 1) * n] for j in range(len(mats))]
+    for member, m in zip(members, mats):
+        member[:n] = m.real if real else m
+        member[n:] = np.eye(n)
+    results = [None] * len(mats)
+    exps = [0] * len(mats)
+    targets = []
     # the norm overflows for large finite entries (handled below); tau
     # overflows to inf, and |tau| + hypot(1, tau) with it, when h[p, q] is
     # negligible next to the diagonal gap; t is then 0 and the rotation
     # the identity
     with np.errstate(over="ignore"):
-        norm = frobenius(h)
-        if norm == np.inf:
-            # solve the matrix scaled by a power of two, exact for every
-            # entry that stays normal, and scale the spectrum back
-            k = int(np.frexp(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))[1])
-            vals, vecs = _jacobi_eig(mat * np.ldexp(1.0, -k))
-            vals = np.ldexp(vals, k)
-            if not np.isfinite(vals).all():
-                raise NumericError(
-                    "eigenvalue outside the float64 range: the matrix's "
-                    "spectral norm overflows")
-            return vals, vecs
-        target = n * float(np.finfo(np.float64).eps) * norm
+        for j, (member, m) in enumerate(zip(members, mats)):
+            norm = frobenius(member[:n])
+            if norm == np.inf:
+                # solve the matrix scaled by a power of two, exact for
+                # every entry that stays normal, and scale the spectrum back
+                exps[j] = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+                m = m * np.ldexp(1.0, -exps[j])
+                member[:n] = m.real if real else m
+                norm = frobenius(member[:n])
+            targets.append(n * float(np.finfo(np.float64).eps) * norm)
+        active = list(range(len(mats)))  # the member in each block of hv
         for _ in range(MAX_JACOBI_SWEEPS):
-            if _offdiag_norm(h) <= target:
+            left = []
+            for i, j in enumerate(active):
+                h = hv[:n, i * n:(i + 1) * n]
+                if _offdiag_norm(h) > targets[j]:
+                    left.append(i)
+                    continue
                 vals = np.diag(h).real.copy()
                 order = np.argsort(vals, kind="stable")
-                return vals[order], hv[n:, order].astype(np.complex128, copy=False)
-            for pq, diag, off in _round_plan(n):
-                k = pq.size // 2
+                results[j] = (vals[order],
+                              hv[n:, i * n + order].astype(np.complex128, copy=False))
+            if not left:
+                break
+            if len(left) < len(active):
+                hv = hv.reshape(2 * n, len(active), n)[:, left].reshape(2 * n, -1)
+                active = [active[i] for i in left]
+            flat = hv.reshape(-1)
+            # one row of one member's h per line
+            h_rows = hv[:n].reshape(-1, n)
+            for cols, rows, diag, off in _round_plan(n, len(active)):
+                k = cols.size // 2
                 apq = flat[off[:k]]
                 mag = np.abs(apq)
                 if mag.min() < _TINY:
@@ -227,7 +264,7 @@ def _jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                         continue
                     apq, mag = apq[live], mag[live]
                     live = np.concatenate((live, live))
-                    pq, diag, off = pq[live], diag[live], off[live]
+                    cols, rows, diag, off = cols[live], rows[live], diag[live], off[live]
                     k = mag.size
                 d = flat[diag].real
                 app = d[:k]
@@ -241,18 +278,28 @@ def _jacobi_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 else:
                     su = (t * c) * (apq / mag)
                     su_conj = su.conj()
-                c = c.astype(dtype, copy=False)
-                cols = hv[:, pq]
-                _rotate(cols[:, :k], cols[:, k:], c, su, su_conj)
-                hv[:, pq] = cols
-                rows = h[pq]
-                _rotate(rows[:k], rows[k:], c[:, None], su_conj[:, None], su[:, None])
-                h[pq] = rows
+                c = c.astype(hv.dtype, copy=False)
+                both = hv[:, cols]
+                _rotate(both[:, :k], both[:, k:], c, su, su_conj)
+                hv[:, cols] = both
+                both = h_rows[rows]
+                _rotate(both[:k], both[k:], c[:, None], su_conj[:, None], su[:, None])
+                h_rows[rows] = both
                 tm = t * mag
                 flat[diag] = np.concatenate((app - tm, aqq + tm))
                 flat[off] = 0.0
-    raise NumericError(
-        f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
+        else:
+            raise NumericError(
+                f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
+        for j, k in enumerate(exps):
+            if k:
+                vals = np.ldexp(results[j][0], k)
+                if not np.isfinite(vals).all():
+                    raise NumericError(
+                        "eigenvalue outside the float64 range: the matrix's "
+                        "spectral norm overflows")
+                results[j] = vals, results[j][1]
+    return results[0] if len(mats) == 1 else results
 
 
 def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
@@ -275,9 +322,8 @@ def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositio
     return SpectralDecomposition(vals, vecs)
 
 
-def _psd_eig(a, tol: ToleranceConfig) -> SpectralDecomposition:
-    """Diagonalize ``a``, raising below ``-psd_tol * norm``."""
-    dec = eig_hermitian(a, tol)
+def _checked_psd(dec: SpectralDecomposition, tol: ToleranceConfig) -> SpectralDecomposition:
+    """``dec``, raising below ``-psd_tol * norm``."""
     w = dec.eigenvalues
     if w.size:
         floor = tol.psd_tol * max(abs(float(w[0])), abs(float(w[-1])))
@@ -288,28 +334,53 @@ def _psd_eig(a, tol: ToleranceConfig) -> SpectralDecomposition:
     return dec
 
 
+def _psd_eig(a, tol: ToleranceConfig) -> SpectralDecomposition:
+    """Diagonalize ``a``, raising below ``-psd_tol * norm``."""
+    return _checked_psd(eig_hermitian(a, tol), tol)
+
+
 def _above_support(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Mask of the ascending eigenvalues ``w`` above the support threshold."""
     return w > tol.support_threshold(w.size, float(w[-1]) if w.size else 0.0)
 
 
-def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecomposition]:
-    """:func:`validate_psd`'s matrix with the decomposition that checked it."""
-    dec = _psd_eig(a, tol)
+def _clamped(h: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
+    """:func:`validate_psd`'s matrix for the Hermitian ``h`` and its
+    checked decomposition."""
     w = dec.eigenvalues
     if w.size and float(w[0]) < 0.0:
-        return hermitize(dec.apply(np.maximum(w, 0.0))), dec
-    return hermitize(np.asarray(a, dtype=np.complex128)), dec
+        return hermitize(dec.apply(np.maximum(w, 0.0)))
+    return h
+
+
+def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecomposition]:
+    """:func:`validate_psd`'s matrix with the decomposition that checked it."""
+    h = hermitian_part(a, tol)
+    dec = _checked_psd(SpectralDecomposition(*_jacobi_eig(h)), tol)
+    return _clamped(h, dec), dec
 
 
 def _validated_pair(a, b, tol: ToleranceConfig):
-    """``(av, a_dec, bv, b_dec)``: :func:`_validated` of a pair of one size."""
-    av, a_dec = _validated(a, tol)
-    bv, b_dec = _validated(b, tol)
-    if av.shape != bv.shape:
-        raise InputError(
-            f"pair members differ in size: {av.shape} vs {bv.shape}")
-    return av, a_dec, bv, b_dec
+    """``(av, a_dec, bv, b_dec)``: :func:`_validated` of a pair of one
+    size, both solved in one side-by-side call.
+
+    A bad pair raises what validating ``a`` and then ``b`` would: a
+    non-PSD ``a`` is reported before anything wrong with ``b``.
+    """
+    ha = hermitian_part(a, tol)
+    try:
+        hb = hermitian_part(b, tol)
+        solved = _jacobi_eig(ha, hb) if hb.shape == ha.shape else None
+    except (InputError, NumericError):
+        solved = None
+    if solved is None:
+        # validating in turn raises what failed, a's verdict first; only
+        # a size mismatch gets past it
+        av, _ = _validated(a, tol)
+        bv, _ = _validated(b, tol)
+        raise InputError(f"pair members differ in size: {av.shape} vs {bv.shape}")
+    a_dec, b_dec = (_checked_psd(SpectralDecomposition(*r), tol) for r in solved)
+    return _clamped(ha, a_dec), a_dec, _clamped(hb, b_dec), b_dec
 
 
 def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:

@@ -121,9 +121,10 @@ def test_solve_count(monkeypatch, name, fa, fb, op, expected):
     calls = []
     real = linalg._jacobi_eig
 
-    def counting(m):
-        calls.append(m.shape[0])
-        return real(m)
+    def counting(*mats):
+        # one count per member: a side-by-side call solves each of them
+        calls.extend(m.shape[0] for m in mats)
+        return real(*mats)
 
     monkeypatch.setattr(linalg, "_jacobi_eig", counting)
     op(a, b)
@@ -308,16 +309,42 @@ def test_the_jacobi_kernel_is_the_only_eigensolver():
     assert found == []
 
 
-def _profile_evaluations(tree):
-    """Innermost enclosing function (None at module level) of every
-    ``.values(...)`` call with more than one argument:
-    ``PwFunction.values(x, zero_mask, one_mask)`` meets the split, while
-    ``PwRep.values(fn)`` and ``dict.values()`` do not."""
+def _owners(tree):
+    """Innermost enclosing function of every node inside a function."""
     owner = {}
     for func in ast.walk(tree):  # breadth first: inner functions come later
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             owner.update((node, getattr(func, "name", "<lambda>"))
                          for node in ast.walk(func))
+    return owner
+
+
+def _readers(tree, name):
+    """Innermost enclosing function (None at module level) of every read
+    or import of ``name``."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)):
+            yield owner.get(node)
+
+
+def test_only_the_kernel_entry_reads_the_round_plan():
+    # every eigensolve enters through linalg._jacobi_eig, where the tracer
+    # and test_solve_count see it; a solve that read the plan elsewhere
+    # would bypass both
+    readers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _readers(ast.parse(path.read_text()), "_round_plan")]
+    assert readers == [("linalg.py", "_jacobi_eig")]
+
+
+def _profile_evaluations(tree):
+    """Innermost enclosing function (None at module level) of every
+    ``.values(...)`` call with more than one argument:
+    ``PwFunction.values(x, zero_mask, one_mask)`` meets the split, while
+    ``PwRep.values(fn)`` and ``dict.values()`` do not."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "values"

@@ -123,6 +123,26 @@ class TestExitCodes:
         rep = run_report(["psum", "--a", "bad_nonpsd.json", "--b", "b3.json"], 3)
         assert "not positive semidefinite" in rep["diagnostics"]["error"]
 
+    # a and b are validated together, but a's verdict still comes first
+    @pytest.mark.parametrize("a,b,code,message", [
+        ("bad_nonpsd.json", "bad_nonherm.json", 3, "not positive semidefinite"),
+        ("bad_nonpsd.json", "a3.json", 3, "not positive semidefinite"),
+        ("bad_nonherm.json", "bad_nonpsd.json", 2, "not Hermitian"),
+        ("a2pd.json", "bad_nonherm.json", 2, "not Hermitian"),
+        ("a2pd.json", "a3.json", 2, "differ in size"),
+    ], ids=["nonpsd-nonherm", "nonpsd-size", "nonherm-nonpsd", "psd-nonherm",
+            "psd-size"])
+    def test_pair_error_precedence(self, a, b, code, message):
+        rep = run_report(["psum", "--a", a, "--b", b], code)
+        assert message in rep["diagnostics"]["error"]
+
+    def test_boolean_dimension_is_invalid_input(self, tmp_path):
+        path = tmp_path / "bool_n.json"
+        path.write_text('{"n": true, "re": [[2.0]]}')
+        rep = run_report(["psum", "--a", str(path), "--b", str(path)], 2,
+                         cwd=tmp_path)
+        assert "nonnegative integer" in rep["diagnostics"]["error"]
+
     def test_extended_value(self):
         proc = run_cli(["eval", "--phi", "entropy", "--a", "a1.json",
                         "--b", "b1.json"])
@@ -216,9 +236,10 @@ class TestFileRoundTrip:
         ('[[1.0]]', "must contain a JSON object"),
         ('{"n": -1, "re": []}', "nonnegative integer"),
         ('{"n": 1.0, "re": [[1.0]]}', "nonnegative integer"),
+        ('{"n": true, "re": [[1.0]]}', "nonnegative integer"),
         ('{"n": 1, "re": [[NaN]]}', "'re' contains non-finite"),
         ('{"n": 1, "re": [[1.0]], "im": [[Infinity]]}', "'im' contains non-finite"),
-    ], ids=["array", "negative-n", "float-n", "nan", "inf-im"])
+    ], ids=["array", "negative-n", "float-n", "bool-n", "nan", "inf-im"])
     def test_malformed_matrix_files(self, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)

@@ -13,10 +13,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from pwcalc import NumericError, linalg
 from pwcalc.linalg import (MAX_JACOBI_SWEEPS, _TINY, _jacobi_eig, _round_plan,
                            _round_robin)
 
-from conftest import SEED, rand_complex, rand_hermitian
+from conftest import SEED, rand_complex, rand_hermitian, rand_psd
 
 
 def _cyclic_jacobi(mat):
@@ -128,6 +129,20 @@ def _graded():
     return d[:, None] * m * d[None, :]
 
 
+def _tiny_offdiagonal():
+    """h[2, 3] is subnormal with equal diagonal entries, which asks for a
+    45-degree rotation whose phase apq / |apq| overflowed into NaN; it is
+    skipped now. h[0, 4] is normal but so small next to its diagonal gap
+    that tau overflows to inf, giving the identity."""
+    m = np.diag([1.0, 2.0, 3.0, 3.0, 2e9]).astype(np.complex128)
+    m[0, 1] = m[1, 0] = 0.5
+    m[1, 2] = m[2, 1] = 1e-310
+    m[2, 3] = 3e-320 + 2e-320j
+    m[3, 2] = np.conj(m[2, 3])
+    m[0, 4] = m[4, 0] = 1e-300
+    return m
+
+
 _IDENTITY_KINDS = ["full", "half", "one", "zero", "indefinite", "diagonal",
                    "tiny", "negated-blocks"]
 
@@ -183,13 +198,25 @@ class TestRoundRobin:
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_plan_indexes_the_rounds(self, n):
-        for (p, q), (pq, diag, off) in zip(_round_robin(n), _round_plan(n), strict=True):
-            assert pq.tolist() == p.tolist() + q.tolist()
-            assert (diag == pq * (n + 1)).all()
-            rows, cols = np.divmod(off, n)
-            assert rows.tolist() == pq.tolist()
-            assert cols.tolist() == q.tolist() + p.tolist()
-            assert not (pq.flags.writeable or diag.flags.writeable or off.flags.writeable)
+        for m in (1, 2, 3):
+            plan = _round_plan(n, m)
+            for (p, q), arrays in zip(_round_robin(n), plan, strict=True):
+                cols, rows, diag, off = arrays
+                # pair-major: entry s * m + j is pair s of member j
+                pq = np.repeat(np.concatenate((p, q)), m)
+                qp = np.repeat(np.concatenate((q, p)), m)
+                member = np.tile(np.arange(m), pq.size // m)
+                assert (cols == member * n + pq).all()
+                assert (rows == pq * m + member).all()
+                assert (diag == pq * (m * n) + member * n + pq).all()
+                assert (off == pq * (m * n) + member * n + qp).all()
+                assert not any(a.flags.writeable for a in arrays)
+            if m == 1:
+                # one member: the indices of the lone matrix
+                for (p, q), (cols, rows, diag, off) in zip(_round_robin(n), plan):
+                    pq = np.concatenate((p, q))
+                    assert (cols == pq).all() and (rows == pq).all()
+                    assert (diag == pq * (n + 1)).all()
 
 
 class TestKernel:
@@ -219,16 +246,7 @@ class TestKernel:
         assert in_first.sum() == 3
 
     def test_tiny_offdiagonal(self):
-        # h[2, 3] is subnormal with equal diagonal entries, which asks for a
-        # 45-degree rotation whose phase apq / |apq| overflowed into NaN; it
-        # is skipped now. h[0, 4] is normal but so small next to its
-        # diagonal gap that tau overflows to inf, giving the identity.
-        m = np.diag([1.0, 2.0, 3.0, 3.0, 2e9]).astype(np.complex128)
-        m[0, 1] = m[1, 0] = 0.5
-        m[1, 2] = m[2, 1] = 1e-310
-        m[2, 3] = 3e-320 + 2e-320j
-        m[3, 2] = np.conj(m[2, 3])
-        m[0, 4] = m[4, 0] = 1e-300
+        m = _tiny_offdiagonal()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, vecs = _jacobi_eig(m)
@@ -319,3 +337,107 @@ class TestByteIdentity:
                 where = f"{kind}, n={n}, real={real}"
                 assert vals.tobytes() == ref_vals.tobytes(), where
                 assert vecs.tobytes() == ref_vecs.tobytes(), where
+
+
+def _solved_alone(mats):
+    """Solve ``mats`` side by side; assert that every member has the bits
+    of its own solve and return the results."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _jacobi_eig(*mats)
+    assert len(got) == len(mats)
+    for i, (m, (vals, vecs)) in enumerate(zip(mats, got)):
+        ref_vals, ref_vecs = _jacobi_eig(m)
+        assert vals.dtype == np.float64 and vecs.dtype == np.complex128
+        assert vals.tobytes() == ref_vals.tobytes(), f"member {i}"
+        assert vecs.tobytes() == ref_vecs.tobytes(), f"member {i}"
+    return got
+
+
+class TestSideBySide:
+    """Members solved in one call: each gets the bits of its own solve."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_mixed_real_and_complex(self, rng, n):
+        # the real members are rotated in complex128 here, alone in float64
+        mats = [rand_hermitian(rng, n, real=True).astype(np.complex128),
+                rand_hermitian(rng, n),
+                rand_psd(rng, n, n // 2).real.astype(np.complex128)]
+        _solved_alone(mats)
+        _solved_alone(mats[::2])
+
+    def test_members_leave_when_they_converge(self, rng, monkeypatch):
+        # a definite and a rank-deficient member need different numbers of
+        # sweeps, and a diagonal one none; each stopping test runs once per
+        # sweep of its member, so a converged member is no longer checked
+        n = 12
+        mats = [rand_psd(rng, n), rand_psd(rng, n, 1), np.diag(rng.standard_normal(n))]
+        checks = []
+        real = linalg._offdiag_norm
+
+        def counting(h):
+            checks.append(h.shape)
+            return real(h)
+
+        monkeypatch.setattr(linalg, "_offdiag_norm", counting)
+        alone = []
+        for m in mats:
+            _jacobi_eig(m.astype(np.complex128))
+            alone.append(len(checks))
+            checks.clear()
+        assert len(set(alone)) == 3 and alone[2] == 1
+        _solved_alone([m.astype(np.complex128) for m in mats])
+        assert len(checks) == 2 * sum(alone)  # the batch, then the solo references
+
+    def test_subnormal_pivots(self, rng):
+        tiny = _tiny_offdiagonal()
+        _solved_alone([tiny, rand_hermitian(rng, 5), tiny.real.astype(np.complex128)])
+        _solved_alone([rand_hermitian(rng, 5, real=True).astype(np.complex128), tiny])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_overflowing_norm(self, rng, dtype):
+        # every entry is finite but the Frobenius norm overflows, so that
+        # member alone is solved scaled by a power of two
+        got = _solved_alone([np.array([[1e200, 2e200], [2e200, 1e200]], dtype=dtype),
+                             rand_hermitian(rng, 2, real=dtype == np.float64),
+                             np.full((2, 2), 1e200, dtype=dtype)])
+        assert got[0][0].tolist() == [-1e200, 3e200]
+        assert got[2][0].tolist() == [0.0, 2e200]
+
+    def test_spectrum_beyond_the_float_limit(self, rng):
+        m = np.array([[1e308, 1.7e308], [1.7e308, -1e308]], dtype=np.complex128)
+        with pytest.raises(NumericError, match="float64 range"):
+            _jacobi_eig(rand_hermitian(rng, 2), m)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_small_sizes(self, rng, n):
+        mats = [rand_hermitian(rng, n), rand_hermitian(rng, n, real=True).astype(np.complex128),
+                rand_psd(rng, n, n // 2)]
+        got = _solved_alone(mats)
+        for m, (vals, vecs) in zip(mats, got):
+            _check_eigenpairs(m, vals, vecs)
+
+    @pytest.mark.parametrize("n", [3, 8, 13])
+    def test_every_identity_kind_in_one_call(self, n):
+        # the byte-identity set, real and complex, sixteen members side by
+        # side, against the complex rounds of the kernel before side-by-side
+        # solving
+        rng = np.random.default_rng([SEED, n])
+        mats = [_identity_case(rng, kind, n, real)
+                for kind in _IDENTITY_KINDS for real in (True, False)]
+        for m, (vals, vecs) in zip(mats, _solved_alone(mats)):
+            ref_vals, ref_vecs = _complex_rounds(m)
+            assert vals.tobytes() == ref_vals.tobytes()
+            assert vecs.tobytes() == ref_vecs.tobytes()
+
+    def test_graded_member_keeps_relative_accuracy(self, rng):
+        m = _graded()
+        got = _solved_alone([rand_hermitian(rng, 4, real=True), m])
+        ref, _ = _cyclic_jacobi(m)
+        assert (np.abs(got[1][0] - ref) <= 1e-13 * np.abs(ref)).all()
+
+    def test_inputs_untouched(self, rng):
+        mats = [rand_hermitian(rng, 6), rand_hermitian(rng, 6, real=True)]
+        before = [m.copy() for m in mats]
+        _jacobi_eig(*mats)
+        assert all(m.tobytes() == b.tobytes() for m, b in zip(mats, before))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pwcalc import (InputError, NotPsdError, NumericError, ToleranceConfig,
-                    eig_hermitian, hermitian_part, hermitize, kron,
+                    build_rep, eig_hermitian, hermitian_part, hermitize, kron,
                     polar_isometry, psd_sqrt, support_projection, validate_psd)
-from pwcalc.linalg import _jacobi_eig
+from pwcalc.linalg import _jacobi_eig, _validated, _validated_pair
 
 from conftest import rand_complex, rand_hermitian, rand_psd
 
@@ -135,6 +135,55 @@ class TestValidation:
             eig_hermitian(m)
         with pytest.raises(NumericError):
             _jacobi_eig(m.astype(np.complex128))
+
+
+_NONPSD = np.diag([1.0, -1.0])
+_NONHERM = np.array([[0.0, 1.0], [0.0, 0.0]])
+_PSD = np.diag([2.0, 1.0])
+_OUT_OF_RANGE = np.array([[1e308, 1.7e308], [1.7e308, -1e308]])
+
+
+class TestPairValidation:
+    """``a`` and ``b`` are solved side by side, but a bad pair raises what
+    validating ``a`` and then ``b`` would."""
+
+    @pytest.mark.parametrize("a,b,error,match", [
+        (_NONPSD, _NONHERM, NotPsdError, "eigenvalue -1.000000e"),
+        (_NONPSD, np.eye(3), NotPsdError, "eigenvalue -1.000000e"),
+        (_NONPSD, _OUT_OF_RANGE, NotPsdError, "eigenvalue -1.000000e"),
+        (_NONPSD, 2.0 * _NONPSD, NotPsdError, "eigenvalue -1.000000e"),
+        (_NONHERM, _NONPSD, InputError, "not Hermitian"),
+        (_PSD, _NONHERM, InputError, "not Hermitian"),
+        (_PSD, np.eye(3), InputError, "differ in size"),
+        (_PSD, _OUT_OF_RANGE, NumericError, "float64 range"),
+        (_PSD, _NONPSD, NotPsdError, "eigenvalue -1.000000e"),
+    ], ids=["nonpsd-nonherm", "nonpsd-size", "nonpsd-range", "nonpsd-nonpsd",
+            "nonherm-nonpsd", "psd-nonherm", "psd-size", "psd-range", "psd-nonpsd"])
+    def test_a_is_reported_first(self, a, b, error, match):
+        with pytest.raises(error, match=match):
+            _validated_pair(a, b, ToleranceConfig())
+        with pytest.raises(error, match=match):
+            build_rep(a, b)
+
+    def test_same_bits_as_validating_in_turn(self, rng):
+        tol = ToleranceConfig()
+        clamped = 0
+        for trial in range(40):
+            n = int(rng.integers(2, 9))
+            a = rand_psd(rng, n, int(rng.integers(0, n + 1)))
+            a = a.real if trial % 2 else a
+            # a rank-deficient b shifted by rounding-level negatives, which
+            # validation clamps
+            b = rand_psd(rng, n, n // 2) - 1e-17 * np.eye(n)
+            got = _validated_pair(a, b, tol)
+            want = (*_validated(a, tol), *_validated(b, tol))
+            for x, y in zip(got[::2], want[::2]):
+                assert x.tobytes() == y.tobytes()
+            for x, y in zip(got[1::2], want[1::2]):
+                assert x.eigenvalues.tobytes() == y.eigenvalues.tobytes()
+                assert x.basis.tobytes() == y.basis.tobytes()
+            clamped += got[3].eigenvalues[0] < 0.0
+        assert clamped > 10
 
 
 class TestSqrt:
