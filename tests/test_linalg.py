@@ -135,6 +135,8 @@ class TestValidation:
             eig_hermitian(m)
         with pytest.raises(NumericError):
             _jacobi_eig(m.astype(np.complex128))
+        with pytest.raises(NumericError, match="float64 range"):
+            _jacobi_eig(np.eye(2), m)
 
 
 _NONPSD = np.diag([1.0, -1.0])
