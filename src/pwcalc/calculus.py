@@ -12,8 +12,12 @@ homogeneous binary function can be evaluated on them by ordinary
 functional calculus and pushed back through the congruence
 ``m -> T* m T``.
 
-Pairings against a positive functional ``rho`` integrate the profile
-against the spectral weights of ``T rho T*`` and extend gracefully to
+With ``W`` the eigenbasis of ``X* X``, every query reads the one map
+``E = W* T``: a profile's value is ``E* diag(f(x)) E``, the pairing
+weights of a positive functional ``rho`` are the diagonal of
+``E rho E*``, and the singular part of the Lebesgue decomposition takes
+the rows of ``E`` whose eigenvalue is classified as 0. Pairings
+integrate the profile against those weights and extend gracefully to
 +inf, which is how unbounded values (entropy against a singular second
 slot, for instance) are reported.
 """
@@ -27,8 +31,8 @@ from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import DominationError, ExtendedValueError, InputError, NumericError
 from .functions import PwFunction
 from .linalg import (SpectralDecomposition, _above_support, _sqrt_of, _validated,
-                     _validated_pair, eig_hermitian, frobenius, hermitian_part,
-                     hermitize, validate_psd)
+                     _validated_pair, eig_hermitian, hermitian_part,
+                     hermitize, safe_frobenius, validate_psd)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -118,7 +122,8 @@ class PwRep:
     sum_eigs : (rank,) ndarray
         Eigenvalues of ``a + b`` on its support, ascending.
     coord_map : (rank, n) ndarray
-        ``diag(sqrt(sum_eigs)) basis*``; full row rank.
+        ``diag(sqrt(sum_eigs)) basis*``; full row rank. Only
+        :meth:`from_support`, for arbitrary support-side matrices, reads it.
     contr_a, contr_b : (n, rank) ndarray
         Contractions carrying the square roots of ``a`` and ``b``.
     gram_a, gram_b : (rank, rank) ndarray
@@ -129,6 +134,11 @@ class PwRep:
     gram_a_spec : SpectralDecomposition
         Spectral decomposition of ``gram_a``; its spectrum lies in [0, 1]
         up to rounding.
+    eig_map : (rank, n) ndarray
+        ``E = W* T`` for the eigenbasis ``W`` of ``gram_a_spec`` and the
+        coordinate map ``T``: row ``i`` is ``(T* w_i)*``. Every calculus
+        value ``E* diag(v) E``, pairing weight ``Re diag(E rho E*)`` and
+        the singular part of the Lebesgue decomposition read it.
     a, b, a_half, b_half : ndarray
         Validated inputs and their PSD square roots.
     a_eigs : ndarray
@@ -149,6 +159,7 @@ class PwRep:
     gram_a: np.ndarray
     gram_b: np.ndarray
     gram_a_spec: SpectralDecomposition
+    eig_map: np.ndarray
     a: np.ndarray
     b: np.ndarray
     a_half: np.ndarray
@@ -172,12 +183,10 @@ class PwRep:
         return hermitize(self.coord_map.conj().T @ mm @ self.coord_map)
 
     def _push(self, vals: np.ndarray) -> np.ndarray:
-        """:meth:`from_support` of ``gram_a_spec.apply(vals)`` for finite
-        ``vals``, without its checks: the matrix is ``complex128``,
-        finite and of the support's shape by construction, and
-        ``hermitian_part`` of such a matrix is ``hermitize`` of it."""
-        mm = hermitize(self.gram_a_spec.apply(vals))
-        return hermitize(self.coord_map.conj().T @ mm @ self.coord_map)
+        """``T* W diag(vals) W* T`` for finite ``vals`` on ``gram_a``'s
+        spectrum, as the one product ``E* (vals E)`` on :attr:`eig_map`."""
+        e = self.eig_map
+        return hermitize(e.conj().T @ (vals[:, None] * e))
 
     def to_support(self, c) -> np.ndarray:
         """Invert :meth:`from_support` on operators dominated by ``a + b``.
@@ -197,8 +206,8 @@ class PwRep:
         d = scaled.conj().T @ c_half
         ct = hermitize(d @ d.conj().T)
         back = self.from_support(ct)
-        resid = frobenius(back - cv)
-        norm = frobenius(cv)
+        resid = safe_frobenius(back - cv)
+        norm = safe_frobenius(cv)
         if resid > _ROUNDTRIP_LIMIT * max(norm, 1e-300):
             raise DominationError(
                 f"matrix is not dominated by any multiple of the pair sum: "
@@ -231,7 +240,8 @@ class PwRep:
         return vals
 
     def pairing_weights(self, rho) -> np.ndarray:
-        """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis."""
+        """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis,
+        the diagonal of ``E rho E*`` on :attr:`eig_map`."""
         rv, _ = validate_psd(rho, self.tol)
         if rv.shape != (self.n, self.n):
             raise InputError(
@@ -239,10 +249,10 @@ class PwRep:
         return self._weights(rv)
 
     def _weights(self, rv: np.ndarray) -> np.ndarray:
-        """:meth:`pairing_weights` of a validated ``complex128`` state."""
-        m = self.coord_map @ rv @ self.coord_map.conj().T
-        vecs = self.gram_a_spec.basis
-        w = np.real(np.sum(vecs.conj() * (m @ vecs), axis=0))
+        """:meth:`pairing_weights` of a validated ``complex128`` state:
+        ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0."""
+        e = self.eig_map
+        w = np.real(np.sum((e @ rv) * e.conj(), axis=1))
         return np.maximum(w, 0.0)
 
     def pairing(self, fn: PwFunction, rho) -> PairingResult:
@@ -354,16 +364,17 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
                 f"commuting representative has spectrum outside [0, 1] by "
                 f"{excess:.3e}, beyond its rounding slack {slack:.3e}: "
                 f"[{lo!r}, {hi!r}]")
-    resid_a = frobenius(contr_a @ coord_map - a_half)
-    resid_b = frobenius(contr_b @ coord_map - b_half)
-    limit_a = _REP_RESIDUAL_LIMIT * max(1.0, frobenius(a_half))
-    limit_b = _REP_RESIDUAL_LIMIT * max(1.0, frobenius(b_half))
+    resid_a = safe_frobenius(contr_a @ coord_map - a_half)
+    resid_b = safe_frobenius(contr_b @ coord_map - b_half)
+    limit_a = _REP_RESIDUAL_LIMIT * max(1.0, safe_frobenius(a_half))
+    limit_b = _REP_RESIDUAL_LIMIT * max(1.0, safe_frobenius(b_half))
     if resid_a > limit_a or resid_b > limit_b:
         raise NumericError(
             f"representation residuals too large: {resid_a:.3e}, {resid_b:.3e}")
     return PwRep(n=n, rank=rank, basis=q, sum_eigs=lam, coord_map=coord_map,
                  contr_a=contr_a, contr_b=contr_b, gram_a=gram_a,
                  gram_b=gram_b, gram_a_spec=spec,
+                 eig_map=spec.basis.conj().T @ coord_map,
                  a=av, b=bv, a_half=a_half, b_half=b_half,
                  a_eigs=a_dec.eigenvalues,
                  split=_classify(spec.eigenvalues, tol), tol=tol)

@@ -33,7 +33,7 @@ from .errors import (ExtendedValueError, InputError, NotPsdError, NumericError,
 from .fileio import (INF_SENTINEL, dumps_report, load_matrix, load_vector,
                      matrix_payload, sha256_file)
 from .functions import named_function
-from .linalg import frobenius, hermitian_norm
+from .linalg import hermitian_norm, safe_frobenius
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -117,7 +117,7 @@ def _cmd_rep(args, tol, warnings):
     rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
     eye = np.eye(rep.rank, dtype=np.complex128)
     diagnostics = _margin_diagnostics(rep)
-    diagnostics["identity_residual"] = frobenius(
+    diagnostics["identity_residual"] = safe_frobenius(
         rep.contr_a.conj().T @ rep.contr_a
         + rep.contr_b.conj().T @ rep.contr_b - eye)
     outputs = {
@@ -187,7 +187,7 @@ def _cmd_singular(args, tol, warnings):
 
 def _cmd_abscont(args, tol, warnings):
     rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
-    proj = leb._projection(rep.n, leb._killed_directions(rep)[1])
+    proj = leb._projection(rep.n, leb._killed_directions(rep)[0])
     deviation = hermitian_norm(proj - np.eye(rep.n, dtype=np.complex128))
     return {"is_abs_continuous": not rep.split.zero.any(),
             "projection_deviation": deviation}, {}

@@ -19,7 +19,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NumericError
 from .functions import abs_part, parallel, scaled_parallel
 from .linalg import (_sqrt_of, _support_of, _validated_pair, eig_hermitian,
-                     frobenius, hermitize)
+                     hermitize, safe_frobenius)
 
 # residual_sum above this fraction of ||b||_F means the parts lost part of b
 # (an eigenvalue classified as 1 below 1 weighs in neither part); rounding
@@ -41,8 +41,9 @@ class LebesgueDecomposition:
 
     ``sing_part`` and ``projection`` are read off the eigenvectors ``W0``
     that the split classifies as 0, with ``Y`` the second contraction
-    and ``T`` the coordinate map: ``sing_part = T* W0 diag(y0) W0* T``
-    and ``projection = I - U U*`` with ``U = Y W0 / sqrt(y0)``, where
+    and ``T`` the coordinate map: ``sing_part = E0* diag(y0) E0`` for the
+    rows ``E0 = W0* T`` of the rep's ``eig_map``, and
+    ``projection = I - U U*`` with ``U = Y W0 / sqrt(y0)``, where
     ``y0 = ||Y w||^2`` per column.
     """
 
@@ -81,8 +82,8 @@ def abs_cont_part(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return build_rep(a, b, tol).eval(abs_part())
 
 
-def _killed_directions(rep: PwRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(W0, U, y0)``: the split's zero eigenvectors ``W0`` of ``gram_a``,
+def _killed_directions(rep: PwRep) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, y0)`` for the split's zero eigenvectors ``W0`` of ``gram_a``:
     ``y0 = ||Y w||^2`` per column for ``Y = contr_b`` and the killed
     directions ``U = Y W0 / sqrt(y0)``.
 
@@ -96,7 +97,7 @@ def _killed_directions(rep: PwRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericError(
             "a direction classified as 0 has no weight in the second "
             "contraction; the representation is inconsistent")
-    return w0, yw / np.sqrt(y0)[None, :], y0
+    return yw / np.sqrt(y0)[None, :], y0
 
 
 def _projection(n: int, u: np.ndarray) -> np.ndarray:
@@ -104,9 +105,9 @@ def _projection(n: int, u: np.ndarray) -> np.ndarray:
     return hermitize(np.eye(n, dtype=np.complex128) - u @ u.conj().T)
 
 
-def _singular_part(rep: PwRep, w0: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    # T* W0 diag(y0) W0* T, as factor* factor
-    factor = np.sqrt(y0)[:, None] * (w0.conj().T @ rep.coord_map)
+def _singular_part(rep: PwRep, y0: np.ndarray) -> np.ndarray:
+    # T* W0 diag(y0) W0* T, as factor* factor on the zero rows of W* T
+    factor = np.sqrt(y0)[:, None] * rep.eig_map[rep.split.zero]
     return hermitize(factor.conj().T @ factor)
 
 
@@ -122,8 +123,8 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
     """
     rep = build_rep(a, b, tol)
     bc = rep.eval(abs_part())
-    w0, u, y0 = _killed_directions(rep)
-    bs = _singular_part(rep, w0, y0)
+    u, y0 = _killed_directions(rep)
+    bs = _singular_part(rep, y0)
     proj = _projection(rep.n, u)
     split = rep.split
     warnings = []
@@ -132,8 +133,8 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
             f"low spectral margin: {split.near_zero} eigenvalue(s) retained "
             f"within 10*zero_tol of the classification threshold zero_tol="
             f"{tol.zero_tol:g}, margin={split.margin:.3e}")
-    residual = frobenius(rep.b - bc - bs)
-    b_norm = frobenius(rep.b)
+    residual = safe_frobenius(rep.b - bc - bs)
+    b_norm = safe_frobenius(rep.b)
     if residual > RESIDUAL_WARN_FACTOR * b_norm:
         warnings.append(
             f"parts do not sum to b: residual_sum={residual:.3e} exceeds "
@@ -155,7 +156,7 @@ def abs_continuity_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.nd
     ``P = I - sum u u*``; no eigensolve beyond the pair's own is needed.
     """
     rep = build_rep(a, b, tol)
-    return _projection(rep.n, _killed_directions(rep)[1])
+    return _projection(rep.n, _killed_directions(rep)[0])
 
 
 def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -243,7 +244,7 @@ def parallel_sum_limit(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ParallelSumL
             raise NumericError(
                 "parallel-sum profile family failed to be nondecreasing")
         cur = rep._push(cur_vals)
-        gap = frobenius(cur - prev)
+        gap = safe_frobenius(cur - prev)
         gaps.append(gap)
         iterates.append(cur)
         prev, prev_vals = cur, cur_vals

@@ -105,6 +105,23 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
 
 
+def safe_frobenius(m) -> float:
+    """:func:`frobenius` that does not overflow for finite entries.
+
+    The plain norm squares the entries and overflows above about 1e154;
+    only then is ``m`` scaled by a power of two and the norm scaled back,
+    so every finite plain norm keeps its bits. It is ``inf`` only when
+    the norm itself exceeds the float range or an entry is not finite.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        plain = frobenius(m)
+        if plain != math.inf or not np.isfinite(m).all():
+            return plain
+        k = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+        return float(np.ldexp(frobenius(m * np.ldexp(1.0, -k)), k))
+
+
 def _offdiag_norm(h: np.ndarray) -> float:
     m = h.astype(np.complex128)
     np.fill_diagonal(m, 0.0)

@@ -21,7 +21,7 @@ from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
 from .functions import PwFunction, abs_part
-from .linalg import SpectralDecomposition, frobenius, hermitize
+from .linalg import SpectralDecomposition, hermitize, safe_frobenius
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,8 @@ def kubo_ando_form(a, b, fn: PwFunction,
     root = root_h @ rep.a_half
     value = hermitize(root.conj().T @ root)
     target = rep._push(vals)
-    scale = max(frobenius(target), 1e-300)
-    residual = frobenius(value - target) / scale
+    scale = max(safe_frobenius(target), 1e-300)
+    residual = safe_frobenius(value - target) / scale
     condition = float(hvals.max()) if hvals.size else 0.0
     return RnFactorization(factor=factor, root=root, value=value,
                            residual=residual, condition=condition,

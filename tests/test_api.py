@@ -339,6 +339,38 @@ def test_only_the_kernel_entry_reads_the_round_plan():
     assert readers == [("linalg.py", "_jacobi_eig")]
 
 
+def _loads(tree, name):
+    """Innermost enclosing function (None at module level) of every load
+    of ``name``, as a variable or an attribute; stores, such as a field
+    declaration or the assignment that builds a value, are not reads."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and name in (getattr(node, "id", None), getattr(node, "attr", None))):
+            yield owner.get(node)
+
+
+def test_only_build_rep_and_from_support_read_the_coordinate_map():
+    # every calculus value, pairing weight and singular part reads the one
+    # map eig_map = W* T; T itself serves from_support's arbitrary
+    # support-side matrices, so a second push formula cannot come back
+    readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _loads(ast.parse(path.read_text()), "coord_map")}
+    assert readers == {("calculus.py", "build_rep"),
+                       ("calculus.py", "from_support")}
+
+
+def test_only_the_kernel_takes_the_plain_frobenius_norm():
+    # the plain norm overflows above about 1e154 per entry; the kernel
+    # detects that itself, every other caller takes safe_frobenius
+    readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _readers(ast.parse(path.read_text()), "frobenius")}
+    assert readers == {("linalg.py", "safe_frobenius"),
+                       ("linalg.py", "_offdiag_norm"),
+                       ("linalg.py", "_jacobi_eig")}
+
+
 def _profile_evaluations(tree):
     """Innermost enclosing function (None at module level) of every
     ``.values(...)`` call with more than one argument:

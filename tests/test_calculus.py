@@ -225,18 +225,21 @@ class TestEval:
             pw_eval([[1.0]], [[0.0]], entropy())
 
     def test_same_bits_as_validated_push(self, rng):
-        # eval skips from_support's checks; the result must not change
+        # eval pushes through eig_map = W* T in one product and skips
+        # from_support's checks; it may differ from the validated push
+        # T* (W diag(v) W*) T only by the rounding of the association
         for k in range(20):
             a, b = random_rank_pair(rng)
             if k % 2:
                 a, b = a.real, b.real
             rep = build_rep(a, b)
             x, split = rep.gram_a_spec.eigenvalues, rep.split
+            scale = np.linalg.norm(rep.a + rep.b)
             for fn in (abs_part(), parallel(), geometric(0.3), left(), right(),
                        arithmetic(), scaled_parallel(8.0)):
                 vals = fn.values(x, split.zero, split.one)
                 ref = rep.from_support(rep.gram_a_spec.apply(vals))
-                assert rep.eval(fn).tobytes() == ref.tobytes()
+                assert np.linalg.norm(rep.eval(fn) - ref) <= 1e-14 * scale
 
     def test_psd_when_profile_nonnegative(self, rng):
         a, b = rand_pair(rng, 6, 4, 5)

@@ -1,12 +1,17 @@
 """Tests for the Hermitian linear-algebra kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from pwcalc import (InputError, NotPsdError, NumericError, ToleranceConfig,
-                    build_rep, eig_hermitian, hermitian_part, hermitize, kron,
-                    polar_isometry, psd_sqrt, support_projection, validate_psd)
-from pwcalc.linalg import _jacobi_eig, _validated, _validated_pair
+from pwcalc import (DominationError, InputError, NotPsdError, NumericError,
+                    ToleranceConfig, build_rep, eig_hermitian, hermitian_part,
+                    hermitize, kron, kubo_ando_form, lebesgue_decompose,
+                    parallel, parallel_sum_limit, polar_isometry, psd_sqrt,
+                    rn_factor, support_projection, validate_psd)
+from pwcalc.linalg import (_jacobi_eig, _validated, _validated_pair, frobenius,
+                           safe_frobenius)
 
 from conftest import rand_complex, rand_hermitian, rand_psd
 
@@ -352,3 +357,82 @@ class TestToleranceConfig:
         assert tol.support_threshold(4, 2.0) == pytest.approx(
             4 * np.finfo(float).eps * 2.0)
         assert ToleranceConfig(support_tol=1e-5).support_threshold(4, 2.0) == 1e-5
+
+
+# a joint scale at which squaring an entry overflows although every entry,
+# value and norm is finite
+HUGE = 1e300
+HUGE_B = HUGE * np.array([[2.0, 1.0], [1.0, 2.0]])
+
+
+class TestSafeFrobenius:
+    def test_same_bits_as_the_plain_norm_when_finite(self, rng):
+        for k in range(100):
+            n = int(rng.integers(0, 9))
+            m = rand_complex(rng, n, n) * 10.0 ** rng.uniform(-150.0, 150.0)
+            if k % 2:
+                m = m.real
+            assert repr(safe_frobenius(m)) == repr(frobenius(m))
+
+    def test_scales_only_when_the_plain_norm_overflows(self, rng):
+        for k in range(40):
+            m = rand_complex(rng, 5, 5)
+            if k % 2:
+                m = m.real
+            big = m * 2.0 ** 1000
+            with np.errstate(over="ignore"):
+                assert frobenius(big) == np.inf
+            assert safe_frobenius(big) == frobenius(m) * 2.0 ** 1000
+
+    def test_inf_only_beyond_the_float_range(self):
+        assert safe_frobenius([[1.7e308, 1.7e308]]) == np.inf
+        assert safe_frobenius([[np.inf, 0.0]]) == np.inf
+        assert np.isnan(safe_frobenius([[np.nan, 1e300]]))
+        assert safe_frobenius(np.zeros((0, 0))) == 0.0
+
+
+class TestHugeScaleCallers:
+    # every caller-side norm used to overflow here: a wrong verdict or a
+    # nan/inf diagnostic, and "overflow encountered in dot" leaked
+
+    def test_to_support_raises_when_not_dominated(self):
+        rep = build_rep(HUGE * np.diag([1.0, 0.0]), HUGE * np.diag([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DominationError, match="round-trip residual"):
+                rep.to_support(HUGE * np.eye(2))
+            # a dominated matrix still round-trips: a + b = 2e300 diag(1, 0)
+            ct = rep.to_support(HUGE * np.diag([0.5, 0.0]))
+        np.testing.assert_allclose(ct, [[0.25]], rtol=1e-14)
+
+    @pytest.mark.parametrize("op", [
+        rn_factor, lambda a, b: kubo_ando_form(a, b, parallel())],
+        ids=["rn_factor", "kubo_ando_form"])
+    def test_derivative_factor_residual(self, op):
+        a = np.diag([2.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = op(HUGE * a, HUGE_B)
+        assert 0.0 <= res.residual <= 1e-14
+        assert np.isfinite(res.value).all()
+
+    def test_lebesgue_residual_sum(self):
+        a = np.diag([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = lebesgue_decompose(HUGE * a, HUGE_B)
+        assert dec.warnings == ()
+        assert 0.0 <= dec.residual_sum <= 1e-14 * np.linalg.norm(HUGE_B / HUGE) * HUGE
+        ref = lebesgue_decompose(a, HUGE_B / HUGE)
+        np.testing.assert_allclose(dec.sing_part / HUGE, ref.sing_part, atol=1e-14)
+        np.testing.assert_allclose(dec.abs_part / HUGE, ref.abs_part, atol=1e-14)
+
+    def test_parallel_sum_limit_gaps(self):
+        a = np.diag([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lim = parallel_sum_limit(HUGE * a, HUGE_B)
+        ref = parallel_sum_limit(a, HUGE_B / HUGE)
+        gaps = np.array(lim.gaps[:len(ref.gaps)])
+        assert np.isfinite(gaps).all()
+        np.testing.assert_allclose(gaps / HUGE, ref.gaps, rtol=0.0, atol=1e-14)

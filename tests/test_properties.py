@@ -1,0 +1,110 @@
+"""Invariances that the paper's identities imply, on seeded random pairs.
+
+Unitary covariance: for a unitary ``U`` the calculus commutes with the
+rotation, ``f(U a U*, U b U*) = U f(a, b) U*``, and so do both Lebesgue
+parts; a pairing of the rotated pair against ``U rho U*`` equals the
+pairing of the pair against ``rho``. Tolerances are relative to
+``||a + b||_F`` (times ``tr rho`` for pairings), so they hold at any joint
+scale. The worst seen on these cases is 1.2e-14 for the matrices, 1e-15
+for the bounded pairings and 6e-13 relative for the finite unbounded ones.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import pwcalc as pw
+
+from conftest import rand_pair, rand_psd, rand_unitary
+
+CASES = 120
+MATRIX_TOL = 1e-13
+EVAL_FNS = (pw.parallel(), pw.geometric(0.3), pw.abs_part(), pw.arithmetic(),
+            pw.scaled_parallel(8.0))
+BOUNDED_PAIRINGS = (pw.parallel(), pw.geometric(0.5), pw.abs_part())
+# x^2/y and x log(x/y) amplify the rounding of the rotation by 1/y on
+# retained eigenvalues near 1; their +inf decision must agree exactly
+UNBOUNDED_PAIRINGS = (pw.power(2.0), pw.entropy())
+UNBOUNDED_REL_TOL = 1e-10
+
+
+def _haar(rng, n, real):
+    """Haar-distributed orthogonal (real) or unitary (complex) matrix."""
+    if not real:
+        return rand_unitary(rng, n)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))[None, :]
+
+
+def _rotated_cases():
+    """``(a, b, rho, u)``: n 2-8, random ranks, real (rotated by an
+    orthogonal ``u``, so the rotated pair stays real) and complex."""
+    rng = np.random.default_rng(606)
+    for k in range(CASES):
+        n = int(rng.integers(2, 9))
+        real = bool(k % 2)
+        a, b = rand_pair(rng, n, int(rng.integers(0, n + 1)),
+                         int(rng.integers(0, n + 1)))
+        rho = rand_psd(rng, n, int(rng.integers(1, n + 1)))
+        if real:
+            a, b, rho = a.real, b.real, rho.real
+        yield a, b, rho, _haar(rng, n, real)
+
+
+def _rotate(u, m):
+    return u @ m @ u.conj().T
+
+
+@pytest.fixture(scope="module")
+def cases():
+    return list(_rotated_cases())
+
+
+class TestUnitaryCovariance:
+    def test_cases_cover_both_dtypes_and_singular_parts(self, cases):
+        assert {np.iscomplexobj(a) for a, *_ in cases} == {False, True}
+        singular = sum(pw.lebesgue_decompose(a, b).num_zero_eigs > 0
+                       for a, b, _, _ in cases)
+        assert 0 < singular < len(cases)
+
+    def test_eval(self, cases):
+        for a, b, _, u in cases:
+            scale = np.linalg.norm(a + b)
+            ua, ub = _rotate(u, a), _rotate(u, b)
+            for fn in EVAL_FNS:
+                lhs = pw.pw_eval(ua, ub, fn)
+                rhs = _rotate(u, pw.pw_eval(a, b, fn))
+                assert np.linalg.norm(lhs - rhs) <= MATRIX_TOL * scale, fn.name
+
+    def test_lebesgue_parts(self, cases):
+        for a, b, _, u in cases:
+            scale = np.linalg.norm(a + b)
+            ref = pw.lebesgue_decompose(a, b)
+            dec = pw.lebesgue_decompose(_rotate(u, a), _rotate(u, b))
+            assert dec.num_zero_eigs == ref.num_zero_eigs
+            for part in ("abs_part", "sing_part"):
+                gap = getattr(dec, part) - _rotate(u, getattr(ref, part))
+                assert np.linalg.norm(gap) <= MATRIX_TOL * scale, part
+
+    def test_pairings(self, cases):
+        infinite = 0
+        for a, b, rho, u in cases:
+            scale = np.linalg.norm(a + b) * np.trace(rho).real
+            rep = pw.build_rep(a, b)
+            rotated = pw.build_rep(_rotate(u, a), _rotate(u, b))
+            urho = _rotate(u, rho)
+            for fn in BOUNDED_PAIRINGS:
+                ref = rep.pairing(fn, rho).value
+                got = rotated.pairing(fn, urho).value
+                assert abs(got - ref) <= MATRIX_TOL * scale, fn.name
+            for fn in UNBOUNDED_PAIRINGS:
+                ref = rep.pairing(fn, rho).value
+                got = rotated.pairing(fn, urho).value
+                if math.isinf(ref) or math.isinf(got):
+                    assert got == ref, fn.name
+                    infinite += 1
+                else:
+                    assert (abs(got - ref)
+                            <= UNBOUNDED_REL_TOL * max(abs(ref), scale)), fn.name
+        assert infinite > 0  # the +inf decisions are exercised
