@@ -129,8 +129,7 @@ class PwRep:
     gram_a, gram_b : (rank, rank) ndarray
         Commuting PSD pair summing to the identity. ``gram_b`` is stored
         as ``I - gram_a`` exactly (symmetrized), so the structural
-        identity holds by construction; ``contr_b* contr_b`` is kept only
-        as a cross-check quantity.
+        identity holds by construction.
     gram_a_spec : SpectralDecomposition
         Spectral decomposition of ``gram_a``; its spectrum lies in [0, 1]
         up to rounding.
@@ -187,6 +186,26 @@ class PwRep:
         spectrum, as the one product ``E* (vals E)`` on :attr:`eig_map`."""
         e = self.eig_map
         return hermitize(e.conj().T @ (vals[:, None] * e))
+
+    def _outer_basis(self, contr: np.ndarray, cols=slice(None)):
+        """``(C W / sqrt(sq), sq)`` with ``sq = ||C w||^2`` per column, for
+        the eigenvectors ``W`` of ``gram_a`` that ``cols`` selects and a
+        contraction ``C`` with ``C* C`` in ``{gram_a, I - gram_a}``.
+
+        ``C`` carries eigenvectors of ``C* C`` onto eigenvectors of
+        ``C C*`` with the same eigenvalue ``sq``, so the first member is
+        orthonormal without a solve: Ando's projection reads it on
+        ``contr_b``, the derivative factor's basis on ``contr_a``. A
+        column with no weight means an inconsistent representation and
+        raises :class:`NumericError`.
+        """
+        cw = contr @ self.gram_a_spec.basis[:, cols]
+        sq = np.sum(np.abs(cw) ** 2, axis=0)
+        if not (sq > 0.0).all():
+            raise NumericError(
+                "an eigenvector of gram_a has no weight in the contraction; "
+                "the representation is inconsistent")
+        return cw / np.sqrt(sq)[None, :], sq
 
     def to_support(self, c) -> np.ndarray:
         """Invert :meth:`from_support` on operators dominated by ``a + b``.

@@ -186,10 +186,11 @@ def _cmd_singular(args, tol, warnings):
 
 
 def _cmd_abscont(args, tol, warnings):
-    rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
-    proj = leb._projection(rep.n, leb._killed_directions(rep)[0])
-    deviation = hermitian_norm(proj - np.eye(rep.n, dtype=np.complex128))
-    return {"is_abs_continuous": not rep.split.zero.any(),
+    # this report carries no warnings, so the decomposition's are dropped
+    dec = leb.lebesgue_decompose(load_matrix(args.a), load_matrix(args.b), tol)
+    proj = dec.projection
+    deviation = hermitian_norm(proj - np.eye(len(proj), dtype=np.complex128))
+    return {"is_abs_continuous": dec.num_zero_eigs == 0,
             "projection_deviation": deviation}, {}
 
 

@@ -44,7 +44,8 @@ class LebesgueDecomposition:
     and ``T`` the coordinate map: ``sing_part = E0* diag(y0) E0`` for the
     rows ``E0 = W0* T`` of the rep's ``eig_map``, and
     ``projection = I - U U*`` with ``U = Y W0 / sqrt(y0)``, where
-    ``y0 = ||Y w||^2`` per column.
+    ``y0 = ||Y w||^2`` per column; both come from
+    :meth:`PwRep._outer_basis`.
     """
 
     abs_part: np.ndarray
@@ -82,29 +83,6 @@ def abs_cont_part(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return build_rep(a, b, tol).eval(abs_part())
 
 
-def _killed_directions(rep: PwRep) -> tuple[np.ndarray, np.ndarray]:
-    """``(U, y0)`` for the split's zero eigenvectors ``W0`` of ``gram_a``:
-    ``y0 = ||Y w||^2`` per column for ``Y = contr_b`` and the killed
-    directions ``U = Y W0 / sqrt(y0)``.
-
-    ``Y* Y = I - gram_a``, so ``U`` is orthonormal and ``y0 = 1 - x0``;
-    ``zero_tol + one_tol < 1`` keeps ``y0`` above ``one_tol``.
-    """
-    w0 = rep.gram_a_spec.basis[:, rep.split.zero]
-    yw = rep.contr_b @ w0
-    y0 = np.sum(np.abs(yw) ** 2, axis=0)
-    if not (y0 > 0.0).all():
-        raise NumericError(
-            "a direction classified as 0 has no weight in the second "
-            "contraction; the representation is inconsistent")
-    return yw / np.sqrt(y0)[None, :], y0
-
-
-def _projection(n: int, u: np.ndarray) -> np.ndarray:
-    # P = I - U U* for the orthonormal killed directions U
-    return hermitize(np.eye(n, dtype=np.complex128) - u @ u.conj().T)
-
-
 def _singular_part(rep: PwRep, y0: np.ndarray) -> np.ndarray:
     # T* W0 diag(y0) W0* T, as factor* factor on the zero rows of W* T
     factor = np.sqrt(y0)[:, None] * rep.eig_map[rep.split.zero]
@@ -122,11 +100,12 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
     ``one_tol`` classifies as 1 below 1 lies in neither part.
     """
     rep = build_rep(a, b, tol)
-    bc = rep.eval(abs_part())
-    u, y0 = _killed_directions(rep)
-    bs = _singular_part(rep, y0)
-    proj = _projection(rep.n, u)
     split = rep.split
+    bc = rep.eval(abs_part())
+    # the killed directions U = Y W0 / sqrt(y0) are orthonormal
+    u, y0 = rep._outer_basis(rep.contr_b, split.zero)
+    bs = _singular_part(rep, y0)
+    proj = hermitize(np.eye(rep.n, dtype=np.complex128) - u @ u.conj().T)
     warnings = []
     if split.near_zero:
         warnings.append(
@@ -147,16 +126,9 @@ def lebesgue_decompose(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> LebesgueDeco
 
 
 def abs_continuity_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Projection ``P`` with ``abs_cont_part(a, b) = b^(1/2) P b^(1/2)``.
-
-    The decomposition kills the directions ``Y w``, where ``w`` runs over
-    the eigenvectors of ``gram_a`` that the split classifies as 0 and
-    ``Y`` is the second contraction. ``Y* Y = I - gram_a``, so the
-    normalized ``u = Y w / ||Y w||`` are orthonormal and
-    ``P = I - sum u u*``; no eigensolve beyond the pair's own is needed.
-    """
-    rep = build_rep(a, b, tol)
-    return _projection(rep.n, _killed_directions(rep)[0])
+    """Projection ``P`` with ``abs_cont_part(a, b) = b^(1/2) P b^(1/2)``,
+    the ``projection`` of :func:`lebesgue_decompose`."""
+    return lebesgue_decompose(a, b, tol).projection
 
 
 def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -64,20 +64,17 @@ def _ratio(rep: PwRep, fvals: np.ndarray):
     ``fvals`` are a profile's :meth:`PwRep.values`; returns ``(dec, hvals,
     margin)``. ``X X*`` shares its spectrum with ``gram_a = X* X``, and
     ``X`` maps the eigenbasis ``W`` of one onto that of the other, so no
-    solve is needed: ``dec`` takes ``gram_a``'s eigenvalues ``x`` and the
-    columns of ``X W``, each normalized by its computed norm. ``a`` is
-    definite, so ``X`` is invertible and no column vanishes; ``sqrt(x)``
-    would be NaN where ``x`` rounds to or below 0. The masks of
+    solve is needed: ``dec`` takes ``gram_a``'s ascending eigenvalues ``x``
+    and the basis of :meth:`PwRep._outer_basis` on ``X``, which raises
+    :class:`NumericError` if a column of ``X W`` has no weight (``a`` is
+    definite, so ``X`` is invertible and none should). The masks of
     ``rep.split`` index ``x`` itself: both sides of the reconstruction
     identity kill the same directions, where ``fvals`` is 0. ``margin`` is
     the distance of the smallest retained eigenvalue above ``zero_tol``.
     """
     zero = rep.split.zero
-    spec = rep.gram_a_spec
-    xw = rep.contr_a @ spec.basis
-    w = spec.eigenvalues
-    dec = SpectralDecomposition(
-        w, xw / np.sqrt(np.sum(np.abs(xw) ** 2, axis=0))[None, :])
+    w = rep.gram_a_spec.eigenvalues
+    dec = SpectralDecomposition(w, rep._outer_basis(rep.contr_a)[0])
     kept = w[~zero]
     margin = float(kept.min() - rep.tol.zero_tol) if kept.size else math.inf
     return dec, fvals / np.where(zero, 1.0, w), margin
