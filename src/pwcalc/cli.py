@@ -4,12 +4,15 @@ Every subcommand reads JSON matrix files, runs one library operation and
 prints a deterministic JSON report to standard output (optionally also
 to ``--out``). The report is emitted on errors too, with ``status`` set
 and the message in the diagnostics; only usage errors (unknown
-subcommand, missing or unexpected flag) exit 2 without a report.
+subcommand, missing or unexpected flag) exit 2 without a report. A
+report that cannot be written to ``--out`` is replaced by one error
+report on standard output that names the file.
 
 Exit codes: 0 success, 1 internal failure, 2 invalid input (parsing,
-validation, preconditions), 3 numeric failure (eigensolver, matrices
-that are not PSD, a sum or Kronecker product beyond float64), 4 when a
-bounded result was requested but the value is +inf.
+validation, preconditions, an unwritable ``--out``), 3 numeric failure
+(eigensolver, matrices that are not PSD, a sum or Kronecker product
+beyond float64), 4 when a bounded result was requested but the value is
++inf.
 
 The environment variable ``PWCALC_TOL_ZERO`` overrides the default of
 ``--tol-zero``; an explicit flag wins over the environment.
@@ -312,12 +315,11 @@ def _exit_code(exc: PwCalcError) -> int:
     return EXIT_INTERNAL
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = dumps_report(report)
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _error_text(report: dict, warnings: list[str], error: str) -> str:
+    report["outputs"] = {}
+    report["diagnostics"] = {"warnings": list(warnings), "error": error}
+    report["status"] = "error"
+    return dumps_report(report)
 
 
 def main(argv=None) -> int:
@@ -338,18 +340,23 @@ def main(argv=None) -> int:
         report["outputs"] = outputs
         report["diagnostics"] = {"warnings": list(warnings), **diagnostics}
         report["status"] = "warning" if warnings else "ok"
-        _emit(report, args.out)
-        return EXIT_OK
+        text, code = dumps_report(report), EXIT_OK
     except PwCalcError as exc:
-        report["diagnostics"] = {"warnings": list(warnings),
-                                 "error": str(exc)}
-        _emit(report, args.out)
-        return _exit_code(exc)
+        text, code = _error_text(report, warnings, str(exc)), _exit_code(exc)
     except Exception as exc:  # pragma: no cover - defensive
-        report["diagnostics"] = {"warnings": list(warnings),
-                                 "error": f"internal failure: {exc}"}
-        _emit(report, args.out)
-        return EXIT_INTERNAL
+        text = _error_text(report, warnings, f"internal failure: {exc}")
+        code = EXIT_INTERNAL
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # one report, on stdout only: the file is what failed
+            text = _error_text(report, warnings, f"cannot write the report "
+                               f"to {args.out}: {exc.strerror or exc}")
+            code = EXIT_INPUT
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Numerical tolerance settings used by every operation in the library."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,9 +10,18 @@ from .errors import InputError
 EPS = float(np.finfo(np.float64).eps)
 
 
+def _finite_positive(value) -> bool:
+    # bool is an int subclass, but True is not a tolerance
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0.0 < value < math.inf)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Bundle of tolerances controlling validation and spectral classification.
+
+    Every tolerance is a finite positive number (``support_tol`` may also
+    be None) and ``max_doublings`` a positive ``int``; ``bool`` is neither.
 
     Attributes
     ----------
@@ -55,16 +65,19 @@ class ToleranceConfig:
         for name in ("herm_tol", "psd_tol", "zero_tol", "one_tol",
                      "weight_tol", "conv_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise InputError(f"{name} must be strictly positive, got {value!r}")
+            if not _finite_positive(value):
+                raise InputError(
+                    f"{name} must be a finite positive number, got {value!r}")
         if not self.zero_tol + self.one_tol < 1.0:
             raise InputError(
                 f"zero_tol + one_tol must be below 1, got {self.zero_tol!r} "
                 f"+ {self.one_tol!r}: an eigenvalue would be both 0 and 1")
-        if self.support_tol is not None and not self.support_tol > 0:
-            raise InputError(f"support_tol must be strictly positive or None, "
-                             f"got {self.support_tol!r}")
-        if not (isinstance(self.max_doublings, int) and self.max_doublings > 0):
+        if self.support_tol is not None and not _finite_positive(self.support_tol):
+            raise InputError(f"support_tol must be a finite positive number "
+                             f"or None, got {self.support_tol!r}")
+        if (not isinstance(self.max_doublings, int)
+                or isinstance(self.max_doublings, bool)
+                or self.max_doublings <= 0):
             raise InputError(f"max_doublings must be a positive integer, "
                              f"got {self.max_doublings!r}")
 

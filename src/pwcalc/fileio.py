@@ -20,11 +20,24 @@ from .errors import InputError, NumericError
 INF_SENTINEL = "+inf"
 
 
+def _nested_numbers(value, shape) -> bool:
+    # nested lists of exactly ``shape`` holding JSON numbers; bool is an
+    # int subclass, but a JSON true is not a number
+    if not shape:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, list) and len(value) == shape[0]
+            and all(_nested_numbers(item, shape[1:]) for item in value))
+
+
 def _shape_check(data, key, shape):
-    arr = np.asarray(data.get(key), dtype=np.float64)
-    if arr.shape != shape:
-        raise InputError(
-            f"field {key!r} must have shape {shape}, got {arr.shape}")
+    value = data.get(key)
+    if not _nested_numbers(value, shape):
+        raise InputError(f"field {key!r} must be nested lists of JSON "
+                         f"numbers of shape {shape}")
+    try:
+        arr = np.array(value, dtype=np.float64).reshape(shape)
+    except OverflowError:  # an integer beyond the float64 range
+        arr = np.full(shape, np.inf)
     if arr.size and not np.all(np.isfinite(arr)):
         raise InputError(f"field {key!r} contains non-finite entries")
     return arr

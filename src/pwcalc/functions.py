@@ -55,7 +55,12 @@ class PwFunction:
             elif at_one:
                 val = self.at_one
             else:
-                val = float(self.profile(min(max(xi, 0.0), 1.0)))
+                try:
+                    val = float(self.profile(min(max(xi, 0.0), 1.0)))
+                except OverflowError:
+                    raise NumericError(
+                        f"profile {self.name!r} leaves the float64 range "
+                        f"at x = {xi!r}")
             if math.isnan(val):
                 raise NumericError(
                     f"profile {self.name!r} returned NaN at x = {xi!r}")
@@ -111,8 +116,9 @@ def power(alpha: float) -> PwFunction:
     Unbounded at y = 0 (x > 0), so evaluation as an operator fails there;
     use pairings, which carry +inf.
     """
-    if not alpha > 1.0:
-        raise InputError(f"power exponent must exceed 1, got {alpha!r}")
+    if not 1.0 < alpha < math.inf:
+        raise InputError(f"power exponent must be finite and exceed 1, "
+                         f"got {alpha!r}")
     return PwFunction(f"power:{alpha:g}",
                       lambda x: x ** alpha * (1.0 - x) ** (1.0 - alpha),
                       0.0, math.inf, True)
@@ -127,8 +133,8 @@ def entropy() -> PwFunction:
 
 def scaled_parallel(n: float) -> PwFunction:
     """Parallel sum with a scaled first slot, ``n x y / (n x + y)``."""
-    if not n > 0:
-        raise InputError(f"scale must be positive, got {n!r}")
+    if not 0.0 < n < math.inf:
+        raise InputError(f"scale must be finite and positive, got {n!r}")
     return PwFunction(f"parallel*{n:g}",
                       lambda x: n * x * (1.0 - x) / (n * x + 1.0 - x),
                       0.0, 0.0, True)

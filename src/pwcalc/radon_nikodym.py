@@ -148,14 +148,15 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     the outer Gram of the first contraction, with the same suppression
     of classified-zero directions as :func:`rn_factor`. At finite
     dimension the value is always finite; it is returned as a float for
-    interface uniformity with the pairings.
+    interface uniformity with the pairings. ``xi`` must be a 1-D vector
+    of length ``n``; anything else raises :class:`InputError`.
     """
     rep = build_rep(a, b, tol)
     _require_definite(rep)
-    vec = np.asarray(xi, dtype=np.complex128).reshape(-1)
-    if vec.shape[0] != rep.n:
+    vec = np.asarray(xi, dtype=np.complex128)
+    if vec.shape != (rep.n,):
         raise InputError(
-            f"vector length {vec.shape[0]} does not match dimension {rep.n}")
+            f"expected a vector of length {rep.n}, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise InputError("vector contains non-finite entries")
     dec, hvals, _ = _ratio(rep, rep.values(abs_part()))

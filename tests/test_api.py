@@ -361,6 +361,42 @@ def test_only_build_rep_and_from_support_read_the_coordinate_map():
                        ("calculus.py", "from_support")}
 
 
+def _eigenvector_reads(tree):
+    """Innermost enclosing function of every use of ``gram_a_spec`` that
+    can reach its eigenvectors: any use but ``.eigenvalues``, directly or
+    through a local name bound to it."""
+    owner = _owners(tree)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    aliases = {(owner.get(node), target.id) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute)
+               and node.value.attr == "gram_a_spec"
+               for target in node.targets if isinstance(target, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if not ((isinstance(node, ast.Attribute) and node.attr == "gram_a_spec")
+                or (isinstance(node, ast.Name)
+                    and (owner.get(node), node.id) in aliases)):
+            continue
+        up = parent[node]
+        if isinstance(up, ast.Attribute) and up.attr == "eigenvalues":
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(up, ast.Assign)
+                and all(isinstance(t, ast.Name) for t in up.targets)):
+            continue  # binds aliases, whose own uses are checked
+        yield owner.get(node)
+
+
+def test_only_the_transfer_step_reads_the_eigenvectors_of_gram_a():
+    # Ando's projection and the derivative basis take their columns from
+    # one place, PwRep._outer_basis, so a second copy cannot come back
+    readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _eigenvector_reads(ast.parse(path.read_text()))}
+    assert readers == {("calculus.py", "_outer_basis")}
+
+
 def test_only_the_kernel_takes_the_plain_frobenius_norm():
     # the plain norm overflows above about 1e154 per entry; the kernel
     # detects that itself, every other caller takes safe_frobenius

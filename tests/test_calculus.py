@@ -325,6 +325,51 @@ class TestStructuralLemmas:
             assert np.abs(lhs - rhs).max() < 1e-8
 
 
+class TestOuterBasis:
+    """``PwRep._outer_basis``: a contraction carries eigenvectors of
+    ``gram_a`` onto eigenvectors of its outer Gram."""
+
+    def test_transfers_eigenvectors(self, rng):
+        eps = np.finfo(float).eps
+        unweighted = 0
+        for k in range(60):
+            a, b = random_rank_pair(rng, max_n=8)
+            if k % 2:
+                a, b = a.real, b.real
+            rep = build_rep(a, b)
+            x = rep.gram_a_spec.eigenvalues
+            # |C w|^2 matches x up to the rounding of the roots against
+            # a + b, about n * eps * cond(a + b) on the support
+            noise = 8.0 * rep.n * eps * (
+                rep.sum_eigs[-1] / rep.sum_eigs[0] if rep.rank else 1.0)
+            for contr, cols, want in ((rep.contr_a, ~rep.split.zero, x),
+                                      (rep.contr_b, ~rep.split.one, 1.0 - x)):
+                u, sq = rep._outer_basis(contr, cols)
+                # normalizing column i by |C w_i| = sqrt(sq_i) scales its
+                # rounding by 1/sqrt(sq_i), so the bounds are 1e-12 at
+                # weight 1 and grow as the weights shrink
+                outer = contr @ (contr.conj().T @ u)
+                assert (np.abs(outer - u * sq[None, :])
+                        <= 1e-12 / np.sqrt(sq)[None, :]).all()
+                assert (np.abs(u.conj().T @ u - np.eye(sq.size))
+                        <= 1e-12 / np.sqrt(np.outer(sq, sq))).all()
+                assert np.abs(sq - want[cols]).max(initial=0.0) <= noise
+            unweighted += int(rep.split.zero.sum() + rep.split.one.sum())
+        assert unweighted > 0  # the masks leave columns out
+
+    def test_default_takes_every_column(self, rng):
+        a, b = rand_pair(rng, 5, 5, 2)
+        rep = build_rep(a, b)
+        u, sq = rep._outer_basis(rep.contr_a)
+        ref, ref_sq = rep._outer_basis(rep.contr_a, np.ones(5, dtype=bool))
+        assert u.tobytes() == ref.tobytes() and sq.tobytes() == ref_sq.tobytes()
+
+    def test_column_without_weight_raises(self):
+        rep = build_rep(np.diag([1.0, 0.0]), np.eye(2))
+        with pytest.raises(NumericError, match="no weight"):
+            rep._outer_basis(rep.contr_a)
+
+
 class TestPairing:
     def test_entropy_equal_pair_is_zero(self):
         assert pw_pairing(np.eye(3), np.eye(3), entropy(), np.eye(3)) == \

@@ -143,6 +143,18 @@ class TestExitCodes:
                          cwd=tmp_path)
         assert "nonnegative integer" in rep["diagnostics"]["error"]
 
+    # a = I, b = diag(1, 0.1): (x/y)^400 y leaves float64 at y = 1/11
+    @pytest.mark.parametrize("phi,code,message", [
+        ("power:400", 3, "leaves the float64 range"),
+        ("power:inf", 2, "must be finite"),
+    ], ids=["overflow", "inf-exponent"])
+    def test_power_profile_failures(self, tmp_path, phi, code, message):
+        (tmp_path / "i2.json").write_text('{"n": 2, "re": [[1, 0], [0, 1]]}')
+        (tmp_path / "b2.json").write_text('{"n": 2, "re": [[1, 0], [0, 0.1]]}')
+        rep = run_report(["pair", "--phi", phi, "--a", "i2.json", "--b",
+                          "b2.json", "--rho", "i2.json"], code, cwd=tmp_path)
+        assert message in rep["diagnostics"]["error"]
+
     def test_extended_value(self):
         proc = run_cli(["eval", "--phi", "entropy", "--a", "a1.json",
                         "--b", "b1.json"])
@@ -199,6 +211,19 @@ class TestFlagsAndEnv:
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.read_bytes() == proc.stdout
 
+    def test_unwritable_out_file_is_one_error_report(self, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        proc = run_cli(["psum", "--a", str(FIXTURES / "a3.json"),
+                        "--b", str(FIXTURES / "b3.json"), "--out", str(out)],
+                       cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == b""
+        assert proc.stdout.count(b"\n") == 1  # one report, no second one
+        rep = json.loads(proc.stdout)
+        assert rep["status"] == "error" and rep["outputs"] == {}
+        assert str(out) in rep["diagnostics"]["error"]
+        assert not out.parent.exists()
+
 
 class TestFileRoundTrip:
     def test_matrix_round_trip_bit_identical(self, tmp_path, rng):
@@ -217,6 +242,12 @@ class TestFileRoundTrip:
         path = tmp_path / "v.json"
         path.write_text(dumps_report(payload))
         assert (load_vector(str(path)) == v).all()
+
+    def test_empty_matrix_round_trip(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(dumps_report(matrix_payload(np.zeros((0, 0)))))
+        back = load_matrix(str(path))
+        assert back.shape == (0, 0) and back.dtype == np.complex128
 
     def test_report_float_format_round_trips(self):
         values = [1.0 / 3.0, 5.0, 1e-300, math.pi, -0.0, 6.02e23]
@@ -239,7 +270,15 @@ class TestFileRoundTrip:
         ('{"n": true, "re": [[1.0]]}', "nonnegative integer"),
         ('{"n": 1, "re": [[NaN]]}', "'re' contains non-finite"),
         ('{"n": 1, "re": [[1.0]], "im": [[Infinity]]}', "'im' contains non-finite"),
-    ], ids=["array", "negative-n", "float-n", "bool-n", "nan", "inf-im"])
+        ('{"n": 1, "re": [["abc"]]}', "'re' must be nested lists of JSON numbers"),
+        ('{"n": 2, "re": [[1, 2], [3]]}', r"'re' must be .* of shape \(2, 2\)"),
+        ('{"n": 1, "re": [[1.0]], "im": "x"}', "'im' must be nested lists"),
+        ('{"n": 1, "re": [["2"]]}', "'re' must be nested lists of JSON numbers"),
+        ('{"n": 1, "re": [[1.0]], "im": [[true]]}', "'im' must be nested lists"),
+        ('{"n": 1, "re": [[1%s]]}' % ("0" * 400), "'re' contains non-finite"),
+    ], ids=["array", "negative-n", "float-n", "bool-n", "nan", "inf-im",
+            "string-entry", "ragged", "string-im", "numeric-string", "bool-im",
+            "huge-int"])
     def test_malformed_matrix_files(self, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)

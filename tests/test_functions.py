@@ -7,7 +7,7 @@ import pytest
 
 from pwcalc import (InputError, NumericError, PwFunction, abs_part, arithmetic,
                     entropy, geometric, left, named_function, parallel, power,
-                    right, rn_cutoff, scaled_parallel)
+                    power_pairing, right, rn_cutoff, scaled_parallel)
 
 
 def values_at(fn, xs):
@@ -120,6 +120,24 @@ class TestGuards:
         neg = PwFunction("bad", lambda x: -math.inf, 0.0, 0.0, True)
         with pytest.raises(InputError, match=r"at x = 0\.5;"):
             values_at(neg, [0.5])
+
+    def test_overflow_is_a_numeric_error(self):
+        # (x/y)^400 y at y = 1/11 is about 1e415
+        with pytest.raises(NumericError, match=r"'power:400' leaves the "
+                                               r"float64 range at x = 0\.909"):
+            values_at(power(400.0), [10.0 / 11.0])
+        with pytest.raises(NumericError, match="float64 range"):
+            power_pairing(np.eye(2), np.diag([1.0, 0.1]), 400.0, np.eye(2))
+
+    @pytest.mark.parametrize("make", [
+        lambda: power(math.inf), lambda: power(math.nan),
+        lambda: scaled_parallel(math.inf), lambda: scaled_parallel(math.nan),
+        lambda: named_function("power:inf"), lambda: named_function("power:nan"),
+    ], ids=["power-inf", "power-nan", "scaled-inf", "scaled-nan",
+            "named-power-inf", "named-power-nan"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(InputError, match="finite"):
+            make()
 
     def test_out_of_range_eigenvalues_clipped(self):
         # rounding can push retained eigenvalues slightly outside [0, 1]

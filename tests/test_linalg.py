@@ -1,5 +1,6 @@
 """Tests for the Hermitian linear-algebra kernel."""
 
+import math
 import warnings
 
 import numpy as np
@@ -342,6 +343,19 @@ class TestToleranceConfig:
             ToleranceConfig(zero_tol=0.0)
         with pytest.raises(InputError):
             ToleranceConfig(max_doublings=0)
+
+    @pytest.mark.parametrize("field", ["herm_tol", "psd_tol", "support_tol",
+                                       "zero_tol", "one_tol", "weight_tol",
+                                       "conv_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, True],
+                             ids=["inf", "nan", "bool"])
+    def test_rejects_non_finite_and_bool(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be a finite"):
+            ToleranceConfig(**{field: value})
+
+    def test_rejects_bool_max_doublings(self):
+        with pytest.raises(InputError, match="max_doublings"):
+            ToleranceConfig(max_doublings=True)
 
     def test_rejects_overlapping_windows(self):
         # an eigenvalue in [0.3, 0.7] would be classified both 0 and 1

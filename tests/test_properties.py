@@ -2,11 +2,20 @@
 
 Unitary covariance: for a unitary ``U`` the calculus commutes with the
 rotation, ``f(U a U*, U b U*) = U f(a, b) U*``, and so do both Lebesgue
-parts; a pairing of the rotated pair against ``U rho U*`` equals the
-pairing of the pair against ``rho``. Tolerances are relative to
-``||a + b||_F`` (times ``tr rho`` for pairings), so they hold at any joint
-scale. The worst seen on these cases is 1.2e-14 for the matrices, 1e-15
-for the bounded pairings and 6e-13 relative for the finite unbounded ones.
+parts and Ando's projection; a pairing of the rotated pair against
+``U rho U*`` equals the pairing of the pair against ``rho``. Tolerances are
+relative to ``||a + b||_F`` (times ``tr rho`` for pairings), so they hold at
+any joint scale. The worst seen on these cases is 1.2e-14 for the matrices,
+1e-15 for the bounded pairings and 6e-13 relative for the finite unbounded
+ones; the projection, which has norm 1 at any scale, is held absolutely
+(worst 1.2e-13).
+
+On definite bases the derivative factor ``H``, its root ``H^(1/2) a^(1/2)``
+and their product rotate the same way, and the quadratic form of ``H`` at
+``U xi`` on the rotated pair equals the form at ``xi``. Each matrix is held
+relative to its own norm (worst 3.1e-13 for ``factor``, 9.4e-13 for
+``root``, 1.1e-12 for ``value``) and the form relative to
+``||H||_F ||xi||^2`` (worst 3.0e-14).
 """
 
 import math
@@ -16,10 +25,13 @@ import pytest
 
 import pwcalc as pw
 
-from conftest import rand_pair, rand_psd, rand_unitary
+from conftest import rand_complex, rand_pair, rand_psd, rand_unitary
 
 CASES = 120
 MATRIX_TOL = 1e-13
+PROJECTION_TOL = 2e-12
+RN_REL_TOL = {"factor": 5e-12, "root": 2e-11, "value": 2e-11}
+FORM_TOL = 2e-12
 EVAL_FNS = (pw.parallel(), pw.geometric(0.3), pw.abs_part(), pw.arithmetic(),
             pw.scaled_parallel(8.0))
 BOUNDED_PAIRINGS = (pw.parallel(), pw.geometric(0.5), pw.abs_part())
@@ -50,6 +62,20 @@ def _rotated_cases():
         if real:
             a, b, rho = a.real, b.real, rho.real
         yield a, b, rho, _haar(rng, n, real)
+
+
+def _definite_cases():
+    """``(a, b, xi, u)``: n 2-8, ``a`` definite and ``b`` of random rank,
+    real and complex as in :func:`_rotated_cases`."""
+    rng = np.random.default_rng(607)
+    for k in range(CASES):
+        n = int(rng.integers(2, 9))
+        real = bool(k % 2)
+        a, b = rand_pair(rng, n, n, int(rng.integers(0, n + 1)))
+        xi = rand_complex(rng, n, 1).reshape(-1)
+        if real:
+            a, b, xi = a.real, b.real, xi.real
+        yield a, b, xi, _haar(rng, n, real)
 
 
 def _rotate(u, m):
@@ -86,6 +112,8 @@ class TestUnitaryCovariance:
             for part in ("abs_part", "sing_part"):
                 gap = getattr(dec, part) - _rotate(u, getattr(ref, part))
                 assert np.linalg.norm(gap) <= MATRIX_TOL * scale, part
+            gap = dec.projection - _rotate(u, ref.projection)
+            assert np.linalg.norm(gap) <= PROJECTION_TOL
 
     def test_pairings(self, cases):
         infinite = 0
@@ -108,3 +136,20 @@ class TestUnitaryCovariance:
                     assert (abs(got - ref)
                             <= UNBOUNDED_REL_TOL * max(abs(ref), scale)), fn.name
         assert infinite > 0  # the +inf decisions are exercised
+
+    def test_derivative_factor(self):
+        for a, b, _, u in _definite_cases():
+            ref = pw.rn_factor(a, b)
+            res = pw.rn_factor(_rotate(u, a), _rotate(u, b))
+            assert res.infinite_directions == ref.infinite_directions
+            for part, tol in RN_REL_TOL.items():
+                want = getattr(ref, part)
+                gap = getattr(res, part) - _rotate(u, want)
+                assert np.linalg.norm(gap) <= tol * np.linalg.norm(want), part
+
+    def test_quadratic_form(self):
+        for a, b, xi, u in _definite_cases():
+            ref = pw.rn_quadratic_form(a, b, xi)
+            got = pw.rn_quadratic_form(_rotate(u, a), _rotate(u, b), u @ xi)
+            scale = np.linalg.norm(pw.rn_factor(a, b).factor) * np.vdot(xi, xi).real
+            assert abs(got - ref) <= FORM_TOL * scale

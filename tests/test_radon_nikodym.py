@@ -208,6 +208,14 @@ class TestQuadraticForm:
         with pytest.raises(InputError):
             rn_quadratic_form(np.eye(2), np.eye(2), np.ones(3))
 
+    # n entries are not enough: a matrix or a column is not flattened
+    @pytest.mark.parametrize("n,xi", [(4, np.ones((2, 2))), (2, np.ones((2, 1))),
+                                      (1, 1.0)],
+                             ids=["matrix", "column", "scalar"])
+    def test_rejects_non_vector(self, n, xi):
+        with pytest.raises(InputError, match="vector of length"):
+            rn_quadratic_form(np.eye(n), np.eye(n), xi)
+
     @pytest.mark.parametrize("xi", [[math.nan, 1.0], [math.inf, 1.0],
                                     [1.0, complex(0.0, -math.inf)]],
                              ids=["nan", "inf", "complex-inf"])
