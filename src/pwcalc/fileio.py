@@ -36,8 +36,8 @@ def _shape_check(data, key, shape):
                          f"numbers of shape {shape}")
     try:
         arr = np.array(value, dtype=np.float64).reshape(shape)
-    except OverflowError:  # an integer beyond the float64 range
-        arr = np.full(shape, np.inf)
+    except OverflowError:
+        raise InputError(f"field {key!r} holds an integer beyond float64")
     if arr.size and not np.all(np.isfinite(arr)):
         raise InputError(f"field {key!r} contains non-finite entries")
     return arr

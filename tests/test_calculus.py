@@ -357,13 +357,6 @@ class TestOuterBasis:
             unweighted += int(rep.split.zero.sum() + rep.split.one.sum())
         assert unweighted > 0  # the masks leave columns out
 
-    def test_default_takes_every_column(self, rng):
-        a, b = rand_pair(rng, 5, 5, 2)
-        rep = build_rep(a, b)
-        u, sq = rep._outer_basis(rep.contr_a)
-        ref, ref_sq = rep._outer_basis(rep.contr_a, np.ones(5, dtype=bool))
-        assert u.tobytes() == ref.tobytes() and sq.tobytes() == ref_sq.tobytes()
-
     def test_column_without_weight_raises(self):
         rep = build_rep(np.diag([1.0, 0.0]), np.eye(2))
         with pytest.raises(NumericError, match="no weight"):
