@@ -29,10 +29,10 @@ import numpy as np
 
 from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import DominationError, ExtendedValueError, InputError, NumericError
-from .functions import PwFunction
-from .linalg import (SpectralDecomposition, _above_support, _sqrt_of, _validated,
-                     _validated_pair, eig_hermitian, hermitian_part,
-                     hermitize, safe_frobenius, validate_psd)
+from .functions import PwFunction, _require_profile
+from .linalg import (SpectralDecomposition, _above_support, _checked_psd, _clamped,
+                     _sqrt_of, _validated, _validated_pair, eig_hermitian,
+                     hermitian_part, hermitize, safe_frobenius, validate_psd)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -247,6 +247,7 @@ class PwRep:
 
     def values(self, fn: PwFunction) -> np.ndarray:
         """``fn`` on ``gram_a``'s spectrum as :attr:`split` classifies it."""
+        _require_profile(fn)
         split = self.split
         return fn.values(self.gram_a_spec.eigenvalues, split.zero, split.one)
 
@@ -267,6 +268,12 @@ class PwRep:
                 f"state must be {self.n}x{self.n}, got {rv.shape}")
         return self._weights(rv)
 
+    def _state_weights(self, rho, rv) -> np.ndarray:
+        """:meth:`pairing_weights` of ``rho``, or, when the pair's
+        validating call solved it (see :func:`_build_rep`), the weights of
+        its validated matrix ``rv``."""
+        return self.pairing_weights(rho) if rv is None else self._weights(rv)
+
     def _weights(self, rv: np.ndarray) -> np.ndarray:
         """:meth:`pairing_weights` of a validated ``complex128`` state:
         ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0."""
@@ -283,8 +290,12 @@ class PwRep:
         and the result is +inf exactly when the total weight on infinite
         profile values exceeds ``weight_tol``.
         """
-        w = self.pairing_weights(rho)
-        return self._pairing_from_weights(fn, w)
+        return self._pairing(fn, rho, None)
+
+    def _pairing(self, fn: PwFunction, rho, rv) -> PairingResult:
+        """:meth:`pairing`, with ``rho`` validated as ``rv`` or, if that
+        is None, here."""
+        return self._pairing_from_weights(fn, self._state_weights(rho, rv))
 
     def _pairing_from_weights(self, fn: PwFunction, w: np.ndarray) -> PairingResult:
         vals = self.values(fn)
@@ -306,10 +317,15 @@ class PwRep:
         last three gaps (or all of them, if fewer) stay below
         ``conv_tol``.
         """
+        return self._sequence(fns, rho, None)
+
+    def _sequence(self, fns, rho, rv) -> SequenceResult:
+        """:meth:`eval_sequence`, with ``rho`` validated as ``rv`` or, if
+        that is None, here."""
         fns = list(fns)
         if not fns:
             raise InputError("profile sequence must be nonempty")
-        w = self.pairing_weights(rho)
+        w = self._state_weights(rho, rv)
         values = [self._pairing_from_weights(fn, w).value for fn in fns]
         gaps = []
         for prev, cur in zip(values, values[1:]):
@@ -347,15 +363,36 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
         of the contractions exceed 1e-6, which indicates a numerically
         hopeless input.
     """
-    av, a_dec, bv, b_dec = _validated_pair(a, b, tol)
+    return _build_rep(a, b, tol)[0]
+
+
+def _build_rep(a, b, tol: ToleranceConfig, rho=None):
+    """``(rep, rv)``: :func:`build_rep`, and for a one-shot pairing the
+    state ``rho`` validated as :func:`validate_psd` would, ``rv``.
+
+    The validating call of the pair also solves the sum ``a + b`` and an
+    n x n Hermitian ``rho``, so a pair costs two kernel calls (three when
+    a member is clamped and the sum is solved again). ``rv`` is None when
+    ``rho`` is None, not an n x n Hermitian matrix, or its solve failed:
+    :meth:`PwRep._state_weights` then validates it with the errors of
+    :meth:`PwRep.pairing_weights`. The state's verdict comes after the
+    pair's, so every error keeps its place.
+    """
+    hr = None
+    if rho is not None:
+        try:
+            hr = hermitian_part(rho, tol)
+        except InputError:
+            pass  # raised again when the state is validated, after the pair
+    av, a_dec, bv, b_dec, dec, rho_dec = _validated_pair(a, b, tol, sum_too=True, also=hr)
     n = av.shape[0]
-    with np.errstate(over="ignore"):
-        total = av + bv
-    if not np.isfinite(total).all():
-        raise NumericError(
-            "pair sum outside the float64 range: an entry of a + b overflows")
-    total = hermitize(total)
-    dec = eig_hermitian(total, tol)
+    if dec is None:
+        with np.errstate(over="ignore"):
+            total = av + bv
+        if not np.isfinite(total).all():
+            raise NumericError(
+                "pair sum outside the float64 range: an entry of a + b overflows")
+        dec = eig_hermitian(hermitize(total), tol)
     keep = _above_support(dec.eigenvalues, tol)
     lam = dec.eigenvalues[keep]
     q = dec.basis[:, keep]
@@ -390,13 +427,16 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
     if resid_a > limit_a or resid_b > limit_b:
         raise NumericError(
             f"representation residuals too large: {resid_a:.3e}, {resid_b:.3e}")
-    return PwRep(n=n, rank=rank, basis=q, sum_eigs=lam, coord_map=coord_map,
-                 contr_a=contr_a, contr_b=contr_b, gram_a=gram_a,
-                 gram_b=gram_b, gram_a_spec=spec,
-                 eig_map=spec.basis.conj().T @ coord_map,
-                 a=av, b=bv, a_half=a_half, b_half=b_half,
-                 a_eigs=a_dec.eigenvalues,
-                 split=_classify(spec.eigenvalues, tol), tol=tol)
+    rep = PwRep(n=n, rank=rank, basis=q, sum_eigs=lam, coord_map=coord_map,
+                contr_a=contr_a, contr_b=contr_b, gram_a=gram_a,
+                gram_b=gram_b, gram_a_spec=spec,
+                eig_map=spec.basis.conj().T @ coord_map,
+                a=av, b=bv, a_half=a_half, b_half=b_half,
+                a_eigs=a_dec.eigenvalues,
+                split=_classify(spec.eigenvalues, tol), tol=tol)
+    if rho_dec is None:
+        return rep, None
+    return rep, _clamped(hr, _checked_psd(rho_dec, tol))
 
 
 def pw_eval(a, b, fn: PwFunction, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -407,10 +447,12 @@ def pw_eval(a, b, fn: PwFunction, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
 def pw_pairing(a, b, fn: PwFunction, rho,
                tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """One-shot pairing value; returns ``math.inf`` for unbounded values."""
-    return build_rep(a, b, tol).pairing(fn, rho).value
+    rep, rv = _build_rep(a, b, tol, rho)
+    return rep._pairing(fn, rho, rv).value
 
 
 def eval_sequence(a, b, fns, rho,
                   tol: ToleranceConfig = DEFAULT_TOL) -> SequenceResult:
     """One-shot sequence pairing with a convergence report."""
-    return build_rep(a, b, tol).eval_sequence(fns, rho)
+    rep, rv = _build_rep(a, b, tol, rho)
+    return rep._sequence(fns, rho, rv)

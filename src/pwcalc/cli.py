@@ -29,7 +29,7 @@ import numpy as np
 from . import lebesgue as leb
 from . import means
 from . import radon_nikodym as rn
-from .calculus import build_rep
+from .calculus import _build_rep, build_rep
 from .config import ToleranceConfig
 from .errors import (ExtendedValueError, InputError, NotPsdError, NumericError,
                      PwCalcError)
@@ -231,8 +231,13 @@ def _cmd_kubo(args, tol, warnings):
 
 def _cmd_pair(args, tol, warnings):
     fn = named_function(args.phi, args.alpha)
-    rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
-    res = rep.pairing(fn, load_matrix(args.rho))
+    a, b = load_matrix(args.a), load_matrix(args.b)
+    try:
+        rho = load_matrix(args.rho)
+    except InputError:
+        rho = None  # reported again after the pair's verdict
+    rep, rv = _build_rep(a, b, tol, rho)
+    res = rep._pairing(fn, load_matrix(args.rho) if rho is None else rho, rv)
     outputs = {
         "value": _scalar(res.value),
         "finite_part": res.finite_part,

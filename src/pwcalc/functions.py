@@ -72,6 +72,13 @@ class PwFunction:
         return out
 
 
+def _require_profile(fn) -> None:
+    """Raise :class:`InputError`, naming the type, unless ``fn`` is a
+    :class:`PwFunction`."""
+    if not isinstance(fn, PwFunction):
+        raise InputError(f"a profile must be a PwFunction, got {type(fn).__name__}")
+
+
 def abs_part() -> PwFunction:
     """Indicator-weighted second slot, ``1_(0,inf)(x) * y``.
 
@@ -133,8 +140,8 @@ def entropy() -> PwFunction:
 
 def scaled_parallel(n: float) -> PwFunction:
     """Parallel sum with a scaled first slot, ``n x y / (n x + y)``."""
-    if not 0.0 < n < math.inf:
-        raise InputError(f"scale must be finite and positive, got {n!r}")
+    if isinstance(n, bool) or not 0.0 < n < math.inf:
+        raise InputError(f"scale must be a finite positive number, got {n!r}")
     return PwFunction(f"parallel*{n:g}",
                       lambda x: n * x * (1.0 - x) / (n * x + 1.0 - x),
                       0.0, 0.0, True)
@@ -146,8 +153,9 @@ def rn_cutoff(n: float) -> PwFunction:
     The increasing family of these profiles approximates the
     Radon-Nikodym factor from below.
     """
-    if not n >= 1:
-        raise InputError(f"cutoff index must be at least 1, got {n!r}")
+    if isinstance(n, bool) or not 1 <= n < math.inf:
+        raise InputError(f"cutoff index must be a finite number of at least 1, "
+                         f"got {n!r}")
     return PwFunction(f"rncut:{n:g}",
                       lambda x: (1.0 - x) / x if x >= 1.0 / n else 0.0,
                       0.0, 0.0, True)

@@ -140,7 +140,7 @@ def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np
     ``(I - P_ran(a)) b^(1/2)``. Serves as an independent route to
     :func:`abs_continuity_projection`.
     """
-    av, a_dec, _, b_dec = _validated_pair(a, b, tol)
+    av, a_dec, _, b_dec, _, _ = _validated_pair(a, b, tol)
     n = av.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=np.complex128)

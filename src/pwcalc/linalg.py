@@ -37,8 +37,24 @@ _TINY = float(np.finfo(np.float64).tiny)
 KRON_MAX_DIM = 4096
 
 
+def _numeric(a, what: str) -> np.ndarray:
+    """``a`` as an array of numbers (integer, float or complex).
+
+    Anything else raises :class:`InputError`: numpy would parse strings
+    into numbers, compare objects only where they happen to support it,
+    and read ``bool`` as 0 and 1.
+    """
+    try:
+        m = np.asarray(a)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} is not an array of numbers: {exc}")
+    if not np.issubdtype(m.dtype, np.number):
+        raise InputError(f"{what} must hold numbers, got dtype {m.dtype}")
+    return m
+
+
 def _as_square(a) -> np.ndarray:
-    m = np.asarray(a)
+    m = _numeric(a, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
@@ -153,8 +169,10 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 # A process solves at few sizes: lib-medium's mix reaches 8 and its traced
 # run 13 (with the 64 and 128 of the kernel sweep), each alone and the
-# input sizes also two side by side. Rebuilding the plan once per solve
-# cost 1-4% of lib-medium's ops/s. An entry holds about 32 m n^2 bytes.
+# input sizes also two to four side by side (a pair, its sum and a state,
+# fewer as members converge): lib-medium's mix uses 22 keys. Rebuilding
+# the plan once per solve cost 1-4% of lib-medium's ops/s. An entry holds
+# about 32 m n^2 bytes.
 @functools.lru_cache(maxsize=32)
 def _round_plan(n: int, m: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The rounds of :func:`_round_robin` as read-only indices for ``m``
@@ -377,9 +395,48 @@ def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecompositi
     return _clamped(h, dec), dec
 
 
-def _validated_pair(a, b, tol: ToleranceConfig):
-    """``(av, a_dec, bv, b_dec)``: :func:`_validated` of a pair of one
-    size, both solved in one side-by-side call.
+def _solved_pair(ha, hb, sum_too: bool, also):
+    """``(a_result, b_result, extra)``: one kernel call for the pair and
+    the extra members of :func:`_validated_pair`, whose results ``extra``
+    keys ``"sum"`` and ``"also"``.
+
+    If that call fails, for instance because an extra member does not
+    converge, the pair is solved alone: an extra member must not fail it.
+    """
+    members = {}
+    if sum_too:
+        with np.errstate(over="ignore"):
+            total = ha + hb
+        if np.isfinite(total).all():
+            # eig_hermitian(hermitize(av + bv)) solves hermitize of that
+            # exactly Hermitian matrix again
+            members["sum"] = hermitize(hermitize(total))
+    if also is not None and also.shape == ha.shape:
+        members["also"] = also
+    if members:
+        try:
+            a_res, b_res, *rest = _jacobi_eig(ha, hb, *members.values())
+            return a_res, b_res, dict(zip(members, rest))
+        except NumericError:
+            pass
+    return (*_jacobi_eig(ha, hb), {})
+
+
+def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None):
+    """``(av, a_dec, bv, b_dec, sum_dec, also_dec)``: :func:`_validated`
+    of a pair of one size, both solved in one side-by-side call.
+
+    The same call may solve two more members of the pair's size. Each is
+    a function of its own input bits only, so it has the bits of a solve
+    of its own:
+
+    - with ``sum_too``, ``hermitize(ha + hb)`` of the Hermitian parts,
+      when that sum is finite. ``sum_dec`` is its decomposition when
+      neither member was clamped, that is when ``av + bv`` is that sum;
+      otherwise None, and the caller solves its own sum.
+    - ``also``, a Hermitian matrix such as a state. ``also_dec`` is its
+      decomposition, not yet checked, or None when ``also`` is None or
+      of another size.
 
     A bad pair raises what validating ``a`` and then ``b`` would: a
     non-PSD ``a`` is reported before anything wrong with ``b``.
@@ -387,7 +444,7 @@ def _validated_pair(a, b, tol: ToleranceConfig):
     ha = hermitian_part(a, tol)
     try:
         hb = hermitian_part(b, tol)
-        solved = _jacobi_eig(ha, hb) if hb.shape == ha.shape else None
+        solved = _solved_pair(ha, hb, sum_too, also) if hb.shape == ha.shape else None
     except (InputError, NumericError):
         solved = None
     if solved is None:
@@ -396,8 +453,15 @@ def _validated_pair(a, b, tol: ToleranceConfig):
         av, _ = _validated(a, tol)
         bv, _ = _validated(b, tol)
         raise InputError(f"pair members differ in size: {av.shape} vs {bv.shape}")
-    a_dec, b_dec = (_checked_psd(SpectralDecomposition(*r), tol) for r in solved)
-    return _clamped(ha, a_dec), a_dec, _clamped(hb, b_dec), b_dec
+    a_res, b_res, extra = solved
+    a_dec, b_dec = (_checked_psd(SpectralDecomposition(*r), tol) for r in (a_res, b_res))
+    av, bv = _clamped(ha, a_dec), _clamped(hb, b_dec)
+    sum_dec = also_dec = None
+    if "sum" in extra and av is ha and bv is hb:
+        sum_dec = SpectralDecomposition(*extra["sum"])
+    if "also" in extra:
+        also_dec = SpectralDecomposition(*extra["also"])
+    return av, a_dec, bv, b_dec, sum_dec, also_dec
 
 
 def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -454,7 +518,7 @@ def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     ``w @ psd_sqrt(m* m) = m`` and ``w* w`` is the support projection of
     ``m* m``.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = _numeric(m, "matrix").astype(np.complex128, copy=False)
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got shape {m.shape}")
     gram = hermitize(m.conj().T @ m)
@@ -467,8 +531,8 @@ def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with a guard against runaway dimensions."""
-    ma = np.asarray(a, dtype=np.complex128)
-    mb = np.asarray(b, dtype=np.complex128)
+    ma = _numeric(a, "matrix").astype(np.complex128, copy=False)
+    mb = _numeric(b, "matrix").astype(np.complex128, copy=False)
     if ma.ndim != 2 or mb.ndim != 2:
         raise InputError("kron expects two matrices")
     rows = ma.shape[0] * mb.shape[0]
@@ -489,7 +553,7 @@ def kron(a, b) -> np.ndarray:
 
 def hermitian_norm(a) -> float:
     """Spectral norm of a (nearly) Hermitian matrix via the Jacobi solver."""
-    m = hermitize(np.asarray(a, dtype=np.complex128))
+    m = hermitize(_numeric(a, "matrix").astype(np.complex128, copy=False))
     if m.size == 0:
         return 0.0
     vals, _ = _jacobi_eig(m)

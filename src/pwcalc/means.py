@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PairingResult, build_rep, pw_eval
+from .calculus import PairingResult, _build_rep, build_rep, pw_eval, pw_pairing
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import InputError
-from .functions import PwFunction, entropy, geometric, power
+from .errors import InputError, PwCalcError
+from .functions import PwFunction, _require_profile, entropy, geometric, power
 from .linalg import kron
 
 
@@ -49,7 +49,8 @@ def power_pairing(a, b, alpha: float, rho,
     +inf exactly when the first slot has weight on the kernel of the
     second (beyond ``weight_tol``).
     """
-    return build_rep(a, b, tol).pairing(power(alpha), rho)
+    rep, rv = _build_rep(a, b, tol, rho)
+    return rep._pairing(power(alpha), rho, rv)
 
 
 def entropy_pairing(a, b, rho,
@@ -59,7 +60,8 @@ def entropy_pairing(a, b, rho,
     Finite values may be negative; the value is never -inf because the
     profile is bounded from below on the simplex section.
     """
-    return build_rep(a, b, tol).pairing(entropy(), rho)
+    rep, rv = _build_rep(a, b, tol, rho)
+    return rep._pairing(entropy(), rho, rv)
 
 
 def trace_functional(a, b, fn: PwFunction,
@@ -87,6 +89,7 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
     ones on the factorized side, matching the integral picture where
     null sets contribute nothing.
     """
+    _require_profile(fn)
     if fn.name.startswith("power:"):
         rule = "product"
     elif fn.name == "entropy":
@@ -95,10 +98,14 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
         raise InputError(
             f"no tensor rule known for profile {fn.name!r}; "
             f"use a power or entropy profile")
-    lhs = build_rep(kron(a1, a2), kron(b1, b2), tol).pairing(
-        fn, kron(rho1, rho2)).value
-    p1 = build_rep(a1, b1, tol).pairing(fn, rho1).value
-    p2 = build_rep(a2, b2, tol).pairing(fn, rho2).value
+    try:
+        rho = kron(rho1, rho2)
+    except PwCalcError:
+        rho = None  # raised again after the Kronecker pair's verdict
+    rep, rv = _build_rep(kron(a1, a2), kron(b1, b2), tol, rho)
+    lhs = rep._pairing(fn, kron(rho1, rho2) if rho is None else rho, rv).value
+    p1 = pw_pairing(a1, b1, fn, rho1, tol)
+    p2 = pw_pairing(a2, b2, fn, rho2, tol)
     if rule == "product":
         rhs = _ext_mul(p1, p2)
     else:

@@ -20,8 +20,8 @@ import numpy as np
 from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError
-from .functions import PwFunction, abs_part
-from .linalg import SpectralDecomposition, hermitize, safe_frobenius
+from .functions import PwFunction, _require_profile, abs_part
+from .linalg import SpectralDecomposition, _numeric, hermitize, safe_frobenius
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,7 @@ def kubo_ando_form(a, b, fn: PwFunction,
     the reconstruction residual against the direct evaluation is reported
     relative to it, in the Frobenius norm (see :class:`RnFactorization`).
     """
+    _require_profile(fn)
     if not fn.vanishes_at_zero or fn.at_zero != 0.0:
         raise InputError(
             f"profile {fn.name!r} must vanish on the ray x = 0")
@@ -153,7 +154,7 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """
     rep = build_rep(a, b, tol)
     _require_definite(rep)
-    vec = np.asarray(xi, dtype=np.complex128)
+    vec = _numeric(xi, "vector").astype(np.complex128, copy=False)
     if vec.shape != (rep.n,):
         raise InputError(
             f"expected a vector of length {rep.n}, got shape {vec.shape}")

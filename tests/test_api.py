@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pwcalc
-from pwcalc import linalg
+from pwcalc import cli, linalg
 from pwcalc.fileio import load_matrix, load_vector
 
 from conftest import rand_pair
@@ -69,6 +69,10 @@ SOLVES = [
      pwcalc.abs_continuity_projection, 4),
     ("build_rep", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.build_rep(a, b), 4),
+    # a clamped member: the sum solved in the validating call is not the
+    # sum of the clamped pair, so it is solved again
+    ("build_rep", "a3clamp.json", "b3.json",
+     lambda a, b: pwcalc.build_rep(a, b), 5),
     ("lebesgue_decompose", "a2pd.json", "b2sing.json",
      pwcalc.lebesgue_decompose, 4),
     ("rn_factor", "a2pd.json", "b2sing.json", pwcalc.rn_factor, 4),
@@ -129,6 +133,130 @@ def test_solve_count(monkeypatch, name, fa, fb, op, expected):
     monkeypatch.setattr(linalg, "_jacobi_eig", counting)
     op(a, b)
     assert len(calls) == expected, f"{name}: {len(calls)} solves"
+
+
+def _kernel_calls(monkeypatch, op, *args):
+    """Members of each ``_jacobi_eig`` call that ``op(*args)`` makes."""
+    calls = []
+    real = linalg._jacobi_eig
+
+    def counting(*mats):
+        calls.append(len(mats))
+        return real(*mats)
+
+    monkeypatch.setattr(linalg, "_jacobi_eig", counting)
+    op(*args)
+    return calls
+
+
+def _rho3():
+    return _fixture("rho3.json")
+
+
+# Kernel calls per operation. The validating call of a pair also solves
+# the sum and, for a one-shot pairing, the state; gram_a's solve is the
+# second call. A clamped member adds a call, for the sum of the clamped
+# pair.
+CALLS = [
+    ("build_rep", "a3.json", lambda a, b: pwcalc.build_rep(a, b), [3, 1]),
+    ("build_rep", "a3clamp.json", lambda a, b: pwcalc.build_rep(a, b), [3, 1, 1]),
+    ("pw_pairing", "a3.json",
+     lambda a, b: pwcalc.pw_pairing(a, b, pwcalc.entropy(), _rho3()), [4, 1]),
+    ("pw_pairing", "a3clamp.json",
+     lambda a, b: pwcalc.pw_pairing(a, b, pwcalc.entropy(), _rho3()), [4, 1, 1]),
+    ("eval_sequence", "a3.json",
+     lambda a, b: pwcalc.eval_sequence(a, b, [pwcalc.power(2.0)], _rho3()), [4, 1]),
+    ("power_pairing", "a3.json",
+     lambda a, b: pwcalc.power_pairing(a, b, 2.0, _rho3()), [4, 1]),
+    ("entropy_pairing", "a3.json",
+     lambda a, b: pwcalc.entropy_pairing(a, b, _rho3()), [4, 1]),
+    ("tensor_pairing_check", "a3.json",
+     lambda a, b: pwcalc.tensor_pairing_check(
+         a, b, a[:1, :1], b[:1, :1], _rho3(), _rho3()[:1, :1], pwcalc.power(2.0)),
+     [4, 1] * 3),
+]
+
+
+@pytest.mark.parametrize("name,fa,op,expected", CALLS,
+                         ids=[f"{c[0]}-{c[1][:-5]}" for c in CALLS])
+def test_kernel_calls(monkeypatch, name, fa, op, expected):
+    calls = _kernel_calls(monkeypatch, op, _fixture(fa), _fixture("b3.json"))
+    assert calls == expected, name
+
+
+def test_cli_pair_folds_its_state(monkeypatch, capsys):
+    argv = ["pair", "--phi", "entropy"] + [
+        arg for flag, name in (("--a", "a3"), ("--b", "b3"), ("--rho", "rho3"))
+        for arg in (flag, str(FIXTURES / f"{name}.json"))]
+    assert _kernel_calls(monkeypatch, cli.main, argv) == [4, 1]
+    assert capsys.readouterr().out
+
+
+def _error(op):
+    with pytest.raises(pwcalc.PwCalcError) as info:
+        op()
+    return type(info.value), str(info.value)
+
+
+_STATE_OPS = {
+    "pw_pairing": lambda a, b, rho: pwcalc.pw_pairing(a, b, pwcalc.parallel(), rho),
+    "power_pairing": lambda a, b, rho: pwcalc.power_pairing(a, b, 2.0, rho),
+    "entropy_pairing": lambda a, b, rho: pwcalc.entropy_pairing(a, b, rho),
+    "eval_sequence": lambda a, b, rho: pwcalc.eval_sequence(
+        a, b, [pwcalc.parallel(), pwcalc.power(2.0)], rho),
+    "tensor_pairing_check": lambda a, b, rho: pwcalc.tensor_pairing_check(
+        a, b, np.eye(1), np.eye(1), rho, np.eye(1), pwcalc.power(2.0)),
+}
+_BAD_STATES = {
+    "not_psd": np.diag([1.0, -0.25]),
+    "not_hermitian": np.array([[1.0, 0.5], [0.0, 1.0]]),
+    "wrong_size": np.eye(3),
+    "not_square": np.ones((2, 3)),
+    "non_finite": np.array([[1.0, 0.0], [0.0, np.inf]]),
+    "object_dtype": np.array([[1, 0], [0, 1]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("state", _BAD_STATES, ids=list(_BAD_STATES))
+@pytest.mark.parametrize("name", _STATE_OPS, ids=list(_STATE_OPS))
+def test_a_bad_state_raises_after_the_pair(name, state):
+    op = _STATE_OPS[name]
+    rho = _BAD_STATES[state]
+    good = np.diag([2.0, 1.0]), np.diag([1.0, 3.0])
+    # a reused rep validates the state on its own, as every call did
+    # before the state was folded into the pair's call
+    kind, message = _error(lambda: pwcalc.build_rep(*good).pairing(pwcalc.parallel(), rho))
+    assert _error(lambda: op(*good, rho)) == (kind, message)
+    # a non-PSD a is reported first, and so is a failure of the pair that
+    # build_rep finds after validating it
+    bad_a = np.diag([1.0, -0.5]), good[1]
+    assert _error(lambda: op(*bad_a, rho)) == _error(lambda: pwcalc.validate_psd(bad_a[0]))
+    overflowing = np.diag([1e308, 1.0]), np.diag([1e308, 1.0])
+    assert _error(lambda: op(*overflowing, rho)) == _error(
+        lambda: pwcalc.build_rep(*overflowing))
+
+
+def test_a_failing_extra_member_falls_back(monkeypatch):
+    a, b = _fixture_pair("a3.json", "b3.json")
+    rho = _rho3()
+    want = pwcalc.pw_pairing(a, b, pwcalc.entropy(), rho)
+    calls = []
+    real = linalg._jacobi_eig
+
+    def failing(*mats):
+        calls.append(len(mats))
+        if len(mats) > 2:
+            raise linalg.NumericError("an extra member did not converge")
+        return real(*mats)
+
+    monkeypatch.setattr(linalg, "_jacobi_eig", failing)
+    assert repr(pwcalc.pw_pairing(a, b, pwcalc.entropy(), rho)) == repr(want)
+    # the pair alone, then the sum, gram_a and the state on their own
+    assert calls == [4, 2, 1, 1, 1]
+    # a bad pair keeps its own error, not the size mismatch of the
+    # fallback that validates in turn
+    with pytest.raises(pwcalc.NotPsdError, match="eigenvalue -1.0"):
+        pwcalc.build_rep(np.diag([1.0, -1.0, 1.0]), b)
 
 
 def _unclamped_pairs(count):
@@ -357,7 +485,7 @@ def test_only_build_rep_and_from_support_read_the_coordinate_map():
     # support-side matrices, so a second push formula cannot come back
     readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _loads(ast.parse(path.read_text()), "coord_map")}
-    assert readers == {("calculus.py", "build_rep"),
+    assert readers == {("calculus.py", "_build_rep"),
                        ("calculus.py", "from_support")}
 
 

@@ -107,14 +107,10 @@ class TestBuildRep:
         assert np.abs(parallel_sum(a, np.zeros((4, 4)))).max() <= 1e-15
 
     def test_spectrum_excess_is_reported(self, monkeypatch):
-        # build_rep's second solve is gram_a's, [0.5, 0.5] for this pair
-        solves = []
-
+        # the validating call solves the sum of this unclamped pair, so
+        # build_rep's one eig_hermitian solve is gram_a's, [0.5, 0.5]
         def shifted(m, tol):
             dec = eig_hermitian(m, tol)
-            solves.append(m)
-            if len(solves) < 2:
-                return dec
             return SpectralDecomposition(dec.eigenvalues + 0.51, dec.basis)
 
         monkeypatch.setattr(calculus, "eig_hermitian", shifted)

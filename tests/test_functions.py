@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from pwcalc import (InputError, NumericError, PwFunction, abs_part, arithmetic,
-                    entropy, geometric, left, named_function, parallel, power,
-                    power_pairing, right, rn_cutoff, scaled_parallel)
+                    entropy, eval_sequence, geometric, kubo_ando_form, left,
+                    named_function, parallel, power, power_pairing, pw_eval,
+                    pw_pairing, right, rn_cutoff, scaled_parallel,
+                    tensor_pairing_check, trace_functional)
 
 
 def values_at(fn, xs):
@@ -144,6 +146,40 @@ class TestGuards:
         fn = geometric(0.5)
         out = values_at(fn, [-1e-15, 1.0 + 1e-15])
         assert np.isfinite(out).all()
+
+
+class TestParameterTypes:
+    @pytest.mark.parametrize("make", [
+        lambda: rn_cutoff(math.inf), lambda: rn_cutoff(math.nan),
+        lambda: rn_cutoff(True), lambda: scaled_parallel(True),
+        lambda: scaled_parallel(False),
+    ], ids=["rncut-inf", "rncut-nan", "rncut-bool", "scaled-true", "scaled-false"])
+    def test_non_finite_and_bool_parameters_rejected(self, make):
+        with pytest.raises(InputError, match="finite"):
+            make()
+
+    def test_integer_parameters_still_accepted(self):
+        assert rn_cutoff(4).name == "rncut:4"
+        assert scaled_parallel(np.int64(3)).name == "parallel*3"
+
+
+class TestProfileType:
+    """A profile that is not a :class:`PwFunction` is an :class:`InputError`
+    naming its type, wherever it meets the pair."""
+
+    @pytest.mark.parametrize("op,kind", [
+        (lambda a, b, rho: pw_eval(a, b, "parallel"), "str"),
+        (lambda a, b, rho: pw_pairing(a, b, parallel, rho), "function"),
+        (lambda a, b, rho: eval_sequence(a, b, [parallel(), 1], rho), "int"),
+        (lambda a, b, rho: trace_functional(a, b, None), "NoneType"),
+        (lambda a, b, rho: kubo_ando_form(a, b, "parallel"), "str"),
+        (lambda a, b, rho: tensor_pairing_check(a, b, a, b, rho, rho, "power:2"),
+         "str"),
+    ], ids=["pw_eval", "pw_pairing", "eval_sequence", "trace", "kubo", "tensor"])
+    def test_named_in_an_input_error(self, op, kind):
+        a, b = np.diag([2.0, 1.0]), np.diag([1.0, 3.0])
+        with pytest.raises(InputError, match=f"must be a PwFunction, got {kind}$"):
+            op(a, b, np.eye(2))
 
 
 class TestNamedLookup:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from pwcalc import (DominationError, InputError, NotPsdError, NumericError,
-                    ToleranceConfig, build_rep, eig_hermitian, hermitian_part,
-                    hermitize, kron, kubo_ando_form, lebesgue_decompose,
-                    parallel, parallel_sum_limit, polar_isometry, psd_sqrt,
-                    rn_factor, support_projection, validate_psd)
+                    ToleranceConfig, build_rep, eig_hermitian, entropy_pairing,
+                    hermitian_norm, hermitian_part, hermitize, kron,
+                    kubo_ando_form, lebesgue_decompose, parallel, parallel_sum,
+                    parallel_sum_limit, polar_isometry, psd_sqrt, rn_factor,
+                    rn_quadratic_form, support_projection, validate_psd)
 from pwcalc.linalg import (_jacobi_eig, _validated, _validated_pair, frobenius,
                            safe_frobenius)
 
@@ -192,6 +193,75 @@ class TestPairValidation:
                 assert x.basis.tobytes() == y.basis.tobytes()
             clamped += got[3].eigenvalues[0] < 0.0
         assert clamped > 10
+
+    def test_extra_members_have_the_bits_of_their_own_solves(self, rng):
+        tol = ToleranceConfig()
+        used = missed = 0
+        for trial in range(40):
+            n = int(rng.integers(1, 9))
+            a = rand_psd(rng, n, int(rng.integers(0, n + 1)))
+            b = rand_psd(rng, n, int(rng.integers(0, n + 1)))
+            rho = hermitian_part(rand_psd(rng, n, int(rng.integers(1, n + 1))))
+            if trial % 2:
+                a, b = a.real, b.real
+            av, _, bv, _, sum_dec, rho_dec = _validated_pair(
+                a, b, tol, sum_too=True, also=rho)
+            alone = _jacobi_eig(rho)
+            assert rho_dec.eigenvalues.tobytes() == alone[0].tobytes()
+            assert rho_dec.basis.tobytes() == alone[1].tobytes()
+            if sum_dec is None:
+                # only a clamped member makes the speculative sum a miss
+                assert min(validate_psd(a)[1], validate_psd(b)[1]) < 0.0
+                missed += 1
+                continue
+            want = eig_hermitian(hermitize(av + bv), tol)
+            assert sum_dec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert sum_dec.basis.tobytes() == want.basis.tobytes()
+            used += 1
+        assert used > 5 and missed > 5
+
+    def test_extra_members_only_where_they_apply(self):
+        tol = ToleranceConfig()
+        got = _validated_pair(_PSD, _PSD, tol, also=np.eye(4))
+        assert got[4] is None and got[5] is None
+        # a sum beyond float64 is left to the caller, which reports it
+        got = _validated_pair([[1e308]], [[1e308]], tol, sum_too=True)
+        assert got[4] is None
+
+
+class TestNumericInput:
+    """Only arrays of numbers are matrices: strings, objects and ``bool``
+    raise :class:`InputError` instead of being parsed or compared."""
+
+    @pytest.mark.parametrize("m", [
+        np.array([[1, 0], [0, 1]], dtype=object),
+        np.array([["1", "0"], ["0", "1"]]),
+        np.array([[True, False], [False, True]]),
+        [[1.0, 0.0], [0.0]],
+        [["1", 0.0], [0.0, 1.0]],
+    ], ids=["object", "string", "bool", "ragged", "mixed"])
+    def test_every_entry_point_types_it(self, m):
+        eye = np.eye(2)
+        for op in (lambda: validate_psd(m), lambda: hermitian_part(m),
+                   lambda: parallel_sum(m, eye), lambda: parallel_sum(eye, m),
+                   lambda: entropy_pairing(eye, eye, m), lambda: kron(m, eye),
+                   lambda: polar_isometry(m), lambda: hermitian_norm(m)):
+            with pytest.raises(InputError, match="numbers"):
+                op()
+
+    @pytest.mark.parametrize("xi", [np.array(["1", "0"]), np.array([1, 0], dtype=object),
+                                    np.array([True, False]), [1.0, [0.0]]],
+                             ids=["string", "object", "bool", "ragged"])
+    def test_vector(self, xi):
+        with pytest.raises(InputError, match="numbers"):
+            rn_quadratic_form(np.eye(2), np.eye(2), xi)
+
+    def test_a_non_numeric_state_is_reported_after_the_pair(self):
+        rho = np.array([[1, 0], [0, 1]], dtype=object)
+        with pytest.raises(NotPsdError):
+            entropy_pairing(np.diag([1.0, -1.0]), np.eye(2), rho)
+        with pytest.raises(InputError, match="must hold numbers, got dtype object"):
+            entropy_pairing(np.eye(2), np.eye(2), rho)
 
 
 class TestSqrt:
