@@ -28,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, EPS, ToleranceConfig
-from .errors import DominationError, ExtendedValueError, InputError, NumericError
+from .errors import (DominationError, ExtendedValueError, InputError, NumericError,
+                     PwCalcError)
 from .functions import PwFunction, _require_profile
-from .linalg import (SpectralDecomposition, _above_support, _checked_psd, _clamped,
-                     _sqrt_of, _validated, _validated_pair, eig_hermitian,
-                     hermitian_part, hermitize, safe_frobenius, validate_psd)
+from .linalg import (SpectralDecomposition, _above_support, _checked, _sqrt_of,
+                     _validated, _validated_pair, eig_hermitian, hermitian_part,
+                     hermitize, safe_frobenius, validate_psd)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -268,12 +269,6 @@ class PwRep:
                 f"state must be {self.n}x{self.n}, got {rv.shape}")
         return self._weights(rv)
 
-    def _state_weights(self, rho, rv) -> np.ndarray:
-        """:meth:`pairing_weights` of ``rho``, or, when the pair's
-        validating call solved it (see :func:`_build_rep`), the weights of
-        its validated matrix ``rv``."""
-        return self.pairing_weights(rho) if rv is None else self._weights(rv)
-
     def _weights(self, rv: np.ndarray) -> np.ndarray:
         """:meth:`pairing_weights` of a validated ``complex128`` state:
         ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0."""
@@ -290,14 +285,10 @@ class PwRep:
         and the result is +inf exactly when the total weight on infinite
         profile values exceeds ``weight_tol``.
         """
-        return self._pairing(fn, rho, None)
+        return self._pairing(fn, self.pairing_weights(rho))
 
-    def _pairing(self, fn: PwFunction, rho, rv) -> PairingResult:
-        """:meth:`pairing`, with ``rho`` validated as ``rv`` or, if that
-        is None, here."""
-        return self._pairing_from_weights(fn, self._state_weights(rho, rv))
-
-    def _pairing_from_weights(self, fn: PwFunction, w: np.ndarray) -> PairingResult:
+    def _pairing(self, fn: PwFunction, w: np.ndarray) -> PairingResult:
+        """:meth:`pairing` against a state's :meth:`pairing_weights` ``w``."""
         vals = self.values(fn)
         inf_mask = np.isinf(vals)
         infinite_weight = float(w[inf_mask].sum())
@@ -317,16 +308,20 @@ class PwRep:
         last three gaps (or all of them, if fewer) stay below
         ``conv_tol``.
         """
-        return self._sequence(fns, rho, None)
+        return self._sequence(fns, self.pairing_weights(rho))
 
-    def _sequence(self, fns, rho, rv) -> SequenceResult:
-        """:meth:`eval_sequence`, with ``rho`` validated as ``rv`` or, if
-        that is None, here."""
+    def _sequence(self, fns, w: np.ndarray) -> SequenceResult:
+        """:meth:`eval_sequence` against a state's :meth:`pairing_weights`
+        ``w``."""
+        try:
+            fns = iter(fns)
+        except TypeError:
+            raise InputError(
+                f"a profile sequence must be iterable, got {type(fns).__name__}")
         fns = list(fns)
         if not fns:
             raise InputError("profile sequence must be nonempty")
-        w = self._state_weights(rho, rv)
-        values = [self._pairing_from_weights(fn, w).value for fn in fns]
+        values = [self._pairing(fn, w).value for fn in fns]
         gaps = []
         for prev, cur in zip(values, values[1:]):
             if math.isinf(prev) and math.isinf(cur):
@@ -366,33 +361,29 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
     return _build_rep(a, b, tol)[0]
 
 
-def _build_rep(a, b, tol: ToleranceConfig, rho=None):
-    """``(rep, rv)``: :func:`build_rep`, and for a one-shot pairing the
-    state ``rho`` validated as :func:`validate_psd` would, ``rv``.
+def _build_rep(a, b, tol: ToleranceConfig, state=None):
+    """``(rep, w)``: :func:`build_rep`, and for a one-shot pairing the
+    :meth:`PwRep.pairing_weights` ``w`` of the state that the
+    zero-argument callable ``state`` returns (None without one).
 
     The validating call of the pair also solves the sum ``a + b`` and an
-    n x n Hermitian ``rho``, so a pair costs two kernel calls (three when
-    a member is clamped and the sum is solved again). ``rv`` is None when
-    ``rho`` is None, not an n x n Hermitian matrix, or its solve failed:
-    :meth:`PwRep._state_weights` then validates it with the errors of
-    :meth:`PwRep.pairing_weights`. The state's verdict comes after the
-    pair's, so every error keeps its place.
+    n x n Hermitian state, so a pair costs two kernel calls (three when a
+    member is clamped and the sum is solved again). When ``state()`` or
+    its Hermitian part fails, the state has another size or its solve
+    fails, ``w`` comes from :meth:`PwRep.pairing_weights` of ``state()``
+    after the rep exists, which raises the state's error. So errors come from the pair first,
+    then the state, then the profiles and parameters that the caller
+    applies to ``w``.
     """
     hr = None
-    if rho is not None:
+    if state is not None:
         try:
-            hr = hermitian_part(rho, tol)
-        except InputError:
-            pass  # raised again when the state is validated, after the pair
-    av, a_dec, bv, b_dec, dec, rho_dec = _validated_pair(a, b, tol, sum_too=True, also=hr)
+            hr = hermitian_part(state(), tol)
+        except PwCalcError:
+            pass  # raised again by pairing_weights, after the pair's verdict
+    av, a_dec, bv, b_dec, dec, state_solved = _validated_pair(
+        a, b, tol, sum_too=True, also=hr)
     n = av.shape[0]
-    if dec is None:
-        with np.errstate(over="ignore"):
-            total = av + bv
-        if not np.isfinite(total).all():
-            raise NumericError(
-                "pair sum outside the float64 range: an entry of a + b overflows")
-        dec = eig_hermitian(hermitize(total), tol)
     keep = _above_support(dec.eigenvalues, tol)
     lam = dec.eigenvalues[keep]
     q = dec.basis[:, keep]
@@ -434,9 +425,11 @@ def _build_rep(a, b, tol: ToleranceConfig, rho=None):
                 a=av, b=bv, a_half=a_half, b_half=b_half,
                 a_eigs=a_dec.eigenvalues,
                 split=_classify(spec.eigenvalues, tol), tol=tol)
-    if rho_dec is None:
+    if state is None:
         return rep, None
-    return rep, _clamped(hr, _checked_psd(rho_dec, tol))
+    if state_solved is None:
+        return rep, rep.pairing_weights(state())
+    return rep, rep._weights(_checked(hr, state_solved, tol)[0])
 
 
 def pw_eval(a, b, fn: PwFunction, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -447,12 +440,12 @@ def pw_eval(a, b, fn: PwFunction, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
 def pw_pairing(a, b, fn: PwFunction, rho,
                tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """One-shot pairing value; returns ``math.inf`` for unbounded values."""
-    rep, rv = _build_rep(a, b, tol, rho)
-    return rep._pairing(fn, rho, rv).value
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(fn, w).value
 
 
 def eval_sequence(a, b, fns, rho,
                   tol: ToleranceConfig = DEFAULT_TOL) -> SequenceResult:
     """One-shot sequence pairing with a convergence report."""
-    rep, rv = _build_rep(a, b, tol, rho)
-    return rep._sequence(fns, rho, rv)
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._sequence(fns, w)

@@ -231,13 +231,9 @@ def _cmd_kubo(args, tol, warnings):
 
 def _cmd_pair(args, tol, warnings):
     fn = named_function(args.phi, args.alpha)
-    a, b = load_matrix(args.a), load_matrix(args.b)
-    try:
-        rho = load_matrix(args.rho)
-    except InputError:
-        rho = None  # reported again after the pair's verdict
-    rep, rv = _build_rep(a, b, tol, rho)
-    res = rep._pairing(fn, load_matrix(args.rho) if rho is None else rho, rv)
+    rep, w = _build_rep(load_matrix(args.a), load_matrix(args.b), tol,
+                        lambda: load_matrix(args.rho))
+    res = rep._pairing(fn, w)
     outputs = {
         "value": _scalar(res.value),
         "finite_part": res.finite_part,

@@ -10,6 +10,7 @@ evaluated at a noisy nearby point.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,6 +80,15 @@ def _require_profile(fn) -> None:
         raise InputError(f"a profile must be a PwFunction, got {type(fn).__name__}")
 
 
+def _require_parameter(value, in_range: Callable[[float], bool], message: str) -> None:
+    """Raise :class:`InputError` with ``message`` unless ``value`` is a
+    finite real number that ``in_range`` accepts. A ``bool`` is not one,
+    nor is ``numpy.bool_``, which is no ``numbers.Real``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not in_range(value)):
+        raise InputError(message)
+
+
 def abs_part() -> PwFunction:
     """Indicator-weighted second slot, ``1_(0,inf)(x) * y``.
 
@@ -110,8 +120,8 @@ def right() -> PwFunction:
 
 def geometric(alpha: float) -> PwFunction:
     """Weighted geometric mean profile, ``x^a y^(1-a)`` for a in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"geometric mean weight must lie in (0, 1), got {alpha!r}")
+    _require_parameter(alpha, lambda x: 0.0 < x < 1.0,
+                       f"geometric mean weight must lie in (0, 1), got {alpha!r}")
     return PwFunction(f"geom:{alpha:g}",
                       lambda x: x ** alpha * (1.0 - x) ** (1.0 - alpha),
                       0.0, 0.0, True)
@@ -123,9 +133,8 @@ def power(alpha: float) -> PwFunction:
     Unbounded at y = 0 (x > 0), so evaluation as an operator fails there;
     use pairings, which carry +inf.
     """
-    if not 1.0 < alpha < math.inf:
-        raise InputError(f"power exponent must be finite and exceed 1, "
-                         f"got {alpha!r}")
+    _require_parameter(alpha, lambda x: x > 1.0,
+                       f"power exponent must be finite and exceed 1, got {alpha!r}")
     return PwFunction(f"power:{alpha:g}",
                       lambda x: x ** alpha * (1.0 - x) ** (1.0 - alpha),
                       0.0, math.inf, True)
@@ -140,8 +149,8 @@ def entropy() -> PwFunction:
 
 def scaled_parallel(n: float) -> PwFunction:
     """Parallel sum with a scaled first slot, ``n x y / (n x + y)``."""
-    if isinstance(n, bool) or not 0.0 < n < math.inf:
-        raise InputError(f"scale must be a finite positive number, got {n!r}")
+    _require_parameter(n, lambda x: x > 0.0,
+                       f"scale must be a finite positive number, got {n!r}")
     return PwFunction(f"parallel*{n:g}",
                       lambda x: n * x * (1.0 - x) / (n * x + 1.0 - x),
                       0.0, 0.0, True)
@@ -153,9 +162,8 @@ def rn_cutoff(n: float) -> PwFunction:
     The increasing family of these profiles approximates the
     Radon-Nikodym factor from below.
     """
-    if isinstance(n, bool) or not 1 <= n < math.inf:
-        raise InputError(f"cutoff index must be a finite number of at least 1, "
-                         f"got {n!r}")
+    _require_parameter(n, lambda x: x >= 1,
+                       f"cutoff index must be a finite number of at least 1, got {n!r}")
     return PwFunction(f"rncut:{n:g}",
                       lambda x: (1.0 - x) / x if x >= 1.0 / n else 0.0,
                       0.0, 0.0, True)
@@ -182,6 +190,8 @@ def named_function(token: str, alpha: float | None = None) -> PwFunction:
     ``token`` is ``NAME`` or ``NAME:PARAM``; a parameter embedded in the
     token wins over the separate ``alpha`` argument.
     """
+    if not isinstance(token, str):
+        raise InputError(f"a profile name must be a string, got {type(token).__name__}")
     name, sep, param = token.partition(":")
     if name in _PLAIN_BUILTINS:
         if sep:

@@ -357,8 +357,12 @@ def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositio
     return SpectralDecomposition(vals, vecs)
 
 
-def _checked_psd(dec: SpectralDecomposition, tol: ToleranceConfig) -> SpectralDecomposition:
-    """``dec``, raising below ``-psd_tol * norm``."""
+def _checked(h: np.ndarray, solved, tol: ToleranceConfig):
+    """``(matrix, dec)``: :func:`validate_psd`'s matrix for the Hermitian
+    ``h`` and the decomposition of the kernel's ``(eigenvalues,
+    eigenvectors)`` of it, raising below ``-psd_tol * norm``. Every PSD
+    verdict is taken here."""
+    dec = SpectralDecomposition(*solved)
     w = dec.eigenvalues
     if w.size:
         floor = tol.psd_tol * max(abs(float(w[0])), abs(float(w[-1])))
@@ -366,12 +370,9 @@ def _checked_psd(dec: SpectralDecomposition, tol: ToleranceConfig) -> SpectralDe
             raise NotPsdError(
                 f"matrix is not positive semidefinite: eigenvalue {float(w[0]):.6e} "
                 f"below -psd_tol*scale = {-floor:.6e}")
-    return dec
-
-
-def _psd_eig(a, tol: ToleranceConfig) -> SpectralDecomposition:
-    """Diagonalize ``a``, raising below ``-psd_tol * norm``."""
-    return _checked_psd(eig_hermitian(a, tol), tol)
+        if float(w[0]) < 0.0:
+            return hermitize(dec.apply(np.maximum(w, 0.0))), dec
+    return h, dec
 
 
 def _above_support(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -379,20 +380,10 @@ def _above_support(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return w > tol.support_threshold(w.size, float(w[-1]) if w.size else 0.0)
 
 
-def _clamped(h: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
-    """:func:`validate_psd`'s matrix for the Hermitian ``h`` and its
-    checked decomposition."""
-    w = dec.eigenvalues
-    if w.size and float(w[0]) < 0.0:
-        return hermitize(dec.apply(np.maximum(w, 0.0)))
-    return h
-
-
 def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecomposition]:
     """:func:`validate_psd`'s matrix with the decomposition that checked it."""
     h = hermitian_part(a, tol)
-    dec = _checked_psd(SpectralDecomposition(*_jacobi_eig(h)), tol)
-    return _clamped(h, dec), dec
+    return _checked(h, _jacobi_eig(h), tol)
 
 
 def _solved_pair(ha, hb, sum_too: bool, also):
@@ -423,23 +414,26 @@ def _solved_pair(ha, hb, sum_too: bool, also):
 
 
 def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None):
-    """``(av, a_dec, bv, b_dec, sum_dec, also_dec)``: :func:`_validated`
+    """``(av, a_dec, bv, b_dec, sum_dec, also_solved)``: :func:`_validated`
     of a pair of one size, both solved in one side-by-side call.
 
     The same call may solve two more members of the pair's size. Each is
     a function of its own input bits only, so it has the bits of a solve
     of its own:
 
-    - with ``sum_too``, ``hermitize(ha + hb)`` of the Hermitian parts,
-      when that sum is finite. ``sum_dec`` is its decomposition when
-      neither member was clamped, that is when ``av + bv`` is that sum;
-      otherwise None, and the caller solves its own sum.
-    - ``also``, a Hermitian matrix such as a state. ``also_dec`` is its
-      decomposition, not yet checked, or None when ``also`` is None or
-      of another size.
+    - with ``sum_too``, ``hermitize(ha + hb)`` of the Hermitian parts.
+      ``sum_dec`` is the decomposition of ``hermitize(av + bv)``: that
+      member's when neither member was clamped, so that ``av + bv`` is
+      that sum, and otherwise one more solve. A sum outside the float64
+      range raises :class:`NumericError`. Without ``sum_too`` it is None.
+    - ``also``, a Hermitian matrix such as a state. ``also_solved`` is
+      the kernel's ``(eigenvalues, eigenvectors)`` of it, not yet
+      checked, or None when ``also`` is None, of another size or its
+      solve failed.
 
     A bad pair raises what validating ``a`` and then ``b`` would: a
-    non-PSD ``a`` is reported before anything wrong with ``b``.
+    non-PSD ``a`` is reported before anything wrong with ``b``, and both
+    before the sum.
     """
     ha = hermitian_part(a, tol)
     try:
@@ -454,14 +448,19 @@ def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None
         bv, _ = _validated(b, tol)
         raise InputError(f"pair members differ in size: {av.shape} vs {bv.shape}")
     a_res, b_res, extra = solved
-    a_dec, b_dec = (_checked_psd(SpectralDecomposition(*r), tol) for r in (a_res, b_res))
-    av, bv = _clamped(ha, a_dec), _clamped(hb, b_dec)
-    sum_dec = also_dec = None
+    av, a_dec = _checked(ha, a_res, tol)
+    bv, b_dec = _checked(hb, b_res, tol)
+    sum_dec = None
     if "sum" in extra and av is ha and bv is hb:
         sum_dec = SpectralDecomposition(*extra["sum"])
-    if "also" in extra:
-        also_dec = SpectralDecomposition(*extra["also"])
-    return av, a_dec, bv, b_dec, sum_dec, also_dec
+    elif sum_too:
+        with np.errstate(over="ignore"):
+            total = av + bv
+        if not np.isfinite(total).all():
+            raise NumericError(
+                "pair sum outside the float64 range: an entry of a + b overflows")
+        sum_dec = eig_hermitian(hermitize(total), tol)
+    return av, a_dec, bv, b_dec, sum_dec, extra.get("also")
 
 
 def validate_psd(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -497,7 +496,7 @@ def psd_sqrt(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Its rank is that of :func:`support_projection`: eigenvalues at or
     below the support threshold are taken as zero.
     """
-    return _sqrt_of(_psd_eig(a, tol), tol)
+    return _sqrt_of(_validated(a, tol)[1], tol)
 
 
 def _support_of(dec: SpectralDecomposition, tol: ToleranceConfig) -> np.ndarray:
@@ -508,7 +507,7 @@ def _support_of(dec: SpectralDecomposition, tol: ToleranceConfig) -> np.ndarray:
 
 def support_projection(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projection onto the range of a PSD matrix."""
-    return _support_of(_psd_eig(a, tol), tol)
+    return _support_of(_validated(a, tol)[1], tol)
 
 
 def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -553,7 +552,7 @@ def kron(a, b) -> np.ndarray:
 
 def hermitian_norm(a) -> float:
     """Spectral norm of a (nearly) Hermitian matrix via the Jacobi solver."""
-    m = hermitize(_numeric(a, "matrix").astype(np.complex128, copy=False))
+    m = hermitize(_as_square(a))
     if m.size == 0:
         return 0.0
     vals, _ = _jacobi_eig(m)

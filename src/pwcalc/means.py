@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import PairingResult, _build_rep, build_rep, pw_eval, pw_pairing
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import InputError, PwCalcError
+from .errors import InputError
 from .functions import PwFunction, _require_profile, entropy, geometric, power
 from .linalg import kron
 
@@ -49,8 +49,8 @@ def power_pairing(a, b, alpha: float, rho,
     +inf exactly when the first slot has weight on the kernel of the
     second (beyond ``weight_tol``).
     """
-    rep, rv = _build_rep(a, b, tol, rho)
-    return rep._pairing(power(alpha), rho, rv)
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(power(alpha), w)
 
 
 def entropy_pairing(a, b, rho,
@@ -60,8 +60,8 @@ def entropy_pairing(a, b, rho,
     Finite values may be negative; the value is never -inf because the
     profile is bounded from below on the simplex section.
     """
-    rep, rv = _build_rep(a, b, tol, rho)
-    return rep._pairing(entropy(), rho, rv)
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(entropy(), w)
 
 
 def trace_functional(a, b, fn: PwFunction,
@@ -69,7 +69,7 @@ def trace_functional(a, b, fn: PwFunction,
     """Trace of the calculus value: the pairing with the identity state."""
     rep = build_rep(a, b, tol)
     w = rep._weights(np.eye(rep.n, dtype=np.complex128))
-    return rep._pairing_from_weights(fn, w).value
+    return rep._pairing(fn, w).value
 
 
 def _ext_mul(u: float, v: float) -> float:
@@ -98,12 +98,8 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
         raise InputError(
             f"no tensor rule known for profile {fn.name!r}; "
             f"use a power or entropy profile")
-    try:
-        rho = kron(rho1, rho2)
-    except PwCalcError:
-        rho = None  # raised again after the Kronecker pair's verdict
-    rep, rv = _build_rep(kron(a1, a2), kron(b1, b2), tol, rho)
-    lhs = rep._pairing(fn, kron(rho1, rho2) if rho is None else rho, rv).value
+    rep, w = _build_rep(kron(a1, a2), kron(b1, b2), tol, lambda: kron(rho1, rho2))
+    lhs = rep._pairing(fn, w).value
     p1 = pw_pairing(a1, b1, fn, rho1, tol)
     p2 = pw_pairing(a2, b2, fn, rho2, tol)
     if rule == "product":

@@ -206,6 +206,26 @@ _STATE_OPS = {
         a, b, [pwcalc.parallel(), pwcalc.power(2.0)], rho),
     "tensor_pairing_check": lambda a, b, rho: pwcalc.tensor_pairing_check(
         a, b, np.eye(1), np.eye(1), rho, np.eye(1), pwcalc.power(2.0)),
+    # a bad profile or parameter is reported after the state, one-shot or
+    # on a reused rep
+    "eval_sequence_empty": lambda a, b, rho: pwcalc.eval_sequence(a, b, [], rho),
+    "eval_sequence_not_iterable": lambda a, b, rho: pwcalc.eval_sequence(
+        a, b, pwcalc.parallel(), rho),
+    "power_pairing_alpha_half": lambda a, b, rho: pwcalc.power_pairing(a, b, 0.5, rho),
+    "pw_pairing_not_a_profile": lambda a, b, rho: pwcalc.pw_pairing(a, b, "parallel", rho),
+    "rep_eval_sequence_empty": lambda a, b, rho: pwcalc.build_rep(a, b).eval_sequence(
+        [], rho),
+    "rep_pairing_not_a_profile": lambda a, b, rho: pwcalc.build_rep(a, b).pairing(
+        "parallel", rho),
+}
+# what the ops above that carry a bad profile or parameter raise for a good state
+_PROFILE_ERRORS = {
+    "eval_sequence_empty": "profile sequence must be nonempty",
+    "eval_sequence_not_iterable": "a profile sequence must be iterable, got PwFunction",
+    "power_pairing_alpha_half": "power exponent must be finite and exceed 1, got 0.5",
+    "pw_pairing_not_a_profile": "a profile must be a PwFunction, got str",
+    "rep_eval_sequence_empty": "profile sequence must be nonempty",
+    "rep_pairing_not_a_profile": "a profile must be a PwFunction, got str",
 }
 _BAD_STATES = {
     "not_psd": np.diag([1.0, -0.25]),
@@ -234,6 +254,13 @@ def test_a_bad_state_raises_after_the_pair(name, state):
     overflowing = np.diag([1e308, 1.0]), np.diag([1e308, 1.0])
     assert _error(lambda: op(*overflowing, rho)) == _error(
         lambda: pwcalc.build_rep(*overflowing))
+
+
+@pytest.mark.parametrize("name", _PROFILE_ERRORS, ids=list(_PROFILE_ERRORS))
+def test_a_bad_profile_raises_after_a_good_state(name):
+    good = np.diag([2.0, 1.0]), np.diag([1.0, 3.0])
+    assert _error(lambda: _STATE_OPS[name](*good, np.eye(2))) == (
+        pwcalc.InputError, _PROFILE_ERRORS[name])
 
 
 def test_a_failing_extra_member_falls_back(monkeypatch):
@@ -487,6 +514,46 @@ def test_only_build_rep_and_from_support_read_the_coordinate_map():
                for owner in _loads(ast.parse(path.read_text()), "coord_map")}
     assert readers == {("calculus.py", "_build_rep"),
                        ("calculus.py", "from_support")}
+
+
+def _raisers(tree, name):
+    """Innermost enclosing function of every ``raise`` of the exception
+    class ``name``, called or bare."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == name:
+                yield owner.get(node)
+
+
+def test_every_psd_verdict_is_taken_in_checked():
+    # validate_psd, both members of a pair and a folded state are checked
+    # by one function, so the verdict and its message cannot drift apart
+    raisers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _raisers(ast.parse(path.read_text()), "NotPsdError")]
+    assert raisers == [("linalg.py", "_checked")]
+
+
+def _state_passers(tree):
+    """Innermost enclosing function of every call of ``_validated_pair``
+    that passes a state, as ``also=`` or as its sixth argument."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and "_validated_pair" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))
+                and (len(node.args) > 4 or any(k.arg in ("also", None)
+                                               for k in node.keywords))):
+            yield owner.get(node)
+
+
+def test_only_build_rep_folds_a_state_into_the_pair():
+    # one path for the one-shot state: every pairing hands its state to
+    # calculus._build_rep, which alone decides how it is validated
+    callers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _state_passers(ast.parse(path.read_text()))]
+    assert callers == [("calculus.py", "_build_rep")]
 
 
 def _eigenvector_reads(tree):

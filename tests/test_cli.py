@@ -136,6 +136,17 @@ class TestExitCodes:
         rep = run_report(["psum", "--a", a, "--b", b], code)
         assert message in rep["diagnostics"]["error"]
 
+    # the state file is read after the pair's verdict
+    @pytest.mark.parametrize("a,b,rho,code,message", [
+        ("bad_nonpsd.json", "a2pd.json", "nope.json", 3, "not positive semidefinite"),
+        ("a3.json", "b3.json", "nope.json", 2, "cannot read nope.json"),
+        ("a3.json", "b3.json", "bad_syntax.json", 2, "bad_syntax.json is not valid JSON"),
+    ], ids=["nonpsd-missing", "good-missing", "good-syntax"])
+    def test_pair_state_file_precedence(self, a, b, rho, code, message):
+        rep = run_report(["pair", "--phi", "parallel", "--a", a, "--b", b,
+                          "--rho", rho], code)
+        assert message in rep["diagnostics"]["error"]
+
     def test_boolean_dimension_is_invalid_input(self, tmp_path):
         path = tmp_path / "bool_n.json"
         path.write_text('{"n": true, "re": [[2.0]]}')

@@ -162,6 +162,35 @@ class TestParameterTypes:
         assert rn_cutoff(4).name == "rncut:4"
         assert scaled_parallel(np.int64(3)).name == "parallel*3"
 
+    # one shared check: a finite real number that is not a bool, in the
+    # builtin's own range and with its own message
+    @pytest.mark.parametrize("make,message", [
+        (lambda: geometric("0.5"), "geometric mean weight must lie in (0, 1), got '0.5'"),
+        (lambda: power("2"), "power exponent must be finite and exceed 1, got '2'"),
+        (lambda: power(None), "power exponent must be finite and exceed 1, got None"),
+        (lambda: geometric(1 + 0j), "geometric mean weight must lie in (0, 1), got (1+0j)"),
+        (lambda: scaled_parallel("2"), "scale must be a finite positive number, got '2'"),
+        (lambda: rn_cutoff("2"),
+         "cutoff index must be a finite number of at least 1, got '2'"),
+        (lambda: scaled_parallel(np.True_), "scale must be a finite positive number"),
+        (lambda: rn_cutoff(np.True_), "cutoff index must be a finite number of at least 1"),
+    ], ids=["geom-str", "power-str", "power-none", "geom-complex", "scaled-str",
+            "rncut-str", "scaled-np-bool", "rncut-np-bool"])
+    def test_non_real_parameters_rejected(self, make, message):
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value).startswith(message)
+
+    def test_numpy_numbers_still_accepted(self):
+        assert geometric(np.float64(0.25)).name == "geom:0.25"
+        assert power(np.int64(2)).name == "power:2"
+        assert scaled_parallel(np.float64(0.5)).name == "parallel*0.5"
+        assert rn_cutoff(np.int64(4)).name == "rncut:4"
+
+    def test_profile_name_must_be_a_string(self):
+        with pytest.raises(InputError, match="must be a string, got NoneType$"):
+            named_function(None)
+
 
 class TestProfileType:
     """A profile that is not a :class:`PwFunction` is an :class:`InputError`

@@ -12,6 +12,7 @@ from pwcalc import (DominationError, InputError, NotPsdError, NumericError,
                     kubo_ando_form, lebesgue_decompose, parallel, parallel_sum,
                     parallel_sum_limit, polar_isometry, psd_sqrt, rn_factor,
                     rn_quadratic_form, support_projection, validate_psd)
+from pwcalc import linalg
 from pwcalc.linalg import (_jacobi_eig, _validated, _validated_pair, frobenius,
                            safe_frobenius)
 
@@ -194,8 +195,14 @@ class TestPairValidation:
             clamped += got[3].eigenvalues[0] < 0.0
         assert clamped > 10
 
-    def test_extra_members_have_the_bits_of_their_own_solves(self, rng):
+    def test_extra_members_have_the_bits_of_their_own_solves(self, rng, monkeypatch):
         tol = ToleranceConfig()
+        calls = []
+
+        def counting(*mats):
+            calls.append(len(mats))
+            return _jacobi_eig(*mats)
+
         used = missed = 0
         for trial in range(40):
             n = int(rng.integers(1, 9))
@@ -204,29 +211,39 @@ class TestPairValidation:
             rho = hermitian_part(rand_psd(rng, n, int(rng.integers(1, n + 1))))
             if trial % 2:
                 a, b = a.real, b.real
-            av, _, bv, _, sum_dec, rho_dec = _validated_pair(
-                a, b, tol, sum_too=True, also=rho)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_jacobi_eig", counting)
+                av, _, bv, _, sum_dec, rho_solved = _validated_pair(
+                    a, b, tol, sum_too=True, also=rho)
             alone = _jacobi_eig(rho)
-            assert rho_dec.eigenvalues.tobytes() == alone[0].tobytes()
-            assert rho_dec.basis.tobytes() == alone[1].tobytes()
-            if sum_dec is None:
-                # only a clamped member makes the speculative sum a miss
-                assert min(validate_psd(a)[1], validate_psd(b)[1]) < 0.0
-                missed += 1
-                continue
+            assert rho_solved[0].tobytes() == alone[0].tobytes()
+            assert rho_solved[1].tobytes() == alone[1].tobytes()
             want = eig_hermitian(hermitize(av + bv), tol)
             assert sum_dec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
             assert sum_dec.basis.tobytes() == want.basis.tobytes()
-            used += 1
+            if calls == [4]:
+                used += 1
+                continue
+            # only a clamped member makes the speculative sum a miss, and
+            # the sum is then solved in a call of its own
+            assert calls == [4, 1]
+            assert min(validate_psd(a)[1], validate_psd(b)[1]) < 0.0
+            missed += 1
         assert used > 5 and missed > 5
 
     def test_extra_members_only_where_they_apply(self):
         tol = ToleranceConfig()
         got = _validated_pair(_PSD, _PSD, tol, also=np.eye(4))
         assert got[4] is None and got[5] is None
-        # a sum beyond float64 is left to the caller, which reports it
-        got = _validated_pair([[1e308]], [[1e308]], tol, sum_too=True)
-        assert got[4] is None
+        # a sum beyond float64 is solved only on request, and then
+        # reported after the pair's verdict
+        assert _validated_pair([[1e308]], [[1e308]], tol)[4] is None
+        with pytest.raises(NumericError, match=r"a \+ b overflows"):
+            _validated_pair([[1e308]], [[1e308]], tol, sum_too=True)
+        with pytest.raises(NotPsdError):
+            _validated_pair(np.diag([1e308, -1e308]), np.diag([1e308, 0.0]), tol,
+                            sum_too=True)
 
 
 class TestNumericInput:
@@ -262,6 +279,30 @@ class TestNumericInput:
             entropy_pairing(np.diag([1.0, -1.0]), np.eye(2), rho)
         with pytest.raises(InputError, match="must hold numbers, got dtype object"):
             entropy_pairing(np.eye(2), np.eye(2), rho)
+
+
+class TestHermitianNorm:
+    """:func:`hermitian_norm` takes the square, finite arrays of numbers
+    that every other entry point takes."""
+
+    @pytest.mark.parametrize("m,match", [
+        (np.ones((2, 3)), r"square matrix, got shape \(2, 3\)"),
+        (np.ones(3), r"square matrix, got shape \(3,\)"),
+        ([[math.inf]], "non-finite"),
+        ([[math.nan]], "non-finite"),
+    ], ids=["not-square", "vector", "inf", "nan"])
+    def test_rejects_what_validation_rejects(self, m, match):
+        with pytest.raises(InputError, match=match):
+            hermitian_norm(m)
+
+    def test_same_bits_as_the_solver_on_valid_input(self, rng):
+        for trial in range(20):
+            n = int(rng.integers(1, 7))
+            m = rand_hermitian(rng, n)
+            m = m.real if trial % 2 else m
+            vals, _ = _jacobi_eig(hermitize(np.asarray(m, dtype=np.complex128)))
+            assert hermitian_norm(m) == float(np.abs(vals).max())
+        assert hermitian_norm(np.zeros((0, 0))) == 0.0
 
 
 class TestSqrt:
