@@ -31,9 +31,9 @@ from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import (DominationError, ExtendedValueError, InputError, NumericError,
                      PwCalcError)
 from .functions import PwFunction, _require_profile
-from .linalg import (SpectralDecomposition, _above_support, _checked, _sqrt_of,
-                     _validated, _validated_pair, eig_hermitian, hermitian_part,
-                     hermitize, safe_frobenius, validate_psd)
+from .linalg import (SpectralDecomposition, _above_support, _checked, _exponent,
+                     _sqrt_of, _validated, _validated_pair, eig_hermitian,
+                     hermitian_part, hermitize, safe_frobenius, validate_psd)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -271,9 +271,26 @@ class PwRep:
 
     def _weights(self, rv: np.ndarray) -> np.ndarray:
         """:meth:`pairing_weights` of a validated ``complex128`` state:
-        ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0."""
+        ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0.
+
+        The rows of ``E`` scale with ``sqrt(||a + b||)``, so for a huge
+        pair the terms of a weight can overflow with both signs and read
+        ``inf - inf``. Only a weight that is not finite is summed again,
+        with ``E`` and ``rv`` scaled by powers of two: it is ``inf`` when
+        it leaves the float64 range, and every finite weight keeps its
+        bits."""
         e = self.eig_map
-        w = np.real(np.sum((e @ rv) * e.conj(), axis=1))
+        # a NaN imaginary part is discarded, a NaN weight summed again
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.real(np.sum((e @ rv) * e.conj(), axis=1))
+        bad = ~np.isfinite(w)
+        if bad.any():
+            ke = max(_exponent(e), 0)
+            kr = max(_exponent(rv), 0)
+            es = np.ldexp(1.0, -ke) * e[bad]
+            ws = np.real(np.sum((es @ (np.ldexp(1.0, -kr) * rv)) * es.conj(), axis=1))
+            with np.errstate(over="ignore"):
+                w[bad] = np.ldexp(ws, 2 * ke + kr)
         return np.maximum(w, 0.0)
 
     def pairing(self, fn: PwFunction, rho) -> PairingResult:
@@ -293,7 +310,9 @@ class PwRep:
         inf_mask = np.isinf(vals)
         infinite_weight = float(w[inf_mask].sum())
         keep = (~inf_mask) & (w > self.tol.weight_tol)
-        finite_part = float((vals[keep] * w[keep]).sum())
+        # a zero profile value takes no weight, not even an infinite one
+        kept = vals[keep]
+        finite_part = float((kept * np.where(kept == 0.0, 0.0, w[keep])).sum())
         if infinite_weight > self.tol.weight_tol:
             value = math.inf
         else:
@@ -367,13 +386,14 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     zero-argument callable ``state`` returns (None without one).
 
     The validating call of the pair also solves the sum ``a + b`` and an
-    n x n Hermitian state, so a pair costs two kernel calls (three when a
-    member is clamped and the sum is solved again). When ``state()`` or
+    n x n Hermitian state, so a pair costs two kernel calls. A member
+    clamped below the support threshold, a clamp deeper than rounding,
+    costs a third, for the sum of the clamped pair. When ``state()`` or
     its Hermitian part fails, the state has another size or its solve
     fails, ``w`` comes from :meth:`PwRep.pairing_weights` of ``state()``
-    after the rep exists, which raises the state's error. So errors come from the pair first,
-    then the state, then the profiles and parameters that the caller
-    applies to ``w``.
+    after the rep exists, which raises the state's error. So errors come
+    from the pair first, then the state, then the profiles and parameters
+    that the caller applies to ``w``.
     """
     hr = None
     if state is not None:

@@ -146,7 +146,9 @@ def solvable_subspace_projection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np
         return np.zeros((0, 0), dtype=np.complex128)
     # P_ran(a), b^(1/2) and the norm of b all come from the validating
     # decompositions: with nothing clamped they are the bits a fresh
-    # diagonalization of av and bv would give
+    # diagonalization of av and bv would give. A clamped eigenvalue is
+    # negative, so it lies below the support cutoff and counts as zero,
+    # as it does in the clamped matrix
     pa = _support_of(a_dec, tol)
     g = (np.eye(n, dtype=np.complex128) - pa) @ _sqrt_of(b_dec, tol)
     gram = hermitize(g.conj().T @ g)

@@ -121,6 +121,12 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=np.complex128)))
 
 
+def _exponent(m: np.ndarray) -> int:
+    """The binary exponent ``k`` of the largest real or imaginary part of
+    the finite, nonempty ``m``: ``m * 2**-k`` has no part reaching 1."""
+    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+
+
 def safe_frobenius(m) -> float:
     """:func:`frobenius` that does not overflow for finite entries.
 
@@ -134,7 +140,7 @@ def safe_frobenius(m) -> float:
         plain = frobenius(m)
         if plain != math.inf or not np.isfinite(m).all():
             return plain
-        k = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+        k = _exponent(m)
         return float(np.ldexp(frobenius(m * np.ldexp(1.0, -k)), k))
 
 
@@ -264,7 +270,7 @@ def _jacobi_eig(*mats: np.ndarray):
             if norm == np.inf:
                 # solve the matrix scaled by a power of two, exact for
                 # every entry that stays normal, and scale the spectrum back
-                exps[j] = int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+                exps[j] = _exponent(m)
                 m = m * np.ldexp(1.0, -exps[j])
                 member[:n] = m.real if real else m
                 norm = frobenius(member[:n])
@@ -380,6 +386,14 @@ def _above_support(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     return w > tol.support_threshold(w.size, float(w[-1]) if w.size else 0.0)
 
 
+def _rounding_level(dec: SpectralDecomposition, tol: ToleranceConfig) -> bool:
+    """Whether ``dec``'s smallest eigenvalue lies at or above minus the
+    support threshold: a clamp there removes only what :func:`_sqrt_of`
+    and :func:`_support_of` already count as zero."""
+    w = dec.eigenvalues
+    return not w.size or float(w[0]) >= -tol.support_threshold(w.size, float(w[-1]))
+
+
 def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecomposition]:
     """:func:`validate_psd`'s matrix with the decomposition that checked it."""
     h = hermitian_part(a, tol)
@@ -422,10 +436,13 @@ def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None
     of its own:
 
     - with ``sum_too``, ``hermitize(ha + hb)`` of the Hermitian parts.
-      ``sum_dec`` is the decomposition of ``hermitize(av + bv)``: that
-      member's when neither member was clamped, so that ``av + bv`` is
-      that sum, and otherwise one more solve. A sum outside the float64
-      range raises :class:`NumericError`. Without ``sum_too`` it is None.
+      ``sum_dec`` is that member's decomposition when every clamp is
+      rounding-level (:func:`_rounding_level`): the clamp then moves the
+      sum by no more than the support cutoff that every reader of it
+      applies. A deeper clamp, up to ``psd_tol``, makes ``sum_dec`` the
+      decomposition of ``hermitize(av + bv)``, the sum of the clamped
+      pair, in one more solve. A sum outside the float64 range raises
+      :class:`NumericError`. Without ``sum_too`` it is None.
     - ``also``, a Hermitian matrix such as a state. ``also_solved`` is
       the kernel's ``(eigenvalues, eigenvectors)`` of it, not yet
       checked, or None when ``also`` is None, of another size or its
@@ -451,7 +468,7 @@ def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None
     av, a_dec = _checked(ha, a_res, tol)
     bv, b_dec = _checked(hb, b_res, tol)
     sum_dec = None
-    if "sum" in extra and av is ha and bv is hb:
+    if "sum" in extra and _rounding_level(a_dec, tol) and _rounding_level(b_dec, tol):
         sum_dec = SpectralDecomposition(*extra["sum"])
     elif sum_too:
         with np.errstate(over="ignore"):

@@ -89,6 +89,9 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
     ones on the factorized side, matching the integral picture where
     null sets contribute nothing.
     """
+    # the Kronecker pair and its state are checked before the profile, as
+    # in every other pairing
+    rep, w = _build_rep(kron(a1, a2), kron(b1, b2), tol, lambda: kron(rho1, rho2))
     _require_profile(fn)
     if fn.name.startswith("power:"):
         rule = "product"
@@ -98,7 +101,6 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
         raise InputError(
             f"no tensor rule known for profile {fn.name!r}; "
             f"use a power or entropy profile")
-    rep, w = _build_rep(kron(a1, a2), kron(b1, b2), tol, lambda: kron(rho1, rho2))
     lhs = rep._pairing(fn, w).value
     p1 = pw_pairing(a1, b1, fn, rho1, tol)
     p2 = pw_pairing(a2, b2, fn, rho2, tol)

@@ -1,6 +1,7 @@
 """Package surface and eigensolve budget of the shared representation."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import math
@@ -69,9 +70,14 @@ SOLVES = [
      pwcalc.abs_continuity_projection, 4),
     ("build_rep", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.build_rep(a, b), 4),
-    # a clamped member: the sum solved in the validating call is not the
-    # sum of the clamped pair, so it is solved again
+    # a member clamped at rounding level: the sum solved in the validating
+    # call differs from the sum of the clamped pair by less than its
+    # support cutoff, so it serves
     ("build_rep", "a3clamp.json", "b3.json",
+     lambda a, b: pwcalc.build_rep(a, b), 4),
+    # a clamp below minus the support threshold: the sum of the clamped
+    # pair is solved again
+    ("build_rep", "a3deep.json", "b3.json",
      lambda a, b: pwcalc.build_rep(a, b), 5),
     ("lebesgue_decompose", "a2pd.json", "b2sing.json",
      pwcalc.lebesgue_decompose, 4),
@@ -155,14 +161,18 @@ def _rho3():
 
 # Kernel calls per operation. The validating call of a pair also solves
 # the sum and, for a one-shot pairing, the state; gram_a's solve is the
-# second call. A clamped member adds a call, for the sum of the clamped
-# pair.
+# second call. A member clamped at rounding level (a3clamp) keeps that
+# sum; a clamp below minus the support threshold (a3deep) adds a call, for
+# the sum of the clamped pair.
 CALLS = [
     ("build_rep", "a3.json", lambda a, b: pwcalc.build_rep(a, b), [3, 1]),
-    ("build_rep", "a3clamp.json", lambda a, b: pwcalc.build_rep(a, b), [3, 1, 1]),
+    ("build_rep", "a3clamp.json", lambda a, b: pwcalc.build_rep(a, b), [3, 1]),
+    ("build_rep", "a3deep.json", lambda a, b: pwcalc.build_rep(a, b), [3, 1, 1]),
     ("pw_pairing", "a3.json",
      lambda a, b: pwcalc.pw_pairing(a, b, pwcalc.entropy(), _rho3()), [4, 1]),
     ("pw_pairing", "a3clamp.json",
+     lambda a, b: pwcalc.pw_pairing(a, b, pwcalc.entropy(), _rho3()), [4, 1]),
+    ("pw_pairing", "a3deep.json",
      lambda a, b: pwcalc.pw_pairing(a, b, pwcalc.entropy(), _rho3()), [4, 1, 1]),
     ("eval_sequence", "a3.json",
      lambda a, b: pwcalc.eval_sequence(a, b, [pwcalc.power(2.0)], _rho3()), [4, 1]),
@@ -326,6 +336,57 @@ def test_one_decomposition_per_input_is_bit_exact(pair):
     for fn in (pwcalc.entropy(), pwcalc.parallel(), pwcalc.power(2.0)):
         expected = rep.pairing(fn, rho).value
         assert repr(pwcalc.trace_functional(a, b, fn)) == repr(expected)
+
+
+def _min_max_eigs(m):
+    w = linalg._validated(m, pwcalc.DEFAULT_TOL)[1].eigenvalues
+    return float(w[0]), float(w[-1])
+
+
+@functools.cache
+def _rounding_clamped_pairs(count):
+    """Seeded pairs (n 2-24, real and complex, random ranks) on which PSD
+    validation clamps a member, every clamp at or above minus the support
+    threshold."""
+    tol = pwcalc.DEFAULT_TOL
+    rng = np.random.default_rng(11)
+    pairs = []
+    while len(pairs) < count:
+        n = int(rng.integers(2, 25))
+        a, b = rand_pair(rng, n, int(rng.integers(1, n)), int(rng.integers(1, n + 1)))
+        if len(pairs) % 2:
+            a, b = a.real, b.real
+        eigs = [_min_max_eigs(a), _min_max_eigs(b)]
+        if (min(lo for lo, _ in eigs) < 0.0
+                and all(lo >= -tol.support_threshold(n, hi) for lo, hi in eigs)):
+            pairs.append((a, b))
+    return pairs
+
+
+def test_a_rounding_clamp_keeps_the_folded_sum():
+    # the sum of the Hermitian parts, solved in the validating call, stands
+    # in for the sum of the clamped pair that build_rep of the clamped
+    # members solves: the same classification, and the same parts to
+    # rounding on the scale of the pair. Each value is read off the rep as
+    # the public operation reads it: is_abs_continuous from split.zero,
+    # is_mutually_singular from split.retained, lebesgue_decompose's
+    # abs_part and parallel_sum from eval
+    for a, b in _rounding_clamped_pairs(100):
+        got = pwcalc.build_rep(a, b)
+        want = pwcalc.build_rep(pwcalc.validate_psd(a)[0], pwcalc.validate_psd(b)[0])
+        assert got.rank == want.rank
+        assert got.split.zero.sum() == want.split.zero.sum()
+        assert got.split.one.sum() == want.split.one.sum()
+        assert got.split.zero.any() == want.split.zero.any()
+        assert got.split.retained.any() == want.split.retained.any()
+        scale = max(np.linalg.norm(a), np.linalg.norm(b))
+        for fn in (pwcalc.abs_part(), pwcalc.parallel()):
+            assert np.linalg.norm(got.eval(fn) - want.eval(fn)) <= 1e-13 * scale, fn.name
+
+
+def test_a_rounding_clamp_takes_no_third_call(monkeypatch):
+    for a, b in _rounding_clamped_pairs(100):
+        assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b) == [3, 1]
 
 
 # The solves that the eigenbasis formulas replaced: Y Y* diagonalized for

@@ -393,6 +393,31 @@ class TestPairing:
         with pytest.raises(InputError):
             rep.pairing(entropy(), np.eye(3))
 
+    def test_huge_pair_and_moderate_state(self):
+        # the weights of 1e10 I overflow to inf for a pair of norm 1e300; a
+        # zero profile value takes none of them, a value of 1 all
+        a, b = 1e300 * np.diag([1.0, 0.0]), 1e300 * np.diag([0.0, 1.0])
+        rho = 1e10 * np.eye(2)
+        rep = build_rep(a, b)
+        for fn, want in ((parallel(), 0.0), (left(), math.inf)):
+            assert pw_pairing(a, b, fn, rho) == want
+            assert rep.pairing(fn, rho).value == want
+
+    def test_huge_seeded_pairs_read_inf_not_nan(self, rng):
+        # the terms of a weight overflow with both signs, and in the
+        # imaginary parts: inf - inf, unless the row is summed again scaled
+        for trial in range(20):
+            a, b = random_rank_pair(rng, max_n=5)
+            if trial % 2:
+                a, b = a.real, b.real
+            n = a.shape[0]
+            rep = build_rep(1e300 * a, 1e300 * b)
+            for fn in (parallel(), left(), power(2.0)):
+                unit = pw_pairing(a, b, fn, np.eye(n))
+                want = 0.0 if unit == 0.0 else math.inf
+                assert pw_pairing(1e300 * a, 1e300 * b, fn, 1e10 * np.eye(n)) == want
+                assert rep.pairing(fn, 1e10 * np.eye(n)).value == want
+
 
 class TestEvalSequence:
     def test_scaled_parallel_scalar_formula(self):

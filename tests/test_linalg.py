@@ -203,34 +203,49 @@ class TestPairValidation:
             calls.append(len(mats))
             return _jacobi_eig(*mats)
 
-        used = missed = 0
+        def deep(dec):
+            # a clamp below minus the support threshold
+            w = dec.eigenvalues
+            return w.size and w[0] < -tol.support_threshold(w.size, w[-1])
+
+        used = missed = rounding_clamps = 0
         for trial in range(40):
             n = int(rng.integers(1, 9))
             a = rand_psd(rng, n, int(rng.integers(0, n + 1)))
             b = rand_psd(rng, n, int(rng.integers(0, n + 1)))
             rho = hermitian_part(rand_psd(rng, n, int(rng.integers(1, n + 1))))
+            if trial % 3 == 2 and n > 1:
+                # a rank-deficient b shifted down by 1e-12 of its norm:
+                # within psd_tol, but below minus the support threshold
+                b = rand_psd(rng, n, int(rng.integers(1, n))) - 1e-12 * np.eye(n)
             if trial % 2:
                 a, b = a.real, b.real
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(linalg, "_jacobi_eig", counting)
-                av, _, bv, _, sum_dec, rho_solved = _validated_pair(
+                av, a_dec, bv, b_dec, sum_dec, rho_solved = _validated_pair(
                     a, b, tol, sum_too=True, also=rho)
             alone = _jacobi_eig(rho)
             assert rho_solved[0].tobytes() == alone[0].tobytes()
             assert rho_solved[1].tobytes() == alone[1].tobytes()
-            want = eig_hermitian(hermitize(av + bv), tol)
+            if calls == [4]:
+                # no clamp, or only rounding-level ones: the speculative sum
+                # of the Hermitian parts serves
+                assert not (deep(a_dec) or deep(b_dec))
+                want = eig_hermitian(hermitize(hermitian_part(a) + hermitian_part(b)), tol)
+                rounding_clamps += min(a_dec.eigenvalues[0], b_dec.eigenvalues[0]) < 0.0
+                used += 1
+            else:
+                # only a deep clamp makes the speculative sum a miss, and
+                # the sum of the clamped pair is then solved in a call of
+                # its own
+                assert calls == [4, 1]
+                assert deep(a_dec) or deep(b_dec)
+                want = eig_hermitian(hermitize(av + bv), tol)
+                missed += 1
             assert sum_dec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
             assert sum_dec.basis.tobytes() == want.basis.tobytes()
-            if calls == [4]:
-                used += 1
-                continue
-            # only a clamped member makes the speculative sum a miss, and
-            # the sum is then solved in a call of its own
-            assert calls == [4, 1]
-            assert min(validate_psd(a)[1], validate_psd(b)[1]) < 0.0
-            missed += 1
-        assert used > 5 and missed > 5
+        assert used > 5 and missed > 5 and rounding_clamps > 5
 
     def test_extra_members_only_where_they_apply(self):
         tol = ToleranceConfig()

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pwcalc import (InputError, NumericError, abs_part, entropy,
-                    entropy_pairing, kron, power, power_pairing,
+from pwcalc import (InputError, NotPsdError, NumericError, abs_part, entropy,
+                    entropy_pairing, kron, parallel, power, power_pairing,
                     tensor_pairing_check, trace_functional,
                     weighted_geometric_mean, arithmetic)
 
@@ -216,3 +216,14 @@ class TestTensorPairingCheck:
         eye = np.eye(2)
         with pytest.raises(InputError):
             tensor_pairing_check(eye, eye, eye, eye, eye, eye, abs_part())
+
+    def test_the_pair_is_checked_before_the_profile(self):
+        # pair, then state, then profile, as in every other pairing
+        eye, one = np.eye(2), np.array([[1.0]])
+        with pytest.raises(NotPsdError, match="eigenvalue -1.0"):
+            tensor_pairing_check(np.diag([1.0, -1.0]), eye, one, one, eye, one,
+                                 parallel())
+        with pytest.raises(InputError, match="state must be 2x2"):
+            tensor_pairing_check(eye, eye, one, one, np.eye(3), one, parallel())
+        with pytest.raises(InputError, match="no tensor rule known for profile 'parallel'"):
+            tensor_pairing_check(eye, eye, one, one, eye, one, parallel())
