@@ -278,7 +278,10 @@ class PwRep:
         ``inf - inf``. Only a weight that is not finite is summed again,
         with ``E`` and ``rv`` scaled by powers of two: it is ``inf`` when
         it leaves the float64 range, and every finite weight keeps its
-        bits."""
+        bits. The two sums stay apart because scaling down is exact only
+        while every product stays normal: a term or weight that the
+        scaling pushes into the subnormal range would lose bits, and the
+        plain sum also spares the common case the scaled copies."""
         e = self.eig_map
         # a NaN imaginary part is discarded, a NaN weight summed again
         with np.errstate(over="ignore", invalid="ignore"):
@@ -387,8 +390,8 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
 
     The validating call of the pair also solves the sum ``a + b`` and an
     n x n Hermitian state, so a pair costs two kernel calls. A member
-    clamped below the support threshold, a clamp deeper than rounding,
-    costs a third, for the sum of the clamped pair. When ``state()`` or
+    clamped deeper than rounding (``linalg._rounding_level``) costs a
+    third, for the sum of the clamped pair. When ``state()`` or
     its Hermitian part fails, the state has another size or its solve
     fails, ``w`` comes from :meth:`PwRep.pairing_weights` of ``state()``
     after the rep exists, which raises the state's error. So errors come

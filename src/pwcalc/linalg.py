@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import InputError, NotPsdError, NumericError
 
 MAX_JACOBI_SWEEPS = 64
@@ -388,10 +388,18 @@ def _above_support(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 
 def _rounding_level(dec: SpectralDecomposition, tol: ToleranceConfig) -> bool:
     """Whether ``dec``'s smallest eigenvalue lies at or above minus the
-    support threshold: a clamp there removes only what :func:`_sqrt_of`
-    and :func:`_support_of` already count as zero."""
+    rounding cutoff ``n * EPS * max(w[-1], 0)``, or minus the support
+    threshold where that is smaller: a clamp there is rounding, and
+    removes only what :func:`_sqrt_of` and :func:`_support_of` already
+    count as zero. A ``support_tol`` above the rounding cutoff does not
+    widen it, since a clamp that deep moves the sum's retained
+    eigenvalues by more than rounding."""
     w = dec.eigenvalues
-    return not w.size or float(w[0]) >= -tol.support_threshold(w.size, float(w[-1]))
+    if not w.size:
+        return True
+    top = float(w[-1])
+    cutoff = min(w.size * EPS * max(top, 0.0), tol.support_threshold(w.size, top))
+    return float(w[0]) >= -cutoff
 
 
 def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecomposition]:

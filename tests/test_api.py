@@ -389,6 +389,25 @@ def test_a_rounding_clamp_takes_no_third_call(monkeypatch):
         assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b) == [3, 1]
 
 
+def test_a_clamp_above_a_custom_support_tol_takes_the_third_call(monkeypatch):
+    # support_tol = 1e-10 lies far above the rounding cutoff 2 * EPS of a,
+    # so a's clamp of -5e-11, within psd_tol, is deeper than rounding. The
+    # sum of the Hermitian parts would shift b's small retained eigenvalue
+    # (about 2e-10) by that clamp and put gram_a outside [0, 1]; the sum of
+    # the clamped pair is solved again, as build_rep of the clamped a does
+    tol = pwcalc.ToleranceConfig(support_tol=1e-10)
+    a = np.diag([1.0, -5e-11])
+    w = np.array([10.0, 1.414e-4])
+    b = np.outer(w, w)
+    assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b, tol) == [3, 1, 1]
+    monkeypatch.undo()
+    got = pwcalc.build_rep(a, b, tol)
+    want = pwcalc.build_rep(pwcalc.validate_psd(a, tol)[0], b, tol)
+    assert got.rank == want.rank == 2
+    for fn in (pwcalc.abs_part(), pwcalc.parallel(), pwcalc.left()):
+        assert got.eval(fn).tobytes() == want.eval(fn).tobytes(), fn.name
+
+
 # The solves that the eigenbasis formulas replaced: Y Y* diagonalized for
 # the projection, the root of W0* gram_b W0 for the singular part and the
 # root of the ratio factor for the Kubo-Ando root.
