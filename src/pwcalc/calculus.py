@@ -173,14 +173,20 @@ class PwRep:
 
         Order preserving: it maps operators dominated by a multiple of
         the identity to operators dominated by the same multiple of
-        ``a + b``.
+        ``a + b``. A result beyond the float64 range raises
+        :class:`NumericError`.
         """
         mm = hermitian_part(m, self.tol)
         if mm.shape != (self.rank, self.rank):
             raise InputError(
                 f"expected a {self.rank}x{self.rank} support-side matrix, "
                 f"got {mm.shape}")
-        return hermitize(self.coord_map.conj().T @ mm @ self.coord_map)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.coord_map.conj().T @ mm @ self.coord_map
+        if not np.isfinite(out).all():
+            raise NumericError(
+                "pushed matrix outside the float64 range: an entry of T* m T overflows")
+        return hermitize(out)
 
     def _push(self, vals: np.ndarray) -> np.ndarray:
         """``T* W diag(vals) W* T`` for finite ``vals`` on ``gram_a``'s
@@ -262,39 +268,37 @@ class PwRep:
 
     def pairing_weights(self, rho) -> np.ndarray:
         """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis,
-        the diagonal of ``E rho E*`` on :attr:`eig_map`."""
+        the diagonal of ``E rho E*`` on :attr:`eig_map`: ``w * 2**k`` for
+        :meth:`_weights`' ``(w, k)``, ``inf`` beyond the float64 range."""
+        w, k = self._state_weights(rho)
+        with np.errstate(over="ignore"):
+            return np.ldexp(w, k)
+
+    def _state_weights(self, rho):
+        """:meth:`_weights` of the state ``rho``, validated."""
         rv, _ = validate_psd(rho, self.tol)
         if rv.shape != (self.n, self.n):
             raise InputError(
                 f"state must be {self.n}x{self.n}, got {rv.shape}")
         return self._weights(rv)
 
-    def _weights(self, rv: np.ndarray) -> np.ndarray:
-        """:meth:`pairing_weights` of a validated ``complex128`` state:
-        ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0.
+    def _weights(self, rv: np.ndarray):
+        """``(w, k)`` for a validated ``complex128`` state: the pairing
+        weights ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0, are
+        ``w * 2**k``.
 
         The rows of ``E`` scale with ``sqrt(||a + b||)``, so for a huge
-        pair the terms of a weight can overflow with both signs and read
-        ``inf - inf``. Only a weight that is not finite is summed again,
-        with ``E`` and ``rv`` scaled by powers of two: it is ``inf`` when
-        it leaves the float64 range, and every finite weight keeps its
-        bits. The two sums stay apart because scaling down is exact only
-        while every product stays normal: a term or weight that the
-        scaling pushes into the subnormal range would lose bits, and the
-        plain sum also spares the common case the scaled copies."""
-        e = self.eig_map
-        # a NaN imaginary part is discarded, a NaN weight summed again
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.real(np.sum((e @ rv) * e.conj(), axis=1))
-        bad = ~np.isfinite(w)
-        if bad.any():
-            ke = max(_exponent(e), 0)
-            kr = max(_exponent(rv), 0)
-            es = np.ldexp(1.0, -ke) * e[bad]
-            ws = np.real(np.sum((es @ (np.ldexp(1.0, -kr) * rv)) * es.conj(), axis=1))
-            with np.errstate(over="ignore"):
-                w[bad] = np.ldexp(ws, 2 * ke + kr)
-        return np.maximum(w, 0.0)
+        pair a weight or its terms can leave the float64 range. ``E`` and
+        ``rv`` are scaled down by powers of two (never up) until no part
+        reaches 1, and summed once; ``k`` carries the scale. Scaling by a
+        power of two is exact while the products stay normal, so
+        ``w * 2**k`` has the bits of the plain sum except for terms below
+        about ``2**(k - 1022)``, far under ``weight_tol``."""
+        ke = _exponent(self.eig_map)
+        kr = _exponent(rv)
+        e = np.ldexp(1.0, -ke) * self.eig_map
+        w = np.real(np.sum((e @ (np.ldexp(1.0, -kr) * rv)) * e.conj(), axis=1))
+        return np.maximum(w, 0.0), 2 * ke + kr
 
     def pairing(self, fn: PwFunction, rho) -> PairingResult:
         """Pair a profile with a positive functional, +inf allowed.
@@ -305,36 +309,37 @@ class PwRep:
         and the result is +inf exactly when the total weight on infinite
         profile values exceeds ``weight_tol``.
         """
-        return self._pairing(fn, self.pairing_weights(rho))
+        return self._pairing(fn, *self._state_weights(rho))
 
-    def _pairing(self, fn: PwFunction, w: np.ndarray) -> PairingResult:
-        """:meth:`pairing` against a state's :meth:`pairing_weights` ``w``."""
+    def _pairing(self, fn: PwFunction, w: np.ndarray, k: int) -> PairingResult:
+        """:meth:`pairing` against a state's weights ``w * 2**k`` from
+        :meth:`_weights`. ``w`` is compared with ``weight_tol`` in its own
+        scale, and the finite part and the infinite weight are scaled back
+        once each: a value beyond the float64 range reads +-inf with its
+        sign, and none reads NaN."""
         vals = self.values(fn)
         inf_mask = np.isinf(vals)
-        infinite_weight = float(w[inf_mask].sum())
-        keep = (~inf_mask) & (w > self.tol.weight_tol)
-        # a zero profile value takes no weight, not even an infinite one
-        kept = vals[keep]
-        finite_part = float((kept * np.where(kept == 0.0, 0.0, w[keep])).sum())
-        if infinite_weight > self.tol.weight_tol:
-            value = math.inf
-        else:
-            value = finite_part
+        keep = (~inf_mask) & (w > np.ldexp(self.tol.weight_tol, -k))
+        with np.errstate(over="ignore"):
+            finite_part = float(np.ldexp((vals[keep] * w[keep]).sum(), k))
+            infinite_weight = float(np.ldexp(w[inf_mask].sum(), k))
+        value = math.inf if infinite_weight > self.tol.weight_tol else finite_part
         return PairingResult(value, finite_part, infinite_weight)
 
     def eval_sequence(self, fns, rho) -> SequenceResult:
         """Pair each profile of a sequence with one state and track gaps.
 
-        The Cauchy gaps ``|v[k+1] - v[k]|`` treat two consecutive +inf
-        values as gap zero. The sequence counts as converged when the
+        The Cauchy gaps ``|v[k+1] - v[k]|`` treat two consecutive equal
+        infinite values as gap zero, and an infinite value next to any
+        other value as gap +inf. The sequence counts as converged when the
         last three gaps (or all of them, if fewer) stay below
         ``conv_tol``.
         """
-        return self._sequence(fns, self.pairing_weights(rho))
+        return self._sequence(fns, *self._state_weights(rho))
 
-    def _sequence(self, fns, w: np.ndarray) -> SequenceResult:
-        """:meth:`eval_sequence` against a state's :meth:`pairing_weights`
-        ``w``."""
+    def _sequence(self, fns, w: np.ndarray, k: int) -> SequenceResult:
+        """:meth:`eval_sequence` against a state's weights ``w * 2**k``
+        from :meth:`_weights`."""
         try:
             fns = iter(fns)
         except TypeError:
@@ -343,10 +348,10 @@ class PwRep:
         fns = list(fns)
         if not fns:
             raise InputError("profile sequence must be nonempty")
-        values = [self._pairing(fn, w).value for fn in fns]
+        values = [self._pairing(fn, w, k).value for fn in fns]
         gaps = []
         for prev, cur in zip(values, values[1:]):
-            if math.isinf(prev) and math.isinf(cur):
+            if prev == cur:
                 gaps.append(0.0)
             elif math.isinf(prev) or math.isinf(cur):
                 gaps.append(math.inf)
@@ -384,26 +389,26 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
 
 
 def _build_rep(a, b, tol: ToleranceConfig, state=None):
-    """``(rep, w)``: :func:`build_rep`, and for a one-shot pairing the
-    :meth:`PwRep.pairing_weights` ``w`` of the state that the
-    zero-argument callable ``state`` returns (None without one).
+    """``(rep, weights)``: :func:`build_rep`, and for a one-shot pairing
+    the scaled weights ``(w, k)`` of :meth:`PwRep._weights` for the state
+    that the zero-argument callable ``state`` returns (None without one).
 
     The validating call of the pair also solves the sum ``a + b`` and an
     n x n Hermitian state, so a pair costs two kernel calls. A member
     clamped deeper than rounding (``linalg._rounding_level``) costs a
     third, for the sum of the clamped pair. When ``state()`` or
     its Hermitian part fails, the state has another size or its solve
-    fails, ``w`` comes from :meth:`PwRep.pairing_weights` of ``state()``
-    after the rep exists, which raises the state's error. So errors come
-    from the pair first, then the state, then the profiles and parameters
-    that the caller applies to ``w``.
+    fails, the weights come from validating ``state()`` after the rep
+    exists, which raises the state's error. So errors come from the pair
+    first, then the state, then the profiles and parameters that the
+    caller applies to the weights.
     """
     hr = None
     if state is not None:
         try:
             hr = hermitian_part(state(), tol)
         except PwCalcError:
-            pass  # raised again by pairing_weights, after the pair's verdict
+            pass  # raised again by _state_weights, after the pair's verdict
     av, a_dec, bv, b_dec, dec, state_solved = _validated_pair(
         a, b, tol, sum_too=True, also=hr)
     n = av.shape[0]
@@ -451,7 +456,7 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     if state is None:
         return rep, None
     if state_solved is None:
-        return rep, rep.pairing_weights(state())
+        return rep, rep._state_weights(state())
     return rep, rep._weights(_checked(hr, state_solved, tol)[0])
 
 
@@ -463,12 +468,12 @@ def pw_eval(a, b, fn: PwFunction, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
 def pw_pairing(a, b, fn: PwFunction, rho,
                tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """One-shot pairing value; returns ``math.inf`` for unbounded values."""
-    rep, w = _build_rep(a, b, tol, lambda: rho)
-    return rep._pairing(fn, w).value
+    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(fn, w, k).value
 
 
 def eval_sequence(a, b, fns, rho,
                   tol: ToleranceConfig = DEFAULT_TOL) -> SequenceResult:
     """One-shot sequence pairing with a convergence report."""
-    rep, w = _build_rep(a, b, tol, lambda: rho)
-    return rep._sequence(fns, w)
+    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
+    return rep._sequence(fns, w, k)

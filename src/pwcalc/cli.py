@@ -10,9 +10,9 @@ report on standard output that names the file.
 
 Exit codes: 0 success, 1 internal failure, 2 invalid input (parsing,
 validation, preconditions, an unwritable ``--out``), 3 numeric failure
-(eigensolver, matrices that are not PSD, a sum or Kronecker product
-beyond float64), 4 when a bounded result was requested but the value is
-+inf.
+(eigensolver, matrices that are not PSD, a sum, Kronecker product or
+quadratic form beyond float64, a -inf value, which a report cannot
+hold), 4 when a bounded result was requested but the value is +inf.
 
 The environment variable ``PWCALC_TOL_ZERO`` overrides the default of
 ``--tol-zero``; an explicit flag wins over the environment.
@@ -104,7 +104,8 @@ def _config_payload(tol: ToleranceConfig) -> dict:
 
 
 def _scalar(x: float):
-    return INF_SENTINEL if math.isinf(x) else float(x)
+    # -inf reaches the report writer, which raises NumericError (exit 3)
+    return INF_SENTINEL if x == math.inf else float(x)
 
 
 def _margin_diagnostics(rep) -> dict:
@@ -231,9 +232,9 @@ def _cmd_kubo(args, tol, warnings):
 
 def _cmd_pair(args, tol, warnings):
     fn = named_function(args.phi, args.alpha)
-    rep, w = _build_rep(load_matrix(args.a), load_matrix(args.b), tol,
-                        lambda: load_matrix(args.rho))
-    res = rep._pairing(fn, w)
+    rep, (w, k) = _build_rep(load_matrix(args.a), load_matrix(args.b), tol,
+                             lambda: load_matrix(args.rho))
+    res = rep._pairing(fn, w, k)
     outputs = {
         "value": _scalar(res.value),
         "finite_part": res.finite_part,

@@ -53,10 +53,13 @@ def _numeric(a, what: str) -> np.ndarray:
     return m
 
 
-def _as_square(a) -> np.ndarray:
+def _as_matrix(a, square: bool = True) -> np.ndarray:
+    """``a`` as a finite ``complex128`` matrix, square unless ``square``
+    is False."""
     m = _numeric(a, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or (square and m.shape[0] != m.shape[1]):
+        kind = "a square matrix" if square else "a matrix"
+        raise InputError(f"expected {kind}, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise InputError("matrix contains non-finite entries")
     return m.astype(np.complex128, copy=False)
@@ -81,7 +84,7 @@ def hermitian_part(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     scanned on the halves ``a / 2``, which cannot overflow for finite
     entries and give the same verdict wherever they stay normal.
     """
-    m = _as_square(a)
+    m = _as_matrix(a)
     h = 0.5 * m
     half_scale = float(np.abs(h).max()) if m.size else 0.0
     half_dev = float(np.abs(h - h.conj().T).max()) if m.size else 0.0
@@ -122,9 +125,11 @@ def frobenius(m) -> float:
 
 
 def _exponent(m: np.ndarray) -> int:
-    """The binary exponent ``k`` of the largest real or imaginary part of
-    the finite, nonempty ``m``: ``m * 2**-k`` has no part reaching 1."""
-    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    """The smallest ``k >= 0`` such that ``m * 2**-k`` has no real or
+    imaginary part reaching 1, for a finite ``m``: it scales down, never
+    up."""
+    top = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    return max(int(np.frexp(top)[1]), 0)
 
 
 def safe_frobenius(m) -> float:
@@ -540,13 +545,16 @@ def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     Works for any rectangular matrix. The returned ``w`` satisfies
     ``w @ psd_sqrt(m* m) = m`` and ``w* w`` is the support projection of
-    ``m* m``.
+    ``m* m``. A Gram ``m* m`` beyond the float64 range raises
+    :class:`NumericError`.
     """
-    m = _numeric(m, "matrix").astype(np.complex128, copy=False)
-    if m.ndim != 2:
-        raise InputError(f"expected a matrix, got shape {m.shape}")
-    gram = hermitize(m.conj().T @ m)
-    dec = eig_hermitian(gram, tol)
+    m = _as_matrix(m, square=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.conj().T @ m
+    if not np.isfinite(gram).all():
+        raise NumericError(
+            "polar Gram m* m outside the float64 range: an entry overflows")
+    dec = eig_hermitian(hermitize(gram), tol)
     keep = _above_support(dec.eigenvalues, tol)
     vecs = dec.basis[:, keep]
     cols = (m @ vecs) / np.sqrt(dec.eigenvalues[keep])[None, :]
@@ -577,7 +585,7 @@ def kron(a, b) -> np.ndarray:
 
 def hermitian_norm(a) -> float:
     """Spectral norm of a (nearly) Hermitian matrix via the Jacobi solver."""
-    m = hermitize(_as_square(a))
+    m = hermitize(_as_matrix(a))
     if m.size == 0:
         return 0.0
     vals, _ = _jacobi_eig(m)

@@ -49,27 +49,28 @@ def power_pairing(a, b, alpha: float, rho,
     +inf exactly when the first slot has weight on the kernel of the
     second (beyond ``weight_tol``).
     """
-    rep, w = _build_rep(a, b, tol, lambda: rho)
-    return rep._pairing(power(alpha), w)
+    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(power(alpha), w, k)
 
 
 def entropy_pairing(a, b, rho,
                     tol: ToleranceConfig = DEFAULT_TOL) -> PairingResult:
     """Relative-entropy pairing ``x log(x/y)`` against a state.
 
-    Finite values may be negative; the value is never -inf because the
-    profile is bounded from below on the simplex section.
+    Finite values may be negative. Inside the float64 range the value is
+    never -inf, because the profile is bounded from below on the simplex
+    section; a negative value beyond float64 reads -inf.
     """
-    rep, w = _build_rep(a, b, tol, lambda: rho)
-    return rep._pairing(entropy(), w)
+    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(entropy(), w, k)
 
 
 def trace_functional(a, b, fn: PwFunction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Trace of the calculus value: the pairing with the identity state."""
     rep = build_rep(a, b, tol)
-    w = rep._weights(np.eye(rep.n, dtype=np.complex128))
-    return rep._pairing(fn, w).value
+    w, k = rep._weights(np.eye(rep.n, dtype=np.complex128))
+    return rep._pairing(fn, w, k).value
 
 
 def _ext_mul(u: float, v: float) -> float:
@@ -91,7 +92,7 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
     """
     # the Kronecker pair and its state are checked before the profile, as
     # in every other pairing
-    rep, w = _build_rep(kron(a1, a2), kron(b1, b2), tol, lambda: kron(rho1, rho2))
+    rep, (w, k) = _build_rep(kron(a1, a2), kron(b1, b2), tol, lambda: kron(rho1, rho2))
     _require_profile(fn)
     if fn.name.startswith("power:"):
         rule = "product"
@@ -101,7 +102,7 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
         raise InputError(
             f"no tensor rule known for profile {fn.name!r}; "
             f"use a power or entropy profile")
-    lhs = rep._pairing(fn, w).value
+    lhs = rep._pairing(fn, w, k).value
     p1 = pw_pairing(a1, b1, fn, rho1, tol)
     p2 = pw_pairing(a2, b2, fn, rho2, tol)
     if rule == "product":

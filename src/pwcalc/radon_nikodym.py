@@ -19,7 +19,7 @@ import numpy as np
 
 from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import InputError
+from .errors import InputError, NumericError
 from .functions import PwFunction, _require_profile, abs_part
 from .linalg import SpectralDecomposition, _numeric, hermitize, safe_frobenius
 
@@ -149,8 +149,9 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     the outer Gram of the first contraction, with the same suppression
     of classified-zero directions as :func:`rn_factor`. At finite
     dimension the value is always finite; it is returned as a float for
-    interface uniformity with the pairings. ``xi`` must be a 1-D vector
-    of length ``n``; anything else raises :class:`InputError`.
+    interface uniformity with the pairings, and a value or term beyond
+    the float64 range raises :class:`NumericError`. ``xi`` must be a 1-D
+    vector of length ``n``; anything else raises :class:`InputError`.
     """
     rep = build_rep(a, b, tol)
     _require_definite(rep)
@@ -161,5 +162,9 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if not np.isfinite(vec).all():
         raise InputError("vector contains non-finite entries")
     dec, hvals, _ = _ratio(rep, rep.values(abs_part()))
-    coords = np.abs(dec.basis.conj().T @ vec) ** 2
-    return float((hvals * coords).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float((hvals * np.abs(dec.basis.conj().T @ vec) ** 2).sum())
+    if not math.isfinite(value):
+        raise NumericError(
+            "quadratic form outside the float64 range: a term overflows")
+    return value

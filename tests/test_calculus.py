@@ -1,6 +1,7 @@
 """Tests for the pair representation, congruence map, evaluation and pairings."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -404,19 +405,30 @@ class TestPairing:
             assert rep.pairing(fn, rho).value == want
 
     def test_huge_seeded_pairs_read_inf_not_nan(self, rng):
-        # the terms of a weight overflow with both signs, and in the
-        # imaginary parts: inf - inf, unless the row is summed again scaled
+        # at a joint scale of 1e300 with the state 1e10 I the exact pairing
+        # is 1e310 times the unit one: finite below the float64 maximum,
+        # +-inf with the sign of the unit pairing beyond it, 0 where it is 0
+        beyond = sys.float_info.max * 1e-300 * 1e-10
+        seen = {"zero": 0, "finite": 0, "inf": 0}
         for trial in range(20):
             a, b = random_rank_pair(rng, max_n=5)
             if trial % 2:
                 a, b = a.real, b.real
             n = a.shape[0]
             rep = build_rep(1e300 * a, 1e300 * b)
-            for fn in (parallel(), left(), power(2.0)):
+            for fn in (parallel(), left(), power(2.0), entropy()):
                 unit = pw_pairing(a, b, fn, np.eye(n))
-                want = 0.0 if unit == 0.0 else math.inf
-                assert pw_pairing(1e300 * a, 1e300 * b, fn, 1e10 * np.eye(n)) == want
-                assert rep.pairing(fn, 1e10 * np.eye(n)).value == want
+                for got in (pw_pairing(1e300 * a, 1e300 * b, fn, 1e10 * np.eye(n)),
+                            rep.pairing(fn, 1e10 * np.eye(n)).value):
+                    if math.isinf(got):
+                        assert got == math.copysign(math.inf, unit), fn.name
+                        assert abs(unit) > beyond * (1.0 - 1e-12), fn.name
+                        seen["inf"] += 1
+                    else:
+                        assert got * 1e-300 * 1e-10 == pytest.approx(
+                            unit, rel=1e-12, abs=0.0), fn.name
+                        seen["zero" if unit == 0.0 else "finite"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestEvalSequence:
@@ -455,3 +467,12 @@ class TestEvalSequence:
         seq2 = eval_sequence(a, b, [parallel(), entropy()], rho)
         assert math.isinf(seq2.gaps[0])
         assert not seq2.converged
+
+    def test_gaps_between_infinities_of_both_signs(self):
+        # on 1.25e307 I and 3.75e307 I (n = 20) the entropy trace is about
+        # -2.75e308 and the left one 2.5e308: -inf and +inf are no gap zero
+        a, b = 1.25e307 * np.eye(20), 3.75e307 * np.eye(20)
+        seq = eval_sequence(a, b, [entropy(), entropy(), left(), left()], np.eye(20))
+        assert seq.values == [-math.inf, -math.inf, math.inf, math.inf]
+        assert seq.gaps == [0.0, math.inf, 0.0]
+        assert not seq.converged

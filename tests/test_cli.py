@@ -119,6 +119,29 @@ class TestExitCodes:
         assert proc.stderr == b""  # no warning leaks
         assert "a + b overflows" in json.loads(proc.stdout)["diagnostics"]["error"]
 
+    def test_negative_value_beyond_float64(self, tmp_path):
+        # tr of entropy on 1.25e307 I and 3.75e307 I (n = 20) is
+        # 1e309 * 0.25 * ln(1/3), about -2.75e308: -inf is no report value
+        for name, scale in (("a.json", 1.25e307), ("b.json", 3.75e307)):
+            (tmp_path / name).write_text(json.dumps(matrix_payload(scale * np.eye(20))))
+        proc = run_cli(["trace", "--phi", "entropy", "--a", "a.json", "--b", "b.json"],
+                       cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr.decode()
+        assert proc.stderr == b""
+        report = json.loads(proc.stdout)
+        assert report["status"] == "error"
+        assert "-inf is not representable" in report["diagnostics"]["error"]
+
+    def test_quadratic_form_beyond_float64(self, tmp_path):
+        # (1 - x)/x = 1 on I, I: the form at (1e160, 1) is 1e320
+        (tmp_path / "i2.json").write_text('{"n": 2, "re": [[1, 0], [0, 1]]}')
+        (tmp_path / "xi.json").write_text('{"n": 2, "re": [1e160, 1]}')
+        proc = run_cli(["form-p", "--a", "i2.json", "--b", "i2.json", "--xi", "xi.json"],
+                       cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr.decode()
+        assert proc.stderr == b""
+        assert "outside the float64 range" in json.loads(proc.stdout)["diagnostics"]["error"]
+
     def test_numeric_failure_not_psd(self):
         rep = run_report(["psum", "--a", "bad_nonpsd.json", "--b", "b3.json"], 3)
         assert "not positive semidefinite" in rep["diagnostics"]["error"]

@@ -1,0 +1,49 @@
+"""The rule of ``code_lines.count``, the line counter of ``src/pwcalc``."""
+
+import code_lines
+from code_lines import code_line_numbers, count
+
+# a docstring, a comment after code and alone, blank lines, a bare string
+# statement, a multi-line string in an expression and a continued
+# expression; the code lines are 3, 8 and 11-14
+MODULE = '''"""Module docstring,
+over two lines."""
+import math  # a comment after code
+
+# a comment alone
+
+
+def f(x):
+    """One-line docstring."""
+    "a bare string statement"
+    text = """a multi-line
+string in an expression"""
+    return (x +
+            math.pi)
+'''
+CODE_LINES = {3, 8, 11, 12, 13, 14}
+
+
+def test_each_kind_of_line():
+    assert code_line_numbers(MODULE) == CODE_LINES
+    assert count(MODULE) == (14, len(CODE_LINES))
+
+
+def test_empty_and_comment_only_modules():
+    assert count("") == (0, 0)
+    assert count("# only a comment\n\n") == (2, 0)
+
+
+def test_main_prints_each_module_and_the_totals(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(MODULE)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    total = len(MODULE.splitlines()) + 1
+    assert rows == [["a.py", str(total - 1), str(len(CODE_LINES))],
+                    ["b.py", "1", "1"],
+                    ["total", str(total), str(len(CODE_LINES) + 1)]]
+
+
+def test_usage_error():
+    assert code_lines.main(["a", "b"]) == 2

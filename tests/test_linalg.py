@@ -421,6 +421,27 @@ class TestPolarIsometry:
             assert np.abs(w.conj().T @ w - gram_supp).max() < 1e-9
 
 
+class TestOverflowIsTyped:
+    """Finite input whose result leaves the float64 range, and non-finite
+    input to :func:`polar_isometry`, raise a typed error and warn nothing."""
+
+    @pytest.mark.parametrize("op,error,message", [
+        (lambda: polar_isometry([[math.inf, 1.0], [1.0, 1.0]]), InputError,
+         "matrix contains non-finite entries"),
+        (lambda: polar_isometry(np.diag([1e200, 1.0])), NumericError,
+         "Gram m\\* m outside the float64 range"),
+        (lambda: build_rep(1e300 * np.eye(2), 1e300 * np.eye(2)).from_support(
+            1e300 * np.eye(2)), NumericError, "T\\* m T overflows"),
+        (lambda: rn_quadratic_form(np.eye(2), np.eye(2), [1e160, 1.0]), NumericError,
+         "quadratic form outside the float64 range"),
+    ], ids=["polar-inf", "polar-gram", "from-support", "quadratic-form"])
+    def test_raises_quietly(self, op, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                op()
+
+
 class TestKron:
     def test_identity(self):
         np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
