@@ -111,6 +111,40 @@ class SequenceResult:
 
 
 @dataclass(frozen=True)
+class _Weights:
+    """A state's pairing weights ``plain + scaled * 2**k``, clipped at 0.
+
+    ``plain`` holds every weight whose plain sum is finite, with its bits,
+    and 0 elsewhere. ``scaled`` is None when every weight is finite;
+    otherwise it holds the other weights, summed with ``E`` and the state
+    scaled by ``2**-k``, and 0 elsewhere.
+    """
+
+    plain: np.ndarray
+    scaled: np.ndarray | None = None
+    k: int = 0
+
+    def scaled_dot(self, vals: np.ndarray) -> float:
+        """``sum(vals * weights)`` for finite, nonempty ``vals``.
+
+        ``vals`` and the weights are scaled down by powers of two to one
+        scale, under which no term or sum overflows, summed once and
+        scaled back: the result is never NaN, and +-inf only beyond the
+        float64 range. A term far enough below the largest becomes
+        subnormal and loses bits, so this serves only a sum whose plain
+        form overflows."""
+        parts = [(self.plain, 0)]
+        if self.scaled is not None:
+            parts.append((self.scaled, self.k))
+        kv = max(_exponent(vals), 0)
+        top = max(max(_exponent(w), 0) + k for w, k in parts)
+        v = np.ldexp(vals, -kv)
+        total = sum(float((v * np.ldexp(w, k - top)).sum()) for w, k in parts)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(total, top + kv))
+
+
+@dataclass(frozen=True)
 class PwRep:
     """Support-side representation of a PSD pair.
 
@@ -268,13 +302,15 @@ class PwRep:
 
     def pairing_weights(self, rho) -> np.ndarray:
         """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis,
-        the diagonal of ``E rho E*`` on :attr:`eig_map`: ``w * 2**k`` for
-        :meth:`_weights`' ``(w, k)``, ``inf`` beyond the float64 range."""
-        w, k = self._state_weights(rho)
+        the diagonal of ``E rho E*`` on :attr:`eig_map`; a weight beyond
+        the float64 range reads ``inf``."""
+        w = self._state_weights(rho)
+        if w.scaled is None:
+            return w.plain
         with np.errstate(over="ignore"):
-            return np.ldexp(w, k)
+            return w.plain + np.ldexp(w.scaled, w.k)
 
-    def _state_weights(self, rho):
+    def _state_weights(self, rho) -> _Weights:
         """:meth:`_weights` of the state ``rho``, validated."""
         rv, _ = validate_psd(rho, self.tol)
         if rv.shape != (self.n, self.n):
@@ -282,23 +318,34 @@ class PwRep:
                 f"state must be {self.n}x{self.n}, got {rv.shape}")
         return self._weights(rv)
 
-    def _weights(self, rv: np.ndarray):
-        """``(w, k)`` for a validated ``complex128`` state: the pairing
-        weights ``Re diag(E rv E*)`` on :attr:`eig_map`, clipped at 0, are
-        ``w * 2**k``.
+    def _weights(self, rv: np.ndarray) -> _Weights:
+        """The pairing weights ``Re diag(E rv E*)`` on :attr:`eig_map` of a
+        validated ``complex128`` state, clipped at 0.
 
         The rows of ``E`` scale with ``sqrt(||a + b||)``, so for a huge
-        pair a weight or its terms can leave the float64 range. ``E`` and
-        ``rv`` are scaled down by powers of two (never up) until no part
-        reaches 1, and summed once; ``k`` carries the scale. Scaling by a
-        power of two is exact while the products stay normal, so
-        ``w * 2**k`` has the bits of the plain sum except for terms below
-        about ``2**(k - 1022)``, far under ``weight_tol``."""
-        ke = _exponent(self.eig_map)
-        kr = _exponent(rv)
-        e = np.ldexp(1.0, -ke) * self.eig_map
-        w = np.real(np.sum((e @ (np.ldexp(1.0, -kr) * rv)) * e.conj(), axis=1))
-        return np.maximum(w, 0.0), 2 * ke + kr
+        pair the terms of a weight can overflow with both signs and read
+        ``inf - inf``, or the weight itself can leave the float64 range.
+        Only a weight that is not finite is summed again, with ``E`` and
+        ``rv`` scaled down by powers of two, and it stays scaled: see
+        :class:`_Weights`. Every finite weight keeps the bits of the plain
+        sum. Scaling the rest too would not keep them: a small weight or
+        term that the scaling pushes into the subnormal range loses bits
+        or drops to 0, however far above ``weight_tol`` it lies. The plain
+        sum also spares the common case the scaled copies."""
+        e = self.eig_map
+        # a NaN imaginary part is discarded, a NaN weight summed again
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.real(np.sum((e @ rv) * e.conj(), axis=1))
+        bad = ~np.isfinite(w)
+        if not bad.any():
+            return _Weights(np.maximum(w, 0.0))
+        ke = max(_exponent(e), 0)
+        kr = max(_exponent(rv), 0)
+        es = np.ldexp(1.0, -ke) * e[bad]
+        scaled = np.zeros_like(w)
+        scaled[bad] = np.real(np.sum((es @ (np.ldexp(1.0, -kr) * rv)) * es.conj(), axis=1))
+        w[bad] = 0.0
+        return _Weights(np.maximum(w, 0.0), np.maximum(scaled, 0.0), 2 * ke + kr)
 
     def pairing(self, fn: PwFunction, rho) -> PairingResult:
         """Pair a profile with a positive functional, +inf allowed.
@@ -309,21 +356,34 @@ class PwRep:
         and the result is +inf exactly when the total weight on infinite
         profile values exceeds ``weight_tol``.
         """
-        return self._pairing(fn, *self._state_weights(rho))
+        return self._pairing(fn, self._state_weights(rho))
 
-    def _pairing(self, fn: PwFunction, w: np.ndarray, k: int) -> PairingResult:
-        """:meth:`pairing` against a state's weights ``w * 2**k`` from
-        :meth:`_weights`. ``w`` is compared with ``weight_tol`` in its own
-        scale, and the finite part and the infinite weight are scaled back
-        once each: a value beyond the float64 range reads +-inf with its
-        sign, and none reads NaN."""
+    def _pairing(self, fn: PwFunction, w: _Weights) -> PairingResult:
+        """:meth:`pairing` against a state's :meth:`_weights` ``w``.
+
+        The plain and the scaled weights are each compared with
+        ``weight_tol`` in their own scale and summed apart, and the scaled
+        sums are scaled back once each. A finite part that is not finite
+        then, because a term or a sum overflows, is summed again by
+        :meth:`_Weights.scaled_dot`. So a value beyond the float64 range
+        reads +-inf with its sign, none reads NaN, and every finite plain
+        sum keeps its bits."""
         vals = self.values(fn)
         inf_mask = np.isinf(vals)
-        keep = (~inf_mask) & (w > np.ldexp(self.tol.weight_tol, -k))
-        with np.errstate(over="ignore"):
-            finite_part = float(np.ldexp((vals[keep] * w[keep]).sum(), k))
-            infinite_weight = float(np.ldexp(w[inf_mask].sum(), k))
-        value = math.inf if infinite_weight > self.tol.weight_tol else finite_part
+        tol = self.tol.weight_tol
+        keep = (~inf_mask) & (w.plain > tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite_part = float((vals[keep] * w.plain[keep]).sum())
+            infinite_weight = float(w.plain[inf_mask].sum())
+            if w.scaled is not None:
+                keep_s = (~inf_mask) & (w.scaled > np.ldexp(tol, -w.k))
+                finite_part += float(np.ldexp((vals[keep_s] * w.scaled[keep_s]).sum(), w.k))
+                infinite_weight += float(np.ldexp(w.scaled[inf_mask].sum(), w.k))
+                keep |= keep_s
+        if not math.isfinite(finite_part):
+            # a row is plain or scaled, so one mask zeroes what neither keeps
+            finite_part = w.scaled_dot(np.where(keep, vals, 0.0))
+        value = math.inf if infinite_weight > tol else finite_part
         return PairingResult(value, finite_part, infinite_weight)
 
     def eval_sequence(self, fns, rho) -> SequenceResult:
@@ -335,11 +395,10 @@ class PwRep:
         last three gaps (or all of them, if fewer) stay below
         ``conv_tol``.
         """
-        return self._sequence(fns, *self._state_weights(rho))
+        return self._sequence(fns, self._state_weights(rho))
 
-    def _sequence(self, fns, w: np.ndarray, k: int) -> SequenceResult:
-        """:meth:`eval_sequence` against a state's weights ``w * 2**k``
-        from :meth:`_weights`."""
+    def _sequence(self, fns, w: _Weights) -> SequenceResult:
+        """:meth:`eval_sequence` against a state's :meth:`_weights` ``w``."""
         try:
             fns = iter(fns)
         except TypeError:
@@ -348,7 +407,7 @@ class PwRep:
         fns = list(fns)
         if not fns:
             raise InputError("profile sequence must be nonempty")
-        values = [self._pairing(fn, w, k).value for fn in fns]
+        values = [self._pairing(fn, w).value for fn in fns]
         gaps = []
         for prev, cur in zip(values, values[1:]):
             if prev == cur:
@@ -389,19 +448,19 @@ def build_rep(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> PwRep:
 
 
 def _build_rep(a, b, tol: ToleranceConfig, state=None):
-    """``(rep, weights)``: :func:`build_rep`, and for a one-shot pairing
-    the scaled weights ``(w, k)`` of :meth:`PwRep._weights` for the state
-    that the zero-argument callable ``state`` returns (None without one).
+    """``(rep, w)``: :func:`build_rep`, and for a one-shot pairing the
+    :meth:`PwRep._weights` ``w`` of the state that the zero-argument
+    callable ``state`` returns (None without one).
 
     The validating call of the pair also solves the sum ``a + b`` and an
     n x n Hermitian state, so a pair costs two kernel calls. A member
     clamped deeper than rounding (``linalg._rounding_level``) costs a
     third, for the sum of the clamped pair. When ``state()`` or
     its Hermitian part fails, the state has another size or its solve
-    fails, the weights come from validating ``state()`` after the rep
-    exists, which raises the state's error. So errors come from the pair
-    first, then the state, then the profiles and parameters that the
-    caller applies to the weights.
+    fails, ``w`` comes from validating ``state()`` after the rep exists,
+    which raises the state's error. So errors come from the pair first,
+    then the state, then the profiles and parameters that the caller
+    applies to ``w``.
     """
     hr = None
     if state is not None:
@@ -468,12 +527,12 @@ def pw_eval(a, b, fn: PwFunction, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
 def pw_pairing(a, b, fn: PwFunction, rho,
                tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """One-shot pairing value; returns ``math.inf`` for unbounded values."""
-    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
-    return rep._pairing(fn, w, k).value
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(fn, w).value
 
 
 def eval_sequence(a, b, fns, rho,
                   tol: ToleranceConfig = DEFAULT_TOL) -> SequenceResult:
     """One-shot sequence pairing with a convergence report."""
-    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
-    return rep._sequence(fns, w, k)
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._sequence(fns, w)

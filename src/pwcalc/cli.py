@@ -20,7 +20,6 @@ The environment variable ``PWCALC_TOL_ZERO`` overrides the default of
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -33,7 +32,7 @@ from .calculus import _build_rep, build_rep
 from .config import ToleranceConfig
 from .errors import (ExtendedValueError, InputError, NotPsdError, NumericError,
                      PwCalcError)
-from .fileio import (INF_SENTINEL, dumps_report, load_matrix, load_vector,
+from .fileio import (dumps_report, load_matrix, load_vector,
                      matrix_payload, sha256_file)
 from .functions import named_function
 from .linalg import hermitian_norm, safe_frobenius
@@ -103,15 +102,10 @@ def _config_payload(tol: ToleranceConfig) -> dict:
     return dataclasses.asdict(tol)
 
 
-def _scalar(x: float):
-    # -inf reaches the report writer, which raises NumericError (exit 3)
-    return INF_SENTINEL if x == math.inf else float(x)
-
-
 def _margin_diagnostics(rep) -> dict:
     split = rep.split
     return {
-        "spectral_margin": _scalar(split.margin),
+        "spectral_margin": split.margin,
         "num_zero_eigs": int(split.zero.sum()),
         "num_one_eigs": int(split.one.sum()),
     }
@@ -152,7 +146,7 @@ def _cmd_lebesgue(args, tol, warnings):
     diagnostics = {
         "rank": dec.rank,
         "num_zero_eigs": dec.num_zero_eigs,
-        "spectral_margin": _scalar(dec.spectral_margin),
+        "spectral_margin": dec.spectral_margin,
         "residual_sum": dec.residual_sum,
     }
     return outputs, diagnostics
@@ -209,7 +203,7 @@ def _rn_outputs(res) -> tuple[dict, dict]:
         "condition": res.condition,
         "infinite_directions": res.infinite_directions,
         "near_singular": res.near_singular,
-        "suppression_margin": _scalar(res.margin),
+        "suppression_margin": res.margin,
     }
     return outputs, diagnostics
 
@@ -232,11 +226,11 @@ def _cmd_kubo(args, tol, warnings):
 
 def _cmd_pair(args, tol, warnings):
     fn = named_function(args.phi, args.alpha)
-    rep, (w, k) = _build_rep(load_matrix(args.a), load_matrix(args.b), tol,
-                             lambda: load_matrix(args.rho))
-    res = rep._pairing(fn, w, k)
+    rep, w = _build_rep(load_matrix(args.a), load_matrix(args.b), tol,
+                        lambda: load_matrix(args.rho))
+    res = rep._pairing(fn, w)
     outputs = {
-        "value": _scalar(res.value),
+        "value": res.value,
         "finite_part": res.finite_part,
         "infinite_weight": res.infinite_weight,
     }
@@ -247,7 +241,7 @@ def _cmd_trace(args, tol, warnings):
     fn = named_function(args.phi, args.alpha)
     value = means.trace_functional(load_matrix(args.a), load_matrix(args.b),
                                    fn, tol)
-    return {"value": _scalar(value)}, {}
+    return {"value": value}, {}
 
 
 def _cmd_tensor_check(args, tol, warnings):
@@ -260,8 +254,8 @@ def _cmd_tensor_check(args, tol, warnings):
         warnings.append("one side of the tensor identity is +inf and the "
                         "other is finite")
     outputs = {
-        "lhs": _scalar(res.lhs),
-        "rhs": _scalar(res.rhs),
+        "lhs": res.lhs,
+        "rhs": res.rhs,
         "residual": None if res.residual is None else float(res.residual),
         "infinity_consistent": res.infinity_consistent,
     }
@@ -271,7 +265,7 @@ def _cmd_tensor_check(args, tol, warnings):
 def _cmd_form_p(args, tol, warnings):
     value = rn.rn_quadratic_form(load_matrix(args.a), load_matrix(args.b),
                                  load_vector(args.xi), tol)
-    return {"value": _scalar(value)}, {}
+    return {"value": value}, {}
 
 
 # subcommand -> (handler, required flags besides --a/--b, optional flags)

@@ -53,13 +53,10 @@ def _numeric(a, what: str) -> np.ndarray:
     return m
 
 
-def _as_matrix(a, square: bool = True) -> np.ndarray:
-    """``a`` as a finite ``complex128`` matrix, square unless ``square``
-    is False."""
+def _as_square(a) -> np.ndarray:
     m = _numeric(a, "matrix")
-    if m.ndim != 2 or (square and m.shape[0] != m.shape[1]):
-        kind = "a square matrix" if square else "a matrix"
-        raise InputError(f"expected {kind}, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise InputError("matrix contains non-finite entries")
     return m.astype(np.complex128, copy=False)
@@ -84,7 +81,7 @@ def hermitian_part(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     scanned on the halves ``a / 2``, which cannot overflow for finite
     entries and give the same verdict wherever they stay normal.
     """
-    m = _as_matrix(a)
+    m = _as_square(a)
     h = 0.5 * m
     half_scale = float(np.abs(h).max()) if m.size else 0.0
     half_dev = float(np.abs(h - h.conj().T).max()) if m.size else 0.0
@@ -125,11 +122,9 @@ def frobenius(m) -> float:
 
 
 def _exponent(m: np.ndarray) -> int:
-    """The smallest ``k >= 0`` such that ``m * 2**-k`` has no real or
-    imaginary part reaching 1, for a finite ``m``: it scales down, never
-    up."""
-    top = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
-    return max(int(np.frexp(top)[1]), 0)
+    """The binary exponent ``k`` of the largest real or imaginary part of
+    the finite, nonempty ``m``: ``m * 2**-k`` has no part reaching 1."""
+    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
 
 
 def safe_frobenius(m) -> float:
@@ -548,7 +543,11 @@ def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     ``m* m``. A Gram ``m* m`` beyond the float64 range raises
     :class:`NumericError`.
     """
-    m = _as_matrix(m, square=False)
+    m = _numeric(m, "matrix").astype(np.complex128, copy=False)
+    if m.ndim != 2:
+        raise InputError(f"expected a matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError("matrix contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = m.conj().T @ m
     if not np.isfinite(gram).all():
@@ -585,7 +584,7 @@ def kron(a, b) -> np.ndarray:
 
 def hermitian_norm(a) -> float:
     """Spectral norm of a (nearly) Hermitian matrix via the Jacobi solver."""
-    m = hermitize(_as_matrix(a))
+    m = hermitize(_as_square(a))
     if m.size == 0:
         return 0.0
     vals, _ = _jacobi_eig(m)

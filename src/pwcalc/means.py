@@ -49,8 +49,8 @@ def power_pairing(a, b, alpha: float, rho,
     +inf exactly when the first slot has weight on the kernel of the
     second (beyond ``weight_tol``).
     """
-    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
-    return rep._pairing(power(alpha), w, k)
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(power(alpha), w)
 
 
 def entropy_pairing(a, b, rho,
@@ -61,16 +61,16 @@ def entropy_pairing(a, b, rho,
     never -inf, because the profile is bounded from below on the simplex
     section; a negative value beyond float64 reads -inf.
     """
-    rep, (w, k) = _build_rep(a, b, tol, lambda: rho)
-    return rep._pairing(entropy(), w, k)
+    rep, w = _build_rep(a, b, tol, lambda: rho)
+    return rep._pairing(entropy(), w)
 
 
 def trace_functional(a, b, fn: PwFunction,
                      tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Trace of the calculus value: the pairing with the identity state."""
     rep = build_rep(a, b, tol)
-    w, k = rep._weights(np.eye(rep.n, dtype=np.complex128))
-    return rep._pairing(fn, w, k).value
+    w = rep._weights(np.eye(rep.n, dtype=np.complex128))
+    return rep._pairing(fn, w).value
 
 
 def _ext_mul(u: float, v: float) -> float:
@@ -92,7 +92,7 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
     """
     # the Kronecker pair and its state are checked before the profile, as
     # in every other pairing
-    rep, (w, k) = _build_rep(kron(a1, a2), kron(b1, b2), tol, lambda: kron(rho1, rho2))
+    rep, w = _build_rep(kron(a1, a2), kron(b1, b2), tol, lambda: kron(rho1, rho2))
     _require_profile(fn)
     if fn.name.startswith("power:"):
         rule = "product"
@@ -102,7 +102,7 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
         raise InputError(
             f"no tensor rule known for profile {fn.name!r}; "
             f"use a power or entropy profile")
-    lhs = rep._pairing(fn, w, k).value
+    lhs = rep._pairing(fn, w).value
     p1 = pw_pairing(a1, b1, fn, rho1, tol)
     p2 = pw_pairing(a2, b2, fn, rho2, tol)
     if rule == "product":

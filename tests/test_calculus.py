@@ -404,6 +404,34 @@ class TestPairing:
             assert pw_pairing(a, b, fn, rho) == want
             assert rep.pairing(fn, rho).value == want
 
+    def test_small_weight_beside_an_overflowing_one_keeps_its_bits(self):
+        # the first weight, 1e315, leaves the float64 range; the second,
+        # 1e-11, reads as if the state had no first entry
+        a, b = 1e10 * np.diag([1.0, 0.0]), 1e10 * np.diag([0.0, 1.0])
+        rep = build_rep(a, b)
+        want = pw_pairing(a, b, right(), np.diag([0.0, 1e-21]))
+        assert want == pytest.approx(1e-11, rel=1e-15)
+        rho = np.diag([1e305, 1e-21])
+        assert pw_pairing(a, b, right(), rho) == want
+        assert rep.pairing(right(), rho).value == want
+        assert list(rep.pairing_weights(rho)) == [want, math.inf]
+
+    def test_small_weight_beside_a_huge_finite_one_keeps_its_bits(self):
+        a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        assert pw_pairing(a, b, right(), np.diag([1e308, 1e-10])) == 1e-10
+        assert pw_pairing(a, b, right(), np.diag([0.0, 1e-10])) == 1e-10
+
+    def test_overflowing_terms_of_a_finite_pairing(self):
+        # finite weights near the float64 maximum: the entropy term of the
+        # first is 2e308, the two others -4.4e307 each, and the sum is finite
+        b2 = 1.2e308
+        a = np.diag([1e308, b2 / math.e, b2 / math.e])
+        b = np.diag([1e308 * math.exp(-2.0), b2, b2])
+        want = 1e308 * (2.0 - 2.0 * 1.2 / math.e)
+        for got in (pw_pairing(a, b, entropy(), np.eye(3)),
+                    build_rep(a, b).pairing(entropy(), np.eye(3)).value):
+            assert got == pytest.approx(want, rel=1e-12)
+
     def test_huge_seeded_pairs_read_inf_not_nan(self, rng):
         # at a joint scale of 1e300 with the state 1e10 I the exact pairing
         # is 1e310 times the unit one: finite below the float64 maximum,
