@@ -16,9 +16,9 @@ import numpy as np
 
 from .calculus import PairingResult, _build_rep, build_rep, pw_eval, pw_pairing
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import InputError
+from .errors import InputError, NumericError
 from .functions import PwFunction, _require_profile, entropy, geometric, power
-from .linalg import kron
+from .linalg import _exponent, kron
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,21 @@ def _ext_mul(u: float, v: float) -> float:
     return u * v
 
 
+def _trace_product(rho, a) -> float:
+    """``Re tr(rho a)`` of a validated state and pair member; a trace
+    beyond float64 reads +inf, as pairing values do. Only a plain trace
+    that is not finite is formed again from ``rho`` and ``a`` scaled by
+    powers of two, and scaled back, so every finite one keeps its bits."""
+    rho, a = np.asarray(rho), np.asarray(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.trace(rho @ a).real)
+        if not math.isfinite(value):
+            kr, ka = _exponent(rho), _exponent(a)
+            scaled = (rho * np.ldexp(1.0, -kr)) @ (a * np.ldexp(1.0, -ka))
+            value = float(np.ldexp(np.trace(scaled).real, kr + ka))
+    return value
+
+
 def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
                          tol: ToleranceConfig = DEFAULT_TOL) -> TensorCheck:
     """Compare a Kronecker-pair pairing with its factorized form.
@@ -88,7 +103,8 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
     pairings; for the entropy profile it is the symmetrized sum
     ``psi1 * rho2(a2) + rho1(a1) * psi2``. Zero factors absorb infinite
     ones on the factorized side, matching the integral picture where
-    null sets contribute nothing.
+    null sets contribute nothing. A sum whose terms are -inf and +inf
+    has no value and raises :class:`NumericError`.
     """
     # the Kronecker pair and its state are checked before the profile, as
     # in every other pairing
@@ -108,9 +124,11 @@ def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,
     if rule == "product":
         rhs = _ext_mul(p1, p2)
     else:
-        w1 = float(np.trace(np.asarray(rho1) @ np.asarray(a1)).real)
-        w2 = float(np.trace(np.asarray(rho2) @ np.asarray(a2)).real)
+        w1, w2 = _trace_product(rho1, a1), _trace_product(rho2, a2)
         rhs = _ext_mul(p1, w2) + _ext_mul(w1, p2)
+        if math.isnan(rhs):
+            raise NumericError(
+                "entropy sum rule undefined: its terms are -inf and +inf")
     both_finite = math.isfinite(lhs) and math.isfinite(rhs)
     residual = abs(lhs - rhs) if both_finite else None
     return TensorCheck(lhs=lhs, rhs=rhs, residual=residual,

@@ -21,7 +21,8 @@ from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import PwFunction, _require_profile, abs_part
-from .linalg import SpectralDecomposition, _numeric, hermitize, safe_frobenius
+from .linalg import (SpectralDecomposition, _exponent, _numeric, hermitize,
+                     safe_frobenius)
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,12 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     the outer Gram of the first contraction, with the same suppression
     of classified-zero directions as :func:`rn_factor`. At finite
     dimension the value is always finite; it is returned as a float for
-    interface uniformity with the pairings, and a value or term beyond
-    the float64 range raises :class:`NumericError`. ``xi`` must be a 1-D
-    vector of length ``n``; anything else raises :class:`InputError`.
+    interface uniformity with the pairings. Only where the plain sum is
+    not finite is it summed again with ``xi`` scaled by ``2^-k`` and
+    scaled back by ``4^k``, so every finite plain value keeps its bits;
+    a value beyond the float64 range raises :class:`NumericError`.
+    ``xi`` must be a 1-D vector of length ``n``; anything else raises
+    :class:`InputError`.
     """
     rep = build_rep(a, b, tol)
     _require_definite(rep)
@@ -162,9 +166,16 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if not np.isfinite(vec).all():
         raise InputError("vector contains non-finite entries")
     dec, hvals, _ = _ratio(rep, rep.values(abs_part()))
+
+    def form(v):
+        return float((hvals * np.abs(dec.basis.conj().T @ v) ** 2).sum())
+
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float((hvals * np.abs(dec.basis.conj().T @ vec) ** 2).sum())
+        value = form(vec)
+        if not math.isfinite(value):
+            # |B* xi|^2 overflowed before the weights scaled it down
+            k = _exponent(vec)
+            value = float(np.ldexp(form(vec * np.ldexp(1.0, -k)), 2 * k))
     if not math.isfinite(value):
-        raise NumericError(
-            "quadratic form outside the float64 range: a term overflows")
+        raise NumericError("quadratic form outside the float64 range")
     return value

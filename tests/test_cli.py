@@ -132,6 +132,20 @@ class TestExitCodes:
         assert report["status"] == "error"
         assert "-inf is not representable" in report["diagnostics"]["error"]
 
+    def test_tensor_sum_rule_of_opposite_infinities(self, tmp_path):
+        # the entropy sum rule -inf * 1 + inf * inf has no value
+        eye = np.eye(20)
+        for name, m in (("a.json", 1.25e307 * eye), ("b.json", 3.75e307 * eye),
+                        ("rho.json", eye), ("one.json", np.eye(1)),
+                        ("zero.json", np.zeros((1, 1)))):
+            (tmp_path / name).write_text(json.dumps(matrix_payload(m)))
+        proc = run_cli(["tensor-check", "--phi", "entropy", "--a", "a.json",
+                        "--b", "b.json", "--rho", "rho.json", "--a2", "one.json",
+                        "--b2", "zero.json", "--rho2", "one.json"], cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr.decode()
+        assert proc.stderr == b""
+        assert "terms are -inf and +inf" in json.loads(proc.stdout)["diagnostics"]["error"]
+
     def test_quadratic_form_beyond_float64(self, tmp_path):
         # (1 - x)/x = 1 on I, I: the form at (1e160, 1) is 1e320
         (tmp_path / "i2.json").write_text('{"n": 2, "re": [[1, 0], [0, 1]]}')

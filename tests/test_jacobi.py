@@ -1,9 +1,8 @@
-"""The round-robin Jacobi kernel against independent references.
+"""The Jacobi kernel's rounds against independent references.
 
 References: ``numpy.linalg.eigvalsh``, mpmath at 60 digits on a graded
-matrix, the scalar cyclic loop the round-robin kernel replaced, and the
-round-robin kernel as it ran before real input got ``float64`` rounds
-(both kept below).
+matrix, the scalar cyclic loop the rounds replaced, and the rounds as
+they ran before real input got ``float64`` rounds (both kept below).
 """
 
 import math
@@ -15,7 +14,7 @@ import pytest
 
 from pwcalc import linalg
 from pwcalc.linalg import (MAX_JACOBI_SWEEPS, _TINY, _jacobi_eig, _round_plan,
-                           _round_robin)
+                           _rounds)
 
 from conftest import SEED, rand_complex, rand_hermitian, rand_psd
 
@@ -61,7 +60,7 @@ def _cyclic_jacobi(mat):
 
 
 def _complex_rounds(mat):
-    """The round-robin kernel with every round in ``complex128``, the
+    """The kernel's rounds with every round in ``complex128``, the
     phase as the complex quotient ``apq / |apq|`` and the index pairs
     rebuilt on every call; the library kernel must match it byte for
     byte."""
@@ -73,7 +72,7 @@ def _complex_rounds(mat):
     if n < 2:
         return np.diag(h).real.astype(np.float64), hv[n:].copy()
     target = n * float(np.finfo(np.float64).eps) * float(np.linalg.norm(h))
-    rounds = _round_robin(n)
+    rounds = _rounds(n)
     for _ in range(MAX_JACOBI_SWEEPS):
         off = h - np.diag(np.diag(h))
         if float(np.linalg.norm(off)) <= target:
@@ -185,14 +184,22 @@ def _check_eigenpairs(m, vals, vecs):
 
 
 class TestRoundRobin:
+    """The rounds of a sweep, in the modulus ordering."""
+
     @pytest.mark.parametrize("n", range(2, 12))
     def test_every_pair_once_per_sweep(self, n):
-        rounds = _round_robin(n)
-        assert len(rounds) == n - 1 + n % 2
+        # round r = n - 1, ..., 0 holds the disjoint pairs with p + q = r
+        # (mod n); for n = 2 the round r = 0 is empty and dropped
+        rounds = _rounds(n)
+        sums = range(n - 1, -1, -1) if n > 2 else [1]
+        assert len(rounds) == len(sums)
         seen = []
-        for p, q in rounds:
-            assert (p < q).all()
-            assert len(set(p.tolist()) | set(q.tolist())) == 2 * p.size == n - n % 2
+        for r, (p, q) in zip(sums, rounds):
+            assert (p < q).all() and ((p + q) % n == r).all()
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * p.size
+            # for even n, the two indices with 2 p = r (mod n) sit out of
+            # an even round
+            assert p.size == ((n - 1) // 2 if n % 2 else n // 2 - 1 + r % 2)
             seen += zip(p.tolist(), q.tolist())
         assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
@@ -200,7 +207,7 @@ class TestRoundRobin:
     def test_plan_indexes_the_rounds(self, n):
         for m in (1, 2, 3):
             plan = _round_plan(n, m)
-            for (p, q), arrays in zip(_round_robin(n), plan, strict=True):
+            for (p, q), arrays in zip(_rounds(n), plan, strict=True):
                 cols, rows, diag, off = arrays
                 # pair-major: entry s * m + j is pair s of member j
                 pq = np.repeat(np.concatenate((p, q)), m)
@@ -213,10 +220,27 @@ class TestRoundRobin:
                 assert not any(a.flags.writeable for a in arrays)
             if m == 1:
                 # one member: the indices of the lone matrix
-                for (p, q), (cols, rows, diag, off) in zip(_round_robin(n), plan):
+                for (p, q), (cols, rows, diag, off) in zip(_rounds(n), plan):
                     pq = np.concatenate((p, q))
                     assert (cols == pq).all() and (rows == pq).all()
                     assert (diag == pq * (n + 1)).all()
+
+
+def _stopping_tests(monkeypatch, m) -> int:
+    """The stopping tests that ``_jacobi_eig(m)`` runs: one before each
+    sweep and one more when ``m`` has converged."""
+    checks = 0
+    real = linalg._offdiag_norm
+
+    def counting(h):
+        nonlocal checks
+        checks += 1
+        return real(h)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_offdiag_norm", counting)
+        _jacobi_eig(m)
+    return checks
 
 
 class TestKernel:
@@ -309,6 +333,22 @@ class TestKernel:
             for got, want in zip(vals, exact):
                 assert abs(mpmath.mpf(float(got)) - want) <= 1e-14 * abs(want)
         assert float(exact[0]) < 1e-23
+
+    # a rank-n/2 matrix carries an n/2-fold cluster at 0; in the modulus
+    # ordering its coupling to the rest vanishes in about as many sweeps
+    # as a definite spectrum takes (the circle ordering of Brent and Luk
+    # needed 10, 11, 12 and 11 stopping tests for these four)
+    @pytest.mark.parametrize("n, real, want", [(16, True, 7), (16, False, 8),
+                                               (24, True, 9), (24, False, 8)])
+    def test_sweeps_of_rank_deficient_input(self, monkeypatch, n, real, want):
+        rng = np.random.default_rng([SEED, n])
+        g = rng.standard_normal((n, n // 2)) if real else rand_complex(rng, n, n // 2)
+        m = linalg.hermitize(g @ g.conj().T)
+        assert _stopping_tests(monkeypatch, m) == want
+
+    def test_sweeps_of_definite_input(self, monkeypatch):
+        m = rand_psd(np.random.default_rng([SEED, 24]), 24)
+        assert _stopping_tests(monkeypatch, m) == 8
 
     def test_matches_cyclic_reference(self, rng):
         graded = _graded()

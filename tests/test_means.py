@@ -1,6 +1,7 @@
 """Tests for means, power/entropy pairings and tensor identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,27 @@ class TestTensorPairingCheck:
         with pytest.raises(NumericError, match="Kronecker product outside"):
             tensor_pairing_check(big, big, big, big, np.eye(1), np.eye(1),
                                  power(2.0))
+
+    def test_trace_beyond_float64_reads_inf(self):
+        # tr(rho1 a1) = 2e308: with psi1 = 0 and psi2 = 2 ln 2 the sum rule
+        # is 0 * 2 + inf * psi2 = +inf, as the Kronecker side reads
+        eye = np.eye(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = tensor_pairing_check(1e307 * eye, 1e307 * eye, [[2.0]], [[1.0]],
+                                       eye, [[1.0]], entropy())
+        assert (res.lhs, res.rhs, res.residual) == (math.inf, math.inf, None)
+        assert res.infinity_consistent
+
+    def test_sum_rule_of_opposite_infinities_is_a_numeric_error(self):
+        # psi1 = 1e309 * 0.25 * ln(1/3) reads -inf and tr(rho1 a1) = 2.5e308
+        # reads +inf against psi2 = +inf: -inf * 1 + inf * inf has no value
+        eye = np.eye(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="terms are -inf and \\+inf"):
+                tensor_pairing_check(1.25e307 * eye, 3.75e307 * eye, [[1.0]], [[0.0]],
+                                     eye, [[1.0]], entropy())
 
     def test_rejects_unknown_rule(self, rng):
         eye = np.eye(2)

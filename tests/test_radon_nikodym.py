@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwcalc import (ExtendedValueError, InputError, PwFunction, abs_cont_part,
-                    abs_part, build_rep, geometric, kubo_ando_form, left,
-                    parallel, parallel_sum, pw_eval, rn_cutoff, rn_factor,
+from pwcalc import (ExtendedValueError, InputError, NumericError, PwFunction,
+                    abs_cont_part, abs_part, build_rep, geometric, kubo_ando_form,
+                    left, parallel, parallel_sum, pw_eval, rn_cutoff, rn_factor,
                     rn_quadratic_form, entropy)
 from pwcalc import radon_nikodym
 from pwcalc.fileio import load_matrix
@@ -222,6 +222,22 @@ class TestQuadraticForm:
     def test_rejects_non_finite_vector(self, xi):
         with pytest.raises(InputError, match="non-finite"):
             rn_quadratic_form(np.eye(2), np.diag([1.0, 0.0]), xi)
+
+    def test_huge_vector_with_a_finite_form(self):
+        # |B* xi|^2 = 2.25e308 overflows, but the weight (1 - x)/x = 1e-7
+        # brings the form back into range: it is summed again with xi
+        # scaled by a power of two, and equals the form at xi / 2^512
+        # scaled by 4^512
+        eye = np.eye(2)
+        val = rn_quadratic_form(eye, 1e-7 * eye, [1.5e154, 0.0])
+        assert val == pytest.approx(2.25e301, rel=1e-8)
+        small = rn_quadratic_form(eye, 1e-7 * eye, [math.ldexp(1.5e154, -512), 0.0])
+        assert val == pytest.approx(math.ldexp(small, 1024), rel=1e-15)
+
+    def test_form_beyond_float64_raises(self):
+        # (1 - x)/x = 1 on I, I: the form at (1e160, 1) is 1e320
+        with pytest.raises(NumericError, match="quadratic form outside the float64 range"):
+            rn_quadratic_form(np.eye(2), np.eye(2), [1e160, 1.0])
 
 
 def _conditioned_pairs(count):
