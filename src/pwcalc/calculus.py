@@ -33,7 +33,7 @@ from .errors import (DominationError, ExtendedValueError, InputError, NumericErr
 from .functions import PwFunction, _require_profile
 from .linalg import (SpectralDecomposition, _above_support, _checked, _exponent,
                      _sqrt_of, _validated, _validated_pair, eig_hermitian,
-                     hermitian_part, hermitize, safe_frobenius, validate_psd)
+                     hermitian_part, hermitize, safe_frobenius)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -303,7 +303,12 @@ class PwRep:
     def pairing_weights(self, rho) -> np.ndarray:
         """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis,
         the diagonal of ``E rho E*`` on :attr:`eig_map`; a weight beyond
-        the float64 range reads ``inf``."""
+        the float64 range reads ``inf``.
+
+        ``rho`` is validated as by :func:`validate_psd`, whose matrix it
+        reads with the same bits, but its solve stops once Weyl's bound
+        certifies ``rho`` positive (``linalg._certified``): nothing would be
+        clamped then, so the matrix is ``rho``'s Hermitian part."""
         w = self._state_weights(rho)
         if w.scaled is None:
             return w.plain
@@ -311,8 +316,10 @@ class PwRep:
             return w.plain + np.ldexp(w.scaled, w.k)
 
     def _state_weights(self, rho) -> _Weights:
-        """:meth:`_weights` of the state ``rho``, validated."""
-        rv, _ = validate_psd(rho, self.tol)
+        """:meth:`_weights` of the state ``rho``, validated. The solve may
+        stop once it certifies ``rho`` positive: only the validated matrix
+        is read, and its bits are those of :func:`validate_psd`'s."""
+        rv, _ = _validated(rho, self.tol, certify=True)
         if rv.shape != (self.n, self.n):
             raise InputError(
                 f"state must be {self.n}x{self.n}, got {rv.shape}")
@@ -355,6 +362,11 @@ class PwRep:
         regardless of the profile value (the 0 * inf = 0 convention),
         and the result is +inf exactly when the total weight on infinite
         profile values exceeds ``weight_tol``.
+
+        The state is validated as for :meth:`pairing_weights`: its solve
+        stops once Weyl's bound certifies it positive, which leaves the
+        value's bits as they are, so a well-conditioned state costs a
+        few sweeps instead of a full eigensolve.
         """
         return self._pairing(fn, self._state_weights(rho))
 
@@ -453,7 +465,9 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     callable ``state`` returns (None without one).
 
     The validating call of the pair also solves the sum ``a + b`` and an
-    n x n Hermitian state, so a pair costs two kernel calls. A member
+    n x n Hermitian state, so a pair costs two kernel calls. The state may
+    leave that call once it is certified positive, as in
+    :meth:`PwRep.pairing_weights`. A member
     clamped deeper than rounding (``linalg._rounding_level``) costs a
     third, for the sum of the clamped pair. When ``state()`` or
     its Hermitian part fails, the state has another size or its solve

@@ -28,6 +28,18 @@ cluster of eigenvalues, such as the kernel of a rank-deficient matrix,
 then costs few sweeps more than a definite spectrum, where the circle
 ordering of Brent and Luk (``n - 1`` rounds of ``n/2`` pairs) took three
 or four more.
+
+A caller that needs only a PSD verdict and the validated matrix, such as
+the pairing of a state, may let the solve stop early. At a stopping test,
+Weyl's inequality bounds the smallest eigenvalue from below by ``min_i
+Re h_ii - ||off(h)||_F``. When that clears a margin of ``32 *
+MAX_JACOBI_SWEEPS * n`` times the stopping target (the rounding of every
+round the solve could still run, and more), the member leaves as
+:data:`CERTIFIED` positive: its full solve would have returned no
+negative eigenvalue, so validation clamps nothing and its matrix is the
+Hermitian part of the input, with the same bits. :func:`validate_psd`,
+which reports the smallest eigenvalue, and every caller of an eigenbasis
+still solve to convergence.
 """
 
 import functools
@@ -160,6 +172,39 @@ def _offdiag_norm(h: np.ndarray) -> float:
     return frobenius(m)
 
 
+# what _jacobi_eig gives for a member that it certifies positive semidefinite
+CERTIFIED = "certified positive semidefinite"
+# the remaining rounds' rounding, in units of eps * ||h||_F per round and per
+# row, and the most that squares underflowing to 0 hide from a norm (2**-537
+# per row): see _certified
+_ROUND_ROUNDING = 32
+_NORM_UNDERFLOW = 2.0 ** -537
+
+
+def _certified(h: np.ndarray, off: float, target: float, k: int) -> bool:
+    """Whether Weyl's bound certifies that the solve of ``h``, stopped here
+    with off-diagonal norm ``off`` above its ``target``, would end with its
+    smallest eigenvalue at or above 0.
+
+    The smallest eigenvalue of ``h`` is at least ``min_i Re h_ii - off``
+    (Weyl). The rounds left, at most ``MAX_JACOBI_SWEEPS * n``, move it by
+    their rounding, each under ``_ROUND_ROUNDING * n * eps * ||h||_F``,
+    and the diagonal that the solve returns lies at or above the smallest
+    eigenvalue of the matrix it converged to. So the difference must clear
+    ``_ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n * target``, a margin that also
+    covers ``target`` and this test's own rounding, plus ``n *
+    _NORM_UNDERFLOW`` for the squares of tiny entries that ``off`` lost.
+    For a member solved scaled by ``2**-k`` the same bound from above,
+    scaled back, must stay finite, where the solve would raise.
+    """
+    n = h.shape[0]
+    d = h.diagonal().real
+    margin = _ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n * target + n * _NORM_UNDERFLOW
+    if float(d.min()) - off <= margin:
+        return False
+    return not k or bool(np.isfinite(np.ldexp(float(d.max()) + off + margin, k)))
+
+
 def _rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """One sweep of disjoint index pairs ``(p, q)``, ``p < q``, by rounds.
 
@@ -225,7 +270,7 @@ def _rotate(x: np.ndarray, y: np.ndarray, c, s, s_conj) -> None:
     y += sx
 
 
-def _jacobi_eig(*mats: np.ndarray):
+def _jacobi_eig(*mats: np.ndarray, certify=()):
     """Two-sided Jacobi diagonalization of Hermitian matrices of one size.
 
     Each member is solved as if alone, with the same output bits; solving
@@ -257,6 +302,12 @@ def _jacobi_eig(*mats: np.ndarray):
     rounds twice. If any member is complex, all are rotated in
     ``complex128``. The eigenvalues are ``float64`` and the eigenvectors
     ``complex128`` for either dtype.
+
+    A member whose index is in ``certify`` may leave at a stopping test
+    that :func:`_certified` passes, before it converges: its result is
+    then :data:`CERTIFIED` instead of a decomposition. Its full solve
+    would have returned no negative eigenvalue and raised nothing, so a
+    caller that needs only the PSD verdict loses nothing by it.
     """
     n = mats[0].shape[0]
     real = not any(m.imag.any() for m in mats)
@@ -288,8 +339,12 @@ def _jacobi_eig(*mats: np.ndarray):
             left = []
             for i, j in enumerate(active):
                 h = hv[:n, i * n:(i + 1) * n]
-                if _offdiag_norm(h) > targets[j]:
-                    left.append(i)
+                off = _offdiag_norm(h)
+                if off > targets[j]:
+                    if j in certify and _certified(h, off, targets[j], exps[j]):
+                        results[j] = CERTIFIED
+                    else:
+                        left.append(i)
                     continue
                 vals = np.diag(h).real.copy()
                 order = np.argsort(vals, kind="stable")
@@ -341,7 +396,7 @@ def _jacobi_eig(*mats: np.ndarray):
             raise NumericError(
                 f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
         for j, k in enumerate(exps):
-            if k:
+            if k and results[j] is not CERTIFIED:
                 vals = np.ldexp(results[j][0], k)
                 if not np.isfinite(vals).all():
                     raise NumericError(
@@ -375,7 +430,10 @@ def _checked(h: np.ndarray, solved, tol: ToleranceConfig):
     """``(matrix, dec)``: :func:`validate_psd`'s matrix for the Hermitian
     ``h`` and the decomposition of the kernel's ``(eigenvalues,
     eigenvectors)`` of it, raising below ``-psd_tol * norm``. Every PSD
-    verdict is taken here."""
+    verdict is taken here. A ``solved`` of :data:`CERTIFIED` gives ``(h,
+    None)``: the full solve would have clamped nothing."""
+    if solved is CERTIFIED:
+        return h, None
     dec = SpectralDecomposition(*solved)
     w = dec.eigenvalues
     if w.size:
@@ -410,16 +468,21 @@ def _rounding_level(dec: SpectralDecomposition, tol: ToleranceConfig) -> bool:
     return float(w[0]) >= -cutoff
 
 
-def _validated(a, tol: ToleranceConfig) -> tuple[np.ndarray, SpectralDecomposition]:
-    """:func:`validate_psd`'s matrix with the decomposition that checked it."""
+def _validated(a, tol: ToleranceConfig,
+               certify: bool = False) -> tuple[np.ndarray, SpectralDecomposition | None]:
+    """:func:`validate_psd`'s matrix with the decomposition that checked it.
+
+    With ``certify`` the solve may stop once it certifies ``a`` positive
+    (:func:`_certified`), and the decomposition is then None: for a caller
+    that reads only the matrix, whose bits are the same."""
     h = hermitian_part(a, tol)
-    return _checked(h, _jacobi_eig(h), tol)
+    return _checked(h, _jacobi_eig(h, certify=(0,) if certify else ()), tol)
 
 
 def _solved_pair(ha, hb, sum_too: bool, also):
     """``(a_result, b_result, extra)``: one kernel call for the pair and
     the extra members of :func:`_validated_pair`, whose results ``extra``
-    keys ``"sum"`` and ``"also"``.
+    keys ``"sum"`` and ``"also"``. Only ``also`` may leave certified.
 
     If that call fails, for instance because an extra member does not
     converge, the pair is solved alone: an extra member must not fail it.
@@ -435,8 +498,10 @@ def _solved_pair(ha, hb, sum_too: bool, also):
     if also is not None and also.shape == ha.shape:
         members["also"] = also
     if members:
+        # "also" is the last member
+        last = (1 + len(members),) if "also" in members else ()
         try:
-            a_res, b_res, *rest = _jacobi_eig(ha, hb, *members.values())
+            a_res, b_res, *rest = _jacobi_eig(ha, hb, *members.values(), certify=last)
             return a_res, b_res, dict(zip(members, rest))
         except NumericError:
             pass
@@ -461,8 +526,10 @@ def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None
       :class:`NumericError`. Without ``sum_too`` it is None.
     - ``also``, a Hermitian matrix such as a state. ``also_solved`` is
       the kernel's ``(eigenvalues, eigenvectors)`` of it, not yet
-      checked, or None when ``also`` is None, of another size or its
-      solve failed.
+      checked, or :data:`CERTIFIED` when the kernel certified it positive
+      before it converged, or None when ``also`` is None, of another size
+      or its solve failed. :func:`_checked` takes either, for a caller
+      that reads only the validated matrix.
 
     A bad pair raises what validating ``a`` and then ``b`` would: a
     non-PSD ``a`` is reported before anything wrong with ``b``, and both

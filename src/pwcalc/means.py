@@ -81,8 +81,11 @@ def _ext_mul(u: float, v: float) -> float:
 
 
 def _trace_product(rho, a) -> float:
-    """``Re tr(rho a)`` of a validated state and pair member; a trace
-    beyond float64 reads +inf, as pairing values do. Only a plain trace
+    """``Re tr(rho a)`` of a state and pair member as the caller passed
+    them: :func:`tensor_pairing_check` hands over its raw ``rho1, a1`` and
+    ``rho2, a2``, which its slot pairings have validated, but neither
+    their Hermitian parts nor their clamped matrices. A trace beyond
+    float64 reads +inf, as pairing values do. Only a plain trace
     that is not finite is formed again from ``rho`` and ``a`` scaled by
     powers of two, and scaled back, so every finite one keeps its bits."""
     rho, a = np.asarray(rho), np.asarray(a)

@@ -10,10 +10,18 @@ at a time with ``linalg._jacobi_eig`` and prints the mean sweeps and
 rounds per solve. A sweep is counted by the kernel's stopping test,
 ``linalg._offdiag_norm``, which runs before every sweep and once more when
 the matrix has converged; the rounds of a solve are its sweeps times the
-rounds of one sweep, ``len(linalg._round_plan(n, 1))``. The counts are
-deterministic, so the script reports no timing. It imports ``pwcalc``
-from the ``src`` directory next to this one. Not a test module: pytest
-does not collect it.
+rounds of one sweep, ``len(linalg._round_plan(n, 1))``.
+
+Then, for ``SOLVES`` seeded n=24 states of unit trace ``U diag(d) U*``
+with ``d`` in [0.2, 1] (a Haar ``U``, real and complex, as the pairing
+queries of the benchmark draw them), it prints the mean, least and most
+sweeps before the kernel certifies the state positive (``certify``, as
+state validation solves it) and before it converges (as
+``validate_psd`` solves it).
+
+The counts are deterministic, so the script reports no timing. It
+imports ``pwcalc`` from the ``src`` directory next to this one. Not a
+test module: pytest does not collect it.
 """
 
 import sys
@@ -26,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from pwcalc import linalg  # noqa: E402
 
 SIZES = (4, 8, 16, 24, 32)
+STATE_N = 24
 SEED = 20240811
 
 
@@ -38,8 +47,20 @@ def gram(rng, n: int, rank: int, real: bool) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def sweeps(m: np.ndarray) -> int:
-    """The sweeps that ``_jacobi_eig(m)`` runs."""
+def state(rng, n: int, real: bool) -> np.ndarray:
+    """A state ``U diag(d) U*`` of unit trace, ``d`` in [0.2, 1]."""
+    g = rng.standard_normal((n, n))
+    if not real:
+        g = (g + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+    d = rng.uniform(0.2, 1.0, size=n)
+    m = (u * d) @ u.conj().T
+    return 0.5 * (m + m.conj().T) / d.sum()
+
+
+def sweeps(m: np.ndarray, certify=()) -> int:
+    """The sweeps that ``_jacobi_eig(m, certify=certify)`` runs."""
     checks = 0
     plain = linalg._offdiag_norm
 
@@ -50,7 +71,7 @@ def sweeps(m: np.ndarray) -> int:
 
     linalg._offdiag_norm = counting
     try:
-        linalg._jacobi_eig(m)
+        linalg._jacobi_eig(m, certify=certify)
     finally:
         linalg._offdiag_norm = plain
     return checks - 1
@@ -72,6 +93,18 @@ def main(argv) -> int:
                 print(f"{n:>3} {'real' if real else 'complex':<8} {kind:<8} "
                       f"{per_sweep:>12} {total / solves:>12.2f} "
                       f"{per_sweep * total / solves:>12.1f}")
+    print()
+    print("sweeps to the certificate and to convergence, mean / min / max")
+    print(f"{'n':>3} {'state':<8} {'certificate':>18} {'convergence':>18}")
+    for real in (True, False):
+        rng = np.random.default_rng([SEED, STATE_N, real])
+        states = [state(rng, STATE_N, real) for _ in range(solves)]
+        cols = []
+        for certify in ((0,), ()):
+            counts = [sweeps(m, certify) for m in states]
+            cols.append(f"{sum(counts) / solves:.2f} / {min(counts)} / {max(counts)}")
+        print(f"{STATE_N:>3} {'real' if real else 'complex':<8} "
+              f"{cols[0]:>18} {cols[1]:>18}")
     return 0
 
 

@@ -131,10 +131,10 @@ def test_solve_count(monkeypatch, name, fa, fb, op, expected):
     calls = []
     real = linalg._jacobi_eig
 
-    def counting(*mats):
+    def counting(*mats, **kwargs):
         # one count per member: a side-by-side call solves each of them
         calls.extend(m.shape[0] for m in mats)
-        return real(*mats)
+        return real(*mats, **kwargs)
 
     monkeypatch.setattr(linalg, "_jacobi_eig", counting)
     op(a, b)
@@ -146,9 +146,9 @@ def _kernel_calls(monkeypatch, op, *args):
     calls = []
     real = linalg._jacobi_eig
 
-    def counting(*mats):
+    def counting(*mats, **kwargs):
         calls.append(len(mats))
-        return real(*mats)
+        return real(*mats, **kwargs)
 
     monkeypatch.setattr(linalg, "_jacobi_eig", counting)
     op(*args)
@@ -280,11 +280,11 @@ def test_a_failing_extra_member_falls_back(monkeypatch):
     calls = []
     real = linalg._jacobi_eig
 
-    def failing(*mats):
+    def failing(*mats, **kwargs):
         calls.append(len(mats))
         if len(mats) > 2:
             raise linalg.NumericError("an extra member did not converge")
-        return real(*mats)
+        return real(*mats, **kwargs)
 
     monkeypatch.setattr(linalg, "_jacobi_eig", failing)
     assert repr(pwcalc.pw_pairing(a, b, pwcalc.entropy(), rho)) == repr(want)

@@ -199,16 +199,16 @@ class TestPairValidation:
         tol = ToleranceConfig()
         calls = []
 
-        def counting(*mats):
+        def counting(*mats, **kwargs):
             calls.append(len(mats))
-            return _jacobi_eig(*mats)
+            return _jacobi_eig(*mats, **kwargs)
 
         def deep(dec):
             # a clamp below minus the support threshold
             w = dec.eigenvalues
             return w.size and w[0] < -tol.support_threshold(w.size, w[-1])
 
-        used = missed = rounding_clamps = 0
+        used = missed = rounding_clamps = certified = 0
         for trial in range(40):
             n = int(rng.integers(1, 9))
             a = rand_psd(rng, n, int(rng.integers(0, n + 1)))
@@ -225,9 +225,14 @@ class TestPairValidation:
                 m.setattr(linalg, "_jacobi_eig", counting)
                 av, a_dec, bv, b_dec, sum_dec, rho_solved = _validated_pair(
                     a, b, tol, sum_too=True, also=rho)
-            alone = _jacobi_eig(rho)
-            assert rho_solved[0].tobytes() == alone[0].tobytes()
-            assert rho_solved[1].tobytes() == alone[1].tobytes()
+            # the state may leave certified positive, alone as in the call
+            alone = _jacobi_eig(rho, certify=(0,))
+            if alone is linalg.CERTIFIED:
+                assert rho_solved is alone
+                certified += 1
+            else:
+                assert rho_solved[0].tobytes() == alone[0].tobytes()
+                assert rho_solved[1].tobytes() == alone[1].tobytes()
             if calls == [4]:
                 # no clamp, or only rounding-level ones: the speculative sum
                 # of the Hermitian parts serves
@@ -246,6 +251,7 @@ class TestPairValidation:
             assert sum_dec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
             assert sum_dec.basis.tobytes() == want.basis.tobytes()
         assert used > 5 and missed > 5 and rounding_clamps > 5
+        assert 5 < certified < 35
 
     def test_extra_members_only_where_they_apply(self):
         tol = ToleranceConfig()
@@ -259,6 +265,118 @@ class TestPairValidation:
         with pytest.raises(NotPsdError):
             _validated_pair(np.diag([1e308, -1e308]), np.diag([1e308, 0.0]), tol,
                             sum_too=True)
+
+
+_CERTIFICATE_KINDS = ("full", "pure", "near_singular", "rounding_negative", "tiny",
+                      "overflow", "indefinite")
+
+
+def _certificate_states():
+    """``(kind, m)``: seeded Hermitian states ``U diag(d) U*``, n 1-32, real
+    and complex, of each kind: full rank (``d`` in [0.2, 1]), pure, near
+    singular (one ``d`` at 1e-14..1e-6), rounding-negative (one ``d`` at
+    -1e-18), full rank at 1e-150, scaled by a power of two so the largest
+    entry lies in ``[2**1022, 2**1023)`` (the norm overflows; a pure one's
+    trace does too), and indefinite (one ``d`` at -0.5)."""
+    rng = np.random.default_rng(2026)
+    for k in range(12 * len(_CERTIFICATE_KINDS)):
+        kind = _CERTIFICATE_KINDS[k % len(_CERTIFICATE_KINDS)]
+        n = int(rng.integers(1, 33))
+        real = bool(k // len(_CERTIFICATE_KINDS) % 2)
+        g = rng.standard_normal((n, n)) if real else rand_complex(rng, n, n)
+        u, _ = np.linalg.qr(g)
+        d = rng.uniform(0.2, 1.0, size=n)
+        if kind == "pure" or (kind == "overflow" and k % 3 == 0):
+            d[1:] = 0.0
+        elif kind == "near_singular":
+            d[0] = 10.0 ** rng.uniform(-14.0, -6.0)
+        elif kind == "rounding_negative":
+            d[0] = -1e-18
+        elif kind == "indefinite":
+            d[0] = -0.5
+        m = hermitize((u * d) @ u.conj().T)
+        if kind == "tiny":
+            m = 1e-150 * m
+        elif kind == "overflow":
+            m = m * 2.0 ** -int(np.frexp(np.abs(m).max())[1]) * 2.0 ** 1023
+        yield kind, m
+
+
+def _certified(m):
+    try:
+        return _jacobi_eig(hermitian_part(m), certify=(0,)) is linalg.CERTIFIED
+    except NumericError:  # the spectral norm overflows
+        return False
+
+
+def _outcome(op):
+    try:
+        return op()
+    except (NotPsdError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCertificate:
+    """A solve that may stop once Weyl's bound certifies its member
+    positive gives the PSD verdict and validated matrix of the full solve."""
+
+    def test_sound_and_same_bits(self):
+        tol = ToleranceConfig()
+        certified = dict.fromkeys(_CERTIFICATE_KINDS, 0)
+        errors = 0
+        for kind, m in _certificate_states():
+            got = _outcome(lambda: _validated(m, tol, certify=True))
+            want = _outcome(lambda: validate_psd(m, tol))
+            if isinstance(want[0], type):
+                # every error keeps its type and message
+                assert got == want, kind
+                errors += 1
+                continue
+            assert got[0].tobytes() == want[0].tobytes(), kind
+            if _certified(m):
+                # the full solve would have ended with no negative eigenvalue
+                assert want[1] >= 0.0, kind
+                assert got[1] is None
+                certified[kind] += 1
+            else:
+                assert got[1].eigenvalues[0] == want[1]
+        assert errors > 8
+        assert certified["full"] > 4 and certified["tiny"] > 4
+        assert certified["overflow"] and certified["near_singular"]
+        assert not certified["pure"]
+
+    @pytest.mark.parametrize("k", [-5, 5])
+    def test_decision_is_scale_invariant(self, k):
+        # the kinds at 1e-150 are full rank: a near-singular state there
+        # has off-diagonal entries whose squares underflow in the stopping
+        # test, and its full solve is not homogeneous either
+        decisions = []
+        for kind, m in _certificate_states():
+            if kind == "overflow" and k > 0:
+                continue  # beyond float64
+            decision = _certified(m)
+            assert _certified(4.0 ** k * m) == decision, kind
+            decisions.append(decision)
+        assert 0 < sum(decisions) < len(decisions)
+
+    def test_an_overflowing_spectrum_is_not_certified(self):
+        # Weyl's lower bound clears the margin, but the largest eigenvalue,
+        # 2.2e308, leaves float64 when the scaled solve scales it back
+        m = np.array([[1.7e308, 0.5e308], [0.5e308, 1.7e308]])
+        tol = ToleranceConfig()
+        want = _outcome(lambda: validate_psd(m, tol))
+        assert want[0] is NumericError
+        assert _outcome(lambda: _validated(m, tol, certify=True)) == want
+        assert not _certified(m)
+        assert _certified(0.5 * m)
+
+    def test_only_marked_members_leave_certified(self, rng):
+        m = rand_psd(rng, 12) + 0.5 * np.eye(12)
+        full = _jacobi_eig(m, m)
+        got = _jacobi_eig(m, m, certify=(1,))
+        assert got[1] is linalg.CERTIFIED
+        for x, y in zip(got[0], full[0]):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestNumericInput:

@@ -31,7 +31,10 @@ bit, including +inf. Scaling by a power of four is exact and scales every
 square root by a power of two, so the matrix outputs hold it for
 ``|k| <= 100``. The pairings hold it down to ``k = -10``; at ``k = -30``
 and ``-100`` the weights fall under the absolute ``weight_tol``, and those
-cases are strict xfails until the tolerance is relative.
+cases are strict xfails until the tolerance is relative. Pairings are
+linear in the state: on a reused rep, a generic full-rank state scaled by
+``4**+-5`` scales every pairing and ``eval_sequence`` value by the same
+power, bit for bit.
 """
 
 import math
@@ -287,3 +290,21 @@ class TestJointHomogeneity:
             for name in ("entropy", "power"):
                 got = HOMOGENEOUS_PAIRINGS[name](4.0 ** 10 * a, 4.0 ** 10 * b, rho)
                 assert got == 4.0 ** 5 * refs[name], name
+
+    @pytest.mark.parametrize("k", [-5, 5])
+    def test_reused_rep_with_a_scaled_state(self, k):
+        # rho = I is diagonal and its validation never reaches a sweep; a
+        # generic full-rank state's does, certified or to convergence
+        t = 4.0 ** k
+        fns = (pw.entropy(), pw.power(2.0), pw.parallel(), pw.geometric(0.5))
+        seq = [pw.scaled_parallel(2.0 ** j) for j in range(4)]
+        rng = np.random.default_rng(610)
+        for a, b in _homogeneity_pairs():
+            rep = pw.build_rep(a, b)
+            rho = rand_psd(rng, a.shape[0])
+            if not np.iscomplexobj(a):
+                rho = rho.real
+            for fn in fns:
+                assert rep.pairing(fn, t * rho).value == t * rep.pairing(fn, rho).value
+            want = rep.eval_sequence(seq, rho).values
+            assert rep.eval_sequence(seq, t * rho).values == [t * v for v in want]
