@@ -19,6 +19,16 @@ rotated matrix, which differs from the input only by the rotations'
 rounding. Eigenvalues far below that bound, such as the small ones of a
 graded matrix, are not resolved to high relative accuracy.
 
+Every matrix is solved at unit scale: scaled by the power of two that
+brings its largest entry into ``[1/2, 1)``, with its eigenvalues scaled
+back. That is exact, and every step of the solve is homogeneous, so a
+matrix and its multiple by a power of two get the same eigenvectors,
+and eigenvalues that factor apart, wherever their entries stay normal.
+So the PSD verdict, relative to the spectral norm, does not change when
+the input is scaled, however small or large it is.
+:func:`safe_frobenius` and :func:`polar_isometry` work at unit scale
+too.
+
 The solver visits index pairs in a fixed order, the modulus ordering
 (Luk and Park, 1989): a sweep runs the rounds ``r = n - 1, ..., 0``, and
 round ``r`` rotates the disjoint pairs ``p < q`` with ``p + q = r (mod
@@ -145,25 +155,39 @@ def frobenius(m) -> float:
 
 def _exponent(m: np.ndarray) -> int:
     """The binary exponent ``k`` of the largest real or imaginary part of
-    the finite, nonempty ``m``: ``m * 2**-k`` has no part reaching 1."""
-    return int(np.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    the finite ``m``: ``m * 2**-k`` has its largest part in ``[1/2, 1)``.
+    It is 0 for an empty or zero ``m``."""
+    return int(np.frexp(max(np.abs(m.real).max(initial=0.0),
+                            np.abs(m.imag).max(initial=0.0)))[1])
+
+
+def _ldexp(m: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """``out`` set to ``m * 2**k``, each part apart by ``np.ldexp``: exact
+    wherever the result stays normal, for every ``k``, and every zero
+    keeps its sign. A real ``out`` takes the real part."""
+    np.ldexp(m.real, k, out=out.real)
+    if np.iscomplexobj(out):
+        np.ldexp(m.imag, k, out=out.imag)
+    return out
 
 
 def safe_frobenius(m) -> float:
-    """:func:`frobenius` that does not overflow for finite entries.
+    """:func:`frobenius` that neither overflows nor underflows for finite
+    entries.
 
-    The plain norm squares the entries and overflows above about 1e154;
-    only then is ``m`` scaled by a power of two and the norm scaled back,
-    so every finite plain norm keeps its bits. It is ``inf`` only when
-    the norm itself exceeds the float range or an entry is not finite.
+    The plain norm squares the entries, which overflow above about 1e154
+    and underflow below about 1e-154. So ``m`` is scaled by the power of
+    two ``2**-k`` that brings its largest part into ``[1/2, 1)``, and the
+    norm is scaled back. That is exact wherever the plain norm's squares
+    stay normal, so every such norm keeps its bits. It is ``inf`` only
+    when the norm itself exceeds the float range or an entry is infinite,
+    and ``nan`` when an entry is ``nan``: ``np.ldexp`` keeps every
+    non-finite part.
     """
     m = np.asarray(m, dtype=np.complex128)
+    k = _exponent(m)
     with np.errstate(over="ignore"):
-        plain = frobenius(m)
-        if plain != math.inf or not np.isfinite(m).all():
-            return plain
-        k = _exponent(m)
-        return float(np.ldexp(frobenius(m * np.ldexp(1.0, -k)), k))
+        return float(np.ldexp(frobenius(_ldexp(m, -k, np.empty_like(m))), k))
 
 
 def _offdiag_norm(h: np.ndarray) -> float:
@@ -175,10 +199,8 @@ def _offdiag_norm(h: np.ndarray) -> float:
 # what _jacobi_eig gives for a member that it certifies positive semidefinite
 CERTIFIED = "certified positive semidefinite"
 # the remaining rounds' rounding, in units of eps * ||h||_F per round and per
-# row, and the most that squares underflowing to 0 hide from a norm (2**-537
-# per row): see _certified
+# row: see _certified
 _ROUND_ROUNDING = 32
-_NORM_UNDERFLOW = 2.0 ** -537
 
 
 def _certified(h: np.ndarray, off: float, target: float, k: int) -> bool:
@@ -192,17 +214,18 @@ def _certified(h: np.ndarray, off: float, target: float, k: int) -> bool:
     and the diagonal that the solve returns lies at or above the smallest
     eigenvalue of the matrix it converged to. So the difference must clear
     ``_ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n * target``, a margin that also
-    covers ``target`` and this test's own rounding, plus ``n *
-    _NORM_UNDERFLOW`` for the squares of tiny entries that ``off`` lost.
-    For a member solved scaled by ``2**-k`` the same bound from above,
-    scaled back, must stay finite, where the solve would raise.
+    covers ``target`` and this test's own rounding. ``h`` is solved at unit
+    scale, ``2**-k`` times its member, so ``||h||_F`` is at least 1/2 and
+    the squares that underflow in ``off`` hide at most ``n * 2**-537``
+    from it, far inside the margin. The same bound from above, scaled back
+    by ``2**k``, must stay finite, where the solve would raise.
     """
     n = h.shape[0]
     d = h.diagonal().real
-    margin = _ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n * target + n * _NORM_UNDERFLOW
+    margin = _ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n * target
     if float(d.min()) - off <= margin:
         return False
-    return not k or bool(np.isfinite(np.ldexp(float(d.max()) + off + margin, k)))
+    return bool(np.isfinite(np.ldexp(float(d.max()) + off + margin, k)))
 
 
 def _rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -289,9 +312,21 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
     the ``(n m, n)`` view that holds one row of one member per line.
     A pair whose ``h[p, q]`` is zero or subnormal is skipped in that
     member only. Each member keeps its own stopping test and leaves the
-    array when it meets it, and a member whose norm overflows is solved
-    scaled. The order is fixed, so each result is a function of its
-    member's input bits, whatever else shares the call.
+    array when it meets it. The order is fixed, so each result is a
+    function of its member's input bits, whatever else shares the call.
+
+    Every member is solved at unit scale: it enters the array as ``m *
+    2**-k``, with ``k`` from :func:`_exponent`, so that its largest part
+    lies in ``[1/2, 1)``, and its eigenvalues leave scaled back by
+    ``2**k``; a spectrum beyond the float64 range raises
+    :class:`NumericError`. Scaling by a power of two is exact for every
+    entry that stays normal, and every step of a round (``tau``, the
+    rotation, its phase and the stopping norm) is homogeneous. So ``m``
+    and ``2**j m`` get the same eigenvectors and eigenvalues ``2**j``
+    apart, bit for bit, for every ``j`` that keeps their entries and
+    eigenvalues normal. At unit scale the stopping norm's squares cannot
+    overflow, and they underflow only for entries below ``2**-537`` of
+    the largest, which lie far below the stopping target.
 
     Members with no nonzero imaginary part are rotated in ``float64``,
     with the bits the ``complex128`` rounds give them: every step is the
@@ -312,28 +347,17 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
     n = mats[0].shape[0]
     real = not any(m.imag.any() for m in mats)
     hv = np.empty((2 * n, len(mats) * n), dtype=np.float64 if real else np.complex128)
-    members = [hv[:, j * n:(j + 1) * n] for j in range(len(mats))]
-    for member, m in zip(members, mats):
-        member[:n] = m.real if real else m
-        member[n:] = np.eye(n)
     results = [None] * len(mats)
-    exps = [0] * len(mats)
+    exps = [_exponent(m) for m in mats]
     targets = []
-    # the norm overflows for large finite entries (handled below); tau
-    # overflows to inf, and |tau| + hypot(1, tau) with it, when h[p, q] is
-    # negligible next to the diagonal gap; t is then 0 and the rotation
+    for j, m in enumerate(mats):
+        h = _ldexp(m, -exps[j], hv[:n, j * n:(j + 1) * n])
+        hv[n:, j * n:(j + 1) * n] = np.eye(n)
+        targets.append(n * float(np.finfo(np.float64).eps) * frobenius(h))
+    # tau overflows to inf, and |tau| + hypot(1, tau) with it, when h[p, q]
+    # is negligible next to the diagonal gap; t is then 0 and the rotation
     # the identity
     with np.errstate(over="ignore"):
-        for j, (member, m) in enumerate(zip(members, mats)):
-            norm = frobenius(member[:n])
-            if norm == np.inf:
-                # solve the matrix scaled by a power of two, exact for
-                # every entry that stays normal, and scale the spectrum back
-                exps[j] = _exponent(m)
-                m = m * np.ldexp(1.0, -exps[j])
-                member[:n] = m.real if real else m
-                norm = frobenius(member[:n])
-            targets.append(n * float(np.finfo(np.float64).eps) * norm)
         active = list(range(len(mats)))  # the member in each block of hv
         for _ in range(MAX_JACOBI_SWEEPS):
             left = []
@@ -396,7 +420,7 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
             raise NumericError(
                 f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
         for j, k in enumerate(exps):
-            if k and results[j] is not CERTIFIED:
+            if results[j] is not CERTIFIED:
                 vals = np.ldexp(results[j][0], k)
                 if not np.isfinite(vals).all():
                     raise NumericError(
@@ -615,23 +639,29 @@ def polar_isometry(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     Works for any rectangular matrix. The returned ``w`` satisfies
     ``w @ psd_sqrt(m* m) = m`` and ``w* w`` is the support projection of
-    ``m* m``. A Gram ``m* m`` beyond the float64 range raises
-    :class:`NumericError`.
+    ``m* m``. The factor does not change when ``m`` is scaled, so it is
+    taken from ``m * 2**-k`` at unit scale (:func:`_exponent`), whose
+    Gram neither overflows nor underflows: ``polar_isometry(diag(1e200,
+    1))`` and ``polar_isometry(diag(1, 1e-200))`` are both ``diag(1, 0)``,
+    since ``1e-400`` lies below the support threshold of ``diag(1,
+    1e-400)``. An explicit ``support_tol`` still bounds the eigenvalues
+    of ``m* m`` itself.
     """
     m = _numeric(m, "matrix").astype(np.complex128, copy=False)
     if m.ndim != 2:
         raise InputError(f"expected a matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InputError("matrix contains non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = m.conj().T @ m
-    if not np.isfinite(gram).all():
-        raise NumericError(
-            "polar Gram m* m outside the float64 range: an entry overflows")
-    dec = eig_hermitian(hermitize(gram), tol)
-    keep = _above_support(dec.eigenvalues, tol)
+    k = _exponent(m)
+    m = _ldexp(m, -k, np.empty_like(m))
+    dec = eig_hermitian(hermitize(m.conj().T @ m), tol)
+    w = dec.eigenvalues
+    with np.errstate(over="ignore"):
+        # an explicit support_tol bounds the eigenvalues 4**k w of m* m
+        keep = (_above_support(w, tol) if tol.support_tol is None
+                else w > np.ldexp(tol.support_tol, -2 * k))
     vecs = dec.basis[:, keep]
-    cols = (m @ vecs) / np.sqrt(dec.eigenvalues[keep])[None, :]
+    cols = (m @ vecs) / np.sqrt(w[keep])[None, :]
     return cols @ vecs.conj().T
 
 

@@ -10,7 +10,10 @@ at a time with ``linalg._jacobi_eig`` and prints the mean sweeps and
 rounds per solve. A sweep is counted by the kernel's stopping test,
 ``linalg._offdiag_norm``, which runs before every sweep and once more when
 the matrix has converged; the rounds of a solve are its sweeps times the
-rounds of one sweep, ``len(linalg._round_plan(n, 1))``.
+rounds of one sweep, ``len(linalg._round_plan(n, 1))``. Beside them it
+prints the mean sweeps of the same matrices scaled by ``4**-280``
+(about 1e-169), where every entry's square underflows: the kernel solves
+each matrix at unit scale, so the two columns must be equal.
 
 Then, for ``SOLVES`` seeded n=24 states of unit trace ``U diag(d) U*``
 with ``d`` in [0.2, 1] (a Haar ``U``, real and complex, as the pairing
@@ -36,6 +39,7 @@ from pwcalc import linalg  # noqa: E402
 SIZES = (4, 8, 16, 24, 32)
 STATE_N = 24
 SEED = 20240811
+TINY = 4.0 ** -280
 
 
 def gram(rng, n: int, rank: int, real: bool) -> np.ndarray:
@@ -83,16 +87,18 @@ def main(argv) -> int:
         return 2
     solves = int(argv[0]) if argv else 20
     print(f"{'n':>3} {'input':<8} {'rank':<8} {'rounds/sweep':>12} "
-          f"{'sweeps/solve':>12} {'rounds/solve':>12}")
+          f"{'sweeps/solve':>12} {'rounds/solve':>12} {'at 4^-280':>10}")
     for n in SIZES:
         per_sweep = len(linalg._round_plan(n, 1))
         for real in (True, False):
             for kind, rank in (("definite", n), ("n/2", n // 2)):
                 rng = np.random.default_rng([SEED, n, real, rank])
-                total = sum(sweeps(gram(rng, n, rank, real)) for _ in range(solves))
+                mats = [gram(rng, n, rank, real) for _ in range(solves)]
+                total = sum(sweeps(m) for m in mats)
+                tiny = sum(sweeps(TINY * m) for m in mats)
                 print(f"{n:>3} {'real' if real else 'complex':<8} {kind:<8} "
                       f"{per_sweep:>12} {total / solves:>12.2f} "
-                      f"{per_sweep * total / solves:>12.1f}")
+                      f"{per_sweep * total / solves:>12.1f} {tiny / solves:>10.2f}")
     print()
     print("sweeps to the certificate and to convergence, mean / min / max")
     print(f"{'n':>3} {'state':<8} {'certificate':>18} {'convergence':>18}")

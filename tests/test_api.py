@@ -673,8 +673,9 @@ def test_only_the_transfer_step_reads_the_eigenvectors_of_gram_a():
 
 
 def test_only_the_kernel_takes_the_plain_frobenius_norm():
-    # the plain norm overflows above about 1e154 per entry; the kernel
-    # detects that itself, every other caller takes safe_frobenius
+    # the plain norm overflows above about 1e154 per entry and underflows
+    # below about 1e-154; the kernel takes it at unit scale itself, every
+    # other caller takes safe_frobenius
     readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _readers(ast.parse(path.read_text()), "frobenius")}
     assert readers == {("linalg.py", "safe_frobenius"),

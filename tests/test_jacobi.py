@@ -63,14 +63,20 @@ def _complex_rounds(mat):
     """The kernel's rounds with every round in ``complex128``, the
     phase as the complex quotient ``apq / |apq|`` and the index pairs
     rebuilt on every call; the library kernel must match it byte for
-    byte."""
+    byte. The matrix is solved at unit scale, ``2**-e`` times ``mat``
+    with its largest real or imaginary part in ``[1/2, 1)`` (each part
+    by ``np.ldexp``, so that zeros keep their signs), and the eigenvalues
+    are scaled back by ``2**e``."""
     n = mat.shape[0]
+    top = max(np.abs(mat.real).max(initial=0.0), np.abs(mat.imag).max(initial=0.0))
+    e = int(np.frexp(top)[1])
     hv = np.empty((2 * n, n), dtype=np.complex128)
     h = hv[:n]
-    h[...] = mat
+    h.real = np.ldexp(mat.real, -e)
+    h.imag = np.ldexp(mat.imag, -e)
     hv[n:] = np.eye(n)
     if n < 2:
-        return np.diag(h).real.astype(np.float64), hv[n:].copy()
+        return np.ldexp(np.diag(h).real, e), hv[n:].copy()
     target = n * float(np.finfo(np.float64).eps) * float(np.linalg.norm(h))
     rounds = _rounds(n)
     for _ in range(MAX_JACOBI_SWEEPS):
@@ -78,7 +84,7 @@ def _complex_rounds(mat):
         if float(np.linalg.norm(off)) <= target:
             vals = np.diag(h).real.copy()
             order = np.argsort(vals, kind="stable")
-            return vals[order], hv[n:, order]
+            return np.ldexp(vals[order], e), hv[n:, order]
         for p, q in rounds:
             apq = h[p, q]
             mag = np.abs(apq)
@@ -290,7 +296,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_overflowing_norm_is_solved_scaled(self, dtype):
-        # every entry is finite but the Frobenius norm overflows; the
+        # every entry is finite but the plain Frobenius norm overflows; an
         # unscaled stopping rule accepted the unrotated diagonal
         for m, want in (([[1e200, 2e200], [2e200, 1e200]], [-1e200, 3e200]),
                         ([[1e200] * 2] * 2, [0.0, 2e200])):
@@ -438,8 +444,8 @@ class TestSideBySide:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_overflowing_norm(self, rng, dtype):
-        # every entry is finite but the Frobenius norm overflows, so that
-        # member alone is solved scaled by a power of two
+        # every entry is finite but the plain Frobenius norm overflows; each
+        # member is solved at its own unit scale
         got = _solved_alone([np.array([[1e200, 2e200], [2e200, 1e200]], dtype=dtype),
                              rand_hermitian(rng, 2, real=dtype == np.float64),
                              np.full((2, 2), 1e200, dtype=dtype)])

@@ -268,7 +268,8 @@ class TestPairValidation:
 
 
 _CERTIFICATE_KINDS = ("full", "pure", "near_singular", "rounding_negative", "tiny",
-                      "overflow", "indefinite")
+                      "overflow", "indefinite", "tiny_rank_deficient",
+                      "tiny_near_singular", "tiny_rounding_negative")
 
 
 def _certificate_states():
@@ -277,7 +278,9 @@ def _certificate_states():
     singular (one ``d`` at 1e-14..1e-6), rounding-negative (one ``d`` at
     -1e-18), full rank at 1e-150, scaled by a power of two so the largest
     entry lies in ``[2**1022, 2**1023)`` (the norm overflows; a pure one's
-    trace does too), and indefinite (one ``d`` at -0.5)."""
+    trace does too), indefinite (one ``d`` at -0.5), and at 1e-150 rank
+    ``n - 1``, near singular and rounding-negative: there the squares of
+    the smallest entries underflow unless the solve is scaled."""
     rng = np.random.default_rng(2026)
     for k in range(12 * len(_CERTIFICATE_KINDS)):
         kind = _CERTIFICATE_KINDS[k % len(_CERTIFICATE_KINDS)]
@@ -288,14 +291,16 @@ def _certificate_states():
         d = rng.uniform(0.2, 1.0, size=n)
         if kind == "pure" or (kind == "overflow" and k % 3 == 0):
             d[1:] = 0.0
-        elif kind == "near_singular":
+        elif kind.endswith("near_singular"):
             d[0] = 10.0 ** rng.uniform(-14.0, -6.0)
-        elif kind == "rounding_negative":
+        elif kind.endswith("rounding_negative"):
             d[0] = -1e-18
+        elif kind == "tiny_rank_deficient":
+            d[0] = 0.0
         elif kind == "indefinite":
             d[0] = -0.5
         m = hermitize((u * d) @ u.conj().T)
-        if kind == "tiny":
+        if kind.startswith("tiny"):
             m = 1e-150 * m
         elif kind == "overflow":
             m = m * 2.0 ** -int(np.frexp(np.abs(m).max())[1]) * 2.0 ** 1023
@@ -347,9 +352,6 @@ class TestCertificate:
 
     @pytest.mark.parametrize("k", [-5, 5])
     def test_decision_is_scale_invariant(self, k):
-        # the kinds at 1e-150 are full rank: a near-singular state there
-        # has off-diagonal entries whose squares underflow in the stopping
-        # test, and its full solve is not homogeneous either
         decisions = []
         for kind, m in _certificate_states():
             if kind == "overflow" and k > 0:
@@ -358,6 +360,22 @@ class TestCertificate:
             assert _certified(4.0 ** k * m) == decision, kind
             decisions.append(decision)
         assert 0 < sum(decisions) < len(decisions)
+
+    @pytest.mark.parametrize("k", [-5, 5])
+    def test_full_solve_is_scale_invariant(self, k):
+        # every member is solved at unit scale, so the solve of 4**k m has
+        # the eigenvectors of m's and its eigenvalues times 4**k, bit for bit
+        t = 4.0 ** k
+        for kind, m in _certificate_states():
+            if kind == "overflow" and k > 0:
+                continue  # beyond float64
+            try:
+                vals, vecs = _jacobi_eig(hermitian_part(m))
+            except NumericError:
+                continue  # a spectrum beyond float64
+            got_vals, got_vecs = _jacobi_eig(hermitian_part(t * m))
+            assert got_vals.tobytes() == (t * vals).tobytes(), kind
+            assert got_vecs.tobytes() == vecs.tobytes(), kind
 
     def test_an_overflowing_spectrum_is_not_certified(self):
         # Weyl's lower bound clears the margin, but the largest eigenvalue,
@@ -538,6 +556,32 @@ class TestPolarIsometry:
             gram_supp = support_projection(m.conj().T @ m)
             assert np.abs(w.conj().T @ w - gram_supp).max() < 1e-9
 
+    def test_gram_beyond_the_float_range(self):
+        # the factor is taken at unit scale: a Gram m* m with an entry of
+        # 1e400 is no error, and one of 1e-400 is not lost to underflow.
+        # Both factors are diag(1, 0), since 1e-400 lies below the support
+        # threshold of diag(1, 1e-400)
+        want = np.diag([1.0, 0.0]).astype(np.complex128).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert polar_isometry(np.diag([1e200, 1.0])).tobytes() == want
+            assert polar_isometry(np.diag([1.0, 1e-200])).tobytes() == want
+            m = np.array([[2.0, 1.0], [0.0, 1.0]])
+            w = polar_isometry(m)
+            for t in (2.0 ** -560, 2.0 ** 560):
+                assert polar_isometry(t * m).tobytes() == w.tobytes()
+
+    def test_an_explicit_support_tol_bounds_the_gram_of_m(self):
+        # the Gram of 1e-100 m at unit scale has its top eigenvalue in
+        # [1/4, 1), far above a support_tol of 1e-11; that still cuts the
+        # Gram of 1e-100 m itself, diag(1e-200, 1e-212), whole
+        tol = ToleranceConfig(support_tol=1e-11)
+        m = np.diag([1.0, 1e-6])
+        assert polar_isometry(m, tol).tobytes() == polar_isometry(
+            np.diag([1.0, 0.0]), tol).tobytes()
+        assert np.abs(polar_isometry(1e-100 * m, tol)).max() == 0.0
+        assert np.abs(polar_isometry(1e100 * m, tol) - np.eye(2)).max() < 1e-15
+
 
 class TestOverflowIsTyped:
     """Finite input whose result leaves the float64 range, and non-finite
@@ -546,13 +590,11 @@ class TestOverflowIsTyped:
     @pytest.mark.parametrize("op,error,message", [
         (lambda: polar_isometry([[math.inf, 1.0], [1.0, 1.0]]), InputError,
          "matrix contains non-finite entries"),
-        (lambda: polar_isometry(np.diag([1e200, 1.0])), NumericError,
-         "Gram m\\* m outside the float64 range"),
         (lambda: build_rep(1e300 * np.eye(2), 1e300 * np.eye(2)).from_support(
             1e300 * np.eye(2)), NumericError, "T\\* m T overflows"),
         (lambda: rn_quadratic_form(np.eye(2), np.eye(2), [1e160, 1.0]), NumericError,
          "quadratic form outside the float64 range"),
-    ], ids=["polar-inf", "polar-gram", "from-support", "quadratic-form"])
+    ], ids=["polar-inf", "from-support", "quadratic-form"])
     def test_raises_quietly(self, op, error, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -663,6 +705,16 @@ class TestSafeFrobenius:
                 assert frobenius(big) == np.inf
             assert safe_frobenius(big) == frobenius(m) * 2.0 ** 1000
 
+    def test_scales_when_the_squares_underflow(self, rng):
+        # the squares of 2**-1000 m underflow to 0 or lose their bits
+        for k in range(40):
+            m = rand_complex(rng, 5, 5)
+            if k % 2:
+                m = m.real
+            small = m * 2.0 ** -1000
+            assert frobenius(small) != frobenius(m) * 2.0 ** -1000
+            assert repr(safe_frobenius(small)) == repr(frobenius(m) * 2.0 ** -1000)
+
     def test_inf_only_beyond_the_float_range(self):
         assert safe_frobenius([[1.7e308, 1.7e308]]) == np.inf
         assert safe_frobenius([[np.inf, 0.0]]) == np.inf
@@ -715,3 +767,32 @@ class TestHugeScaleCallers:
         gaps = np.array(lim.gaps[:len(ref.gaps)])
         assert np.isfinite(gaps).all()
         np.testing.assert_allclose(gaps / HUGE, ref.gaps, rtol=0.0, atol=1e-14)
+
+
+class TestTinyScaleCallers:
+    # below about 1e-154 the squares of an unscaled stopping test or norm
+    # underflow: each of these read a wrong verdict or value until every
+    # solve and norm ran at unit scale
+
+    def test_validate_psd_rejects_an_indefinite_matrix(self):
+        with pytest.raises(NotPsdError, match="not positive semidefinite"):
+            validate_psd(4.0 ** -300 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_hermitian_norm(self):
+        assert hermitian_norm(1e-165 * np.array([[0.0, 1.0], [1.0, 0.0]])) == 1e-165
+
+    def test_to_support_raises_when_not_dominated(self):
+        rep = build_rep(1e-200 * np.diag([1.0, 0.0]), 1e-200 * np.diag([1.0, 0.0]))
+        with pytest.raises(DominationError, match="round-trip residual"):
+            rep.to_support(1e-200 * np.eye(2))
+        ct = rep.to_support(1e-200 * np.diag([0.5, 0.0]))
+        np.testing.assert_allclose(ct, [[0.25]], rtol=1e-14)
+
+    @pytest.mark.parametrize("op", [
+        rn_factor, lambda a, b: kubo_ando_form(a, b, parallel())],
+        ids=["rn_factor", "kubo_ando_form"])
+    def test_derivative_factor_residual(self, op):
+        a = np.diag([2.0, 1.0])
+        want = op(a, HUGE_B / HUGE).residual
+        assert 0.0 < want <= 1e-14
+        assert op(4.0 ** -330 * a, 4.0 ** -330 * HUGE_B / HUGE).residual == want
