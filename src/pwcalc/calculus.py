@@ -32,7 +32,7 @@ from .errors import (DominationError, ExtendedValueError, InputError, NumericErr
                      PwCalcError)
 from .functions import PwFunction, _require_profile
 from .linalg import (SpectralDecomposition, _above_support, _checked, _exponent,
-                     _sqrt_of, _validated, _validated_pair, eig_hermitian,
+                     _ldexp, _sqrt_of, _validated, _validated_pair, eig_hermitian,
                      hermitian_part, hermitize, safe_frobenius)
 
 _REP_RESIDUAL_LIMIT = 1e-6
@@ -251,27 +251,49 @@ class PwRep:
     def to_support(self, c) -> np.ndarray:
         """Invert :meth:`from_support` on operators dominated by ``a + b``.
 
-        Implemented by factoring ``c = (c^(1/2)) (c^(1/2))*`` and solving
-        against the coordinate map, which is exact precisely when the
-        range of ``c`` lies inside the range of ``a + b``. A round-trip
-        residual above tolerance means no multiple of ``a + b`` dominates
-        ``c`` and raises :class:`DominationError`.
+        With ``S = basis diag(sum_eigs)^(-1/2)``, ``S T`` is the projection
+        ``P`` onto the range of ``a + b``, so the inverse is the congruence
+        ``c -> S* c S``. Its round trip ``T* S* c S T`` is ``P c P``, which
+        is ``c`` precisely when the range of ``c`` lies inside the range of
+        ``a + b``. A round-trip residual above tolerance means no multiple
+        of ``a + b`` dominates ``c`` and raises :class:`DominationError`.
+        ``c`` is validated as for :meth:`pairing_weights`: only its matrix
+        is read, so its solve stops once it is certified positive.
+
+        The congruence is taken at unit scale, on ``c 2**-k`` and ``S
+        2**-j`` with ``k`` and ``j`` from ``linalg._exponent``, and the
+        result is scaled back by ``2**(k + 2 j)``; its round trip is then
+        held against ``c 2**-(k + 2 j)``. So the congruence does not
+        overflow for a pair whose eigenvalues are subnormal, and the
+        verdict does not change when ``c`` is scaled by a power of two,
+        however small it gets.
+        A result beyond the float64 range raises :class:`NumericError`.
         """
-        cv, c_dec = _validated(c, self.tol)
+        cv, _ = _validated(c, self.tol, certify=True)
         if cv.shape != (self.n, self.n):
             raise InputError(
                 f"expected a {self.n}x{self.n} matrix, got {cv.shape}")
-        c_half = _sqrt_of(c_dec, self.tol)
-        scaled = self.basis / np.sqrt(self.sum_eigs)[None, :]
-        d = scaled.conj().T @ c_half
-        ct = hermitize(d @ d.conj().T)
-        back = self.from_support(ct)
-        resid = safe_frobenius(back - cv)
-        norm = safe_frobenius(cv)
-        if resid > _ROUNDTRIP_LIMIT * max(norm, 1e-300):
+        k = _exponent(cv)
+        cu = _ldexp(cv, -k, np.empty_like(cv))
+        s = self.basis / np.sqrt(self.sum_eigs)[None, :]
+        j = _exponent(s)
+        s = _ldexp(s, -j, s)
+        ct = hermitize(s.conj().T @ cu @ s)
+        # the round trip of ct is P cu P 2**-2j
+        cu = _ldexp(cu, -2 * j, cu)
+        resid = safe_frobenius(self.from_support(ct) - cu)
+        norm = safe_frobenius(cu)
+        if resid > _ROUNDTRIP_LIMIT * norm:
             raise DominationError(
                 f"matrix is not dominated by any multiple of the pair sum: "
-                f"round-trip residual {resid:.3e} against norm {norm:.3e}")
+                f"round-trip residual {resid / norm:.3e} of its norm, above "
+                f"{_ROUNDTRIP_LIMIT:.0e}")
+        with np.errstate(over="ignore"):
+            ct = _ldexp(ct, k + 2 * j, ct)
+        if not np.isfinite(ct).all():
+            raise NumericError(
+                "support-side matrix outside the float64 range: an entry of "
+                "S* c S overflows")
         return ct
 
     def eval(self, fn: PwFunction) -> np.ndarray:

@@ -40,11 +40,12 @@ ordering of Brent and Luk (``n - 1`` rounds of ``n/2`` pairs) took three
 or four more.
 
 A caller that needs only a PSD verdict and the validated matrix, such as
-the pairing of a state, may let the solve stop early. At a stopping test,
-Weyl's inequality bounds the smallest eigenvalue from below by ``min_i
-Re h_ii - ||off(h)||_F``. When that clears a margin of ``32 *
-MAX_JACOBI_SWEEPS * n`` times the stopping target (the rounding of every
-round the solve could still run, and more), the member leaves as
+the pairing of a state or ``PwRep.to_support``, may let the solve stop
+early. Such a member is tested at every sweep's end and, when it is
+solved alone, up to three times inside a sweep: Weyl's inequality bounds the smallest eigenvalue from
+below by ``min_i Re h_ii - ||off(h)||_F``. When that clears a margin of
+``32 * MAX_JACOBI_SWEEPS * n`` times the stopping target (the rounding of
+every round the solve could still run, and more), the member is
 :data:`CERTIFIED` positive: its full solve would have returned no
 negative eigenvalue, so validation clamps nothing and its matrix is the
 Hermitian part of the input, with the same bits. :func:`validate_psd`,
@@ -201,12 +202,14 @@ CERTIFIED = "certified positive semidefinite"
 # the remaining rounds' rounding, in units of eps * ||h||_F per round and per
 # row: see _certified
 _ROUND_ROUNDING = 32
+# how often a sweep tests its certify members, the test before it included
+_TESTS_PER_SWEEP = 4
 
 
 def _certified(h: np.ndarray, off: float, target: float, k: int) -> bool:
     """Whether Weyl's bound certifies that the solve of ``h``, stopped here
-    with off-diagonal norm ``off`` above its ``target``, would end with its
-    smallest eigenvalue at or above 0.
+    with off-diagonal norm ``off``, at a sweep's end or between two rounds
+    inside it, would end with its smallest eigenvalue at or above 0.
 
     The smallest eigenvalue of ``h`` is at least ``min_i Re h_ii - off``
     (Weyl). The rounds left, at most ``MAX_JACOBI_SWEEPS * n``, move it by
@@ -338,11 +341,21 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
     ``complex128``. The eigenvalues are ``float64`` and the eigenvectors
     ``complex128`` for either dtype.
 
-    A member whose index is in ``certify`` may leave at a stopping test
-    that :func:`_certified` passes, before it converges: its result is
-    then :data:`CERTIFIED` instead of a decomposition. Its full solve
-    would have returned no negative eigenvalue and raised nothing, so a
-    caller that needs only the PSD verdict loses nothing by it.
+    A member whose index is in ``certify`` is finished once it passes
+    :func:`_certified`, before it converges: its result is then
+    :data:`CERTIFIED` instead of a decomposition. Its full solve would
+    have returned no negative eigenvalue and raised nothing, so a caller
+    that needs only the PSD verdict loses nothing by it. It is tested at
+    each stopping test. When every member the call still holds is in
+    ``certify``, as for a state or a dominated matrix solved alone, they
+    are also tested between rounds, after every ``ceil(rounds /
+    _TESTS_PER_SWEEP)`` rounds of a sweep, and the call stops there once
+    all of them are certified; a member certified there while others
+    still rotate leaves the array at the sweep's end, as a converged one
+    does. A call that also holds other members, such as a state folded
+    into a pair's validating call, cannot stop inside a sweep, so its
+    members are tested only at stopping tests. The tests only read the
+    array, so no member's bits depend on them.
     """
     n = mats[0].shape[0]
     real = not any(m.imag.any() for m in mats)
@@ -362,6 +375,8 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
         for _ in range(MAX_JACOBI_SWEEPS):
             left = []
             for i, j in enumerate(active):
+                if results[j] is CERTIFIED:
+                    continue  # certified inside the previous sweep
                 h = hv[:n, i * n:(i + 1) * n]
                 off = _offdiag_norm(h)
                 if off > targets[j]:
@@ -382,7 +397,19 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
             flat = hv.reshape(-1)
             # one row of one member's h per line
             h_rows = hv[:n].reshape(-1, n)
-            for cols, rows, diag, off in _round_plan(n, len(active)):
+            plan = _round_plan(n, len(active))
+            stride = -(-len(plan) // _TESTS_PER_SWEEP)
+            # a test inside a sweep pays only where it can stop the call
+            early = all(j in certify for j in active)
+            for r, (cols, rows, diag, off) in enumerate(plan):
+                if early and r and r % stride == 0:
+                    for i, j in enumerate(active):
+                        h = hv[:n, i * n:(i + 1) * n]
+                        if results[j] is None and _certified(
+                                h, _offdiag_norm(h), targets[j], exps[j]):
+                            results[j] = CERTIFIED
+                    if all(results[j] is CERTIFIED for j in active):
+                        break  # every member is finished
                 k = cols.size // 2
                 apq = flat[off[:k]]
                 mag = np.abs(apq)
@@ -416,7 +443,7 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
                 tm = t * mag
                 flat[diag] = np.concatenate((app - tm, aqq + tm))
                 flat[off] = 0.0
-        else:
+        if any(res is None for res in results):
             raise NumericError(
                 f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
         for j, k in enumerate(exps):

@@ -21,7 +21,7 @@ from .calculus import PwRep, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import PwFunction, _require_profile, abs_part
-from .linalg import (SpectralDecomposition, _exponent, _numeric, hermitize,
+from .linalg import (SpectralDecomposition, _exponent, _ldexp, _numeric, hermitize,
                      safe_frobenius)
 
 
@@ -109,6 +109,11 @@ def kubo_ando_form(a, b, fn: PwFunction,
     ``fn(x)/x`` is applied to the outer Gram of the first contraction, and
     the reconstruction residual against the direct evaluation is reported
     relative to it, in the Frobenius norm (see :class:`RnFactorization`).
+    Both are scaled by the power of two that brings the target's largest
+    part into ``[1/2, 1)`` before they are subtracted, so the residual
+    needs no floor and keeps its bits when the pair is scaled by a power
+    of four, wherever the value and the target stay normal; a zero target,
+    which comes only with a zero value, reads 0.
     """
     _require_profile(fn)
     if not fn.vanishes_at_zero or fn.at_zero != 0.0:
@@ -134,8 +139,11 @@ def kubo_ando_form(a, b, fn: PwFunction,
     root = root_h @ rep.a_half
     value = hermitize(root.conj().T @ root)
     target = rep._push(vals)
-    scale = max(safe_frobenius(target), 1e-300)
-    residual = safe_frobenius(value - target) / scale
+    k = _exponent(target)
+    unit_target = _ldexp(target, -k, np.empty_like(target))
+    scale = safe_frobenius(unit_target)
+    diff = safe_frobenius(_ldexp(value, -k, np.empty_like(value)) - unit_target)
+    residual = diff / scale if scale else 0.0
     condition = float(hvals.max()) if hvals.size else 0.0
     return RnFactorization(factor=factor, root=root, value=value,
                            residual=residual, condition=condition,

@@ -7,24 +7,32 @@ Usage::
 For each size ``n`` in 4, 8, 16, 24 and 32, real and complex, solves
 ``SOLVES`` (default 20) seeded definite and rank-``n/2`` PSD matrices one
 at a time with ``linalg._jacobi_eig`` and prints the mean sweeps and
-rounds per solve. A sweep is counted by the kernel's stopping test,
-``linalg._offdiag_norm``, which runs before every sweep and once more when
-the matrix has converged; the rounds of a solve are its sweeps times the
-rounds of one sweep, ``len(linalg._round_plan(n, 1))``. Beside them it
-prints the mean sweeps of the same matrices scaled by ``4**-280``
-(about 1e-169), where every entry's square underflows: the kernel solves
-each matrix at unit scale, so the two columns must be equal.
+rounds per solve. The rounds are counted as the kernel runs them, through
+its round plan, ``linalg._round_plan``: a round counts once the kernel
+asks for the next one or finishes the sweep. A solve that converges runs
+whole sweeps, so its sweeps are its rounds over the rounds of one sweep.
+Beside them it prints the mean sweeps of the same matrices scaled by
+``4**-280`` (about 1e-169), where every entry's square underflows: the
+kernel solves each matrix at unit scale, so the two columns must be
+equal.
 
 Then, for ``SOLVES`` seeded n=24 states of unit trace ``U diag(d) U*``
 with ``d`` in [0.2, 1] (a Haar ``U``, real and complex, as the pairing
 queries of the benchmark draw them), it prints the mean, least and most
-sweeps before the kernel certifies the state positive (``certify``, as
-state validation solves it) and before it converges (as
-``validate_psd`` solves it).
+rounds before the kernel certifies the state positive (``certify``, as
+state validation solves it; the certificate is also tested inside a
+sweep, so this need not be a whole number of sweeps) and before it
+converges (as ``validate_psd`` solves it).
+
+Last, for n = 16, 24 and 48, it prints the mean, least and most sweeps to
+convergence of two-cluster spectra under a Haar ``U``: ``d`` exactly 0.3
+on half the indices and 0.7 on the rest, and a rank-``n/2`` projection.
+Both take several times the sweeps of the generic spectra above.
 
 The counts are deterministic, so the script reports no timing. It
 imports ``pwcalc`` from the ``src`` directory next to this one. Not a
-test module: pytest does not collect it.
+test module: pytest does not collect it; ``tests/test_linalg.py`` imports
+its round counter.
 """
 
 import sys
@@ -40,6 +48,7 @@ SIZES = (4, 8, 16, 24, 32)
 STATE_N = 24
 SEED = 20240811
 TINY = 4.0 ** -280
+CLUSTER_SIZES = (16, 24, 48)
 
 
 def gram(rng, n: int, rank: int, real: bool) -> np.ndarray:
@@ -51,34 +60,69 @@ def gram(rng, n: int, rank: int, real: bool) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def state(rng, n: int, real: bool) -> np.ndarray:
-    """A state ``U diag(d) U*`` of unit trace, ``d`` in [0.2, 1]."""
+def haar(rng, n: int, real: bool) -> np.ndarray:
+    """A Haar orthogonal or unitary matrix."""
     g = rng.standard_normal((n, n))
     if not real:
         g = (g + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(g)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
-    d = rng.uniform(0.2, 1.0, size=n)
+    return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+
+
+def spectral(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The Hermitian part of ``U diag(d) U*``."""
     m = (u * d) @ u.conj().T
-    return 0.5 * (m + m.conj().T) / d.sum()
+    return 0.5 * (m + m.conj().T)
 
 
-def sweeps(m: np.ndarray, certify=()) -> int:
-    """The sweeps that ``_jacobi_eig(m, certify=certify)`` runs."""
-    checks = 0
-    plain = linalg._offdiag_norm
+def state(rng, n: int, real: bool) -> np.ndarray:
+    """A state ``U diag(d) U*`` of unit trace, ``d`` in [0.2, 1]."""
+    u = haar(rng, n, real)
+    d = rng.uniform(0.2, 1.0, size=n)
+    return spectral(u, d) / d.sum()
 
-    def counting(h):
-        nonlocal checks
-        checks += 1
-        return plain(h)
 
-    linalg._offdiag_norm = counting
+def clustered(rng, n: int, real: bool, low: float, high: float) -> np.ndarray:
+    """``U diag(d) U*`` with ``d`` exactly ``low`` on half the indices and
+    ``high`` on the rest."""
+    d = np.where(np.arange(n) < n // 2, low, high)
+    return spectral(haar(rng, n, real), d)
+
+
+class _Counted:
+    """A round plan that counts the rounds the kernel runs: a round counts
+    once the kernel asks for the next one or finishes the sweep, so a
+    solve that stops between rounds counts only those before the stop."""
+
+    def __init__(self, plan, counter):
+        self.plan = plan
+        self.counter = counter
+
+    def __len__(self):
+        return len(self.plan)
+
+    def __iter__(self):
+        for item in self.plan:
+            yield item
+            self.counter[0] += 1
+
+
+def rounds(m: np.ndarray, certify=()) -> int:
+    """The rounds that ``_jacobi_eig(m, certify=certify)`` runs."""
+    counter = [0]
+    plain = linalg._round_plan
+    linalg._round_plan = lambda n, k: _Counted(plain(n, k), counter)
     try:
         linalg._jacobi_eig(m, certify=certify)
     finally:
-        linalg._offdiag_norm = plain
-    return checks - 1
+        linalg._round_plan = plain
+    return counter[0]
+
+
+def stats(counts, unit: int = 1) -> str:
+    """``mean / min / max`` of ``counts`` in multiples of ``unit``."""
+    mean = sum(counts) / len(counts) / unit
+    return f"{mean:.1f} / {min(counts) // unit} / {max(counts) // unit}"
 
 
 def main(argv) -> int:
@@ -94,23 +138,33 @@ def main(argv) -> int:
             for kind, rank in (("definite", n), ("n/2", n // 2)):
                 rng = np.random.default_rng([SEED, n, real, rank])
                 mats = [gram(rng, n, rank, real) for _ in range(solves)]
-                total = sum(sweeps(m) for m in mats)
-                tiny = sum(sweeps(TINY * m) for m in mats)
+                total = sum(rounds(m) for m in mats) / solves
+                tiny = sum(rounds(TINY * m) for m in mats) / solves
                 print(f"{n:>3} {'real' if real else 'complex':<8} {kind:<8} "
-                      f"{per_sweep:>12} {total / solves:>12.2f} "
-                      f"{per_sweep * total / solves:>12.1f} {tiny / solves:>10.2f}")
+                      f"{per_sweep:>12} {total / per_sweep:>12.2f} "
+                      f"{total:>12.1f} {tiny / per_sweep:>10.2f}")
     print()
-    print("sweeps to the certificate and to convergence, mean / min / max")
+    print("rounds to the certificate and to convergence, mean / min / max")
     print(f"{'n':>3} {'state':<8} {'certificate':>18} {'convergence':>18}")
     for real in (True, False):
         rng = np.random.default_rng([SEED, STATE_N, real])
         states = [state(rng, STATE_N, real) for _ in range(solves)]
-        cols = []
-        for certify in ((0,), ()):
-            counts = [sweeps(m, certify) for m in states]
-            cols.append(f"{sum(counts) / solves:.2f} / {min(counts)} / {max(counts)}")
+        cols = [stats([rounds(m, certify) for m in states]) for certify in ((0,), ())]
         print(f"{STATE_N:>3} {'real' if real else 'complex':<8} "
               f"{cols[0]:>18} {cols[1]:>18}")
+    print()
+    print("sweeps to convergence on two-cluster spectra, mean / min / max")
+    print(f"{'n':>3} {'input':<8} {'0.3 and 0.7':>18} {'projection':>18}")
+    for n in CLUSTER_SIZES:
+        per_sweep = len(linalg._round_plan(n, 1))
+        for real in (True, False):
+            cols = []
+            for low, high in ((0.3, 0.7), (0.0, 1.0)):
+                rng = np.random.default_rng([SEED, n, real, int(10 * low)])
+                mats = [clustered(rng, n, real, low, high) for _ in range(solves)]
+                cols.append(stats([rounds(m) for m in mats], per_sweep))
+            print(f"{n:>3} {'real' if real else 'complex':<8} "
+                  f"{cols[0]:>18} {cols[1]:>18}")
     return 0
 
 

@@ -12,7 +12,7 @@ from pwcalc import (DominationError, ExtendedValueError, InputError,
                     eval_sequence, geometric, left, parallel, parallel_sum,
                     polar_isometry, power, psd_sqrt, pw_eval, pw_pairing,
                     right, rn_cutoff, scaled_parallel, validate_psd)
-from pwcalc import calculus
+from pwcalc import calculus, linalg
 
 from conftest import (dominated_matrix, geometric_mean_oracle, np_sqrtm,
                       rand_complex, rand_pair, rand_psd, rand_state,
@@ -158,6 +158,22 @@ class TestCongruence:
                 back = rep.from_support(ct)
                 scale = max(spec_norm(c), 1e-300)
                 assert spec_norm(back - c) <= 1e-8 * scale
+
+    def test_matches_the_square_root_formula(self, rng):
+        # to_support is the congruence S* c S with S = basis
+        # diag(sum_eigs)^(-1/2); the factored d d*, d = S* c^(1/2), that it
+        # replaced agrees within rounding, also where c does not certify
+        certified = 0
+        for _ in range(40):
+            a, b = random_rank_pair(rng, max_n=8)
+            rep = build_rep(a, b)
+            c = dominated_matrix(rng, a + b)
+            ct = rep.to_support(c)
+            d = (rep.basis / np.sqrt(rep.sum_eigs)[None, :]).conj().T @ psd_sqrt(c)
+            assert np.linalg.norm(ct - d @ d.conj().T) <= 1e-13 * np.linalg.norm(ct)
+            solved = linalg._jacobi_eig(linalg.hermitian_part(c), certify=(0,))
+            certified += solved is linalg.CERTIFIED
+        assert 0 < certified < 40
 
     def test_inverse_on_named_images(self, rng):
         a, b = rand_pair(rng, 6, 4, 6)

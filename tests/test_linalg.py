@@ -17,6 +17,7 @@ from pwcalc.linalg import (_jacobi_eig, _validated, _validated_pair, frobenius,
                            safe_frobenius)
 
 from conftest import rand_complex, rand_hermitian, rand_psd
+from kernel_rounds import rounds
 
 
 class TestEig:
@@ -376,6 +377,24 @@ class TestCertificate:
             got_vals, got_vecs = _jacobi_eig(hermitian_part(t * m))
             assert got_vals.tobytes() == (t * vals).tobytes(), kind
             assert got_vecs.tobytes() == vecs.tobytes(), kind
+
+    def test_states_certify_between_sweep_ends(self):
+        # the certificate is tested inside a sweep as well as at its ends,
+        # and a state leaves at the first test it passes: after a number of
+        # rounds that no sweep ends at, with the full solve's bits and verdict
+        tol = ToleranceConfig()
+        between = 0
+        for kind, m in _certificate_states():
+            if not _certified(m):
+                continue
+            h = hermitian_part(m)
+            if rounds(h, (0,)) % len(linalg._round_plan(h.shape[0], 1)):
+                between += 1
+                want = validate_psd(m, tol)
+                got = _validated(m, tol, certify=True)
+                assert got[0].tobytes() == want[0].tobytes(), kind
+                assert got[1] is None and want[1] >= 0.0, kind
+        assert between > 10
 
     def test_an_overflowing_spectrum_is_not_certified(self):
         # Weyl's lower bound clears the margin, but the largest eigenvalue,
@@ -796,3 +815,44 @@ class TestTinyScaleCallers:
         want = op(a, HUGE_B / HUGE).residual
         assert 0.0 < want <= 1e-14
         assert op(4.0 ** -330 * a, 4.0 ** -330 * HUGE_B / HUGE).residual == want
+
+    @pytest.mark.parametrize("t", [1.0, 1e-305, 1e-310])
+    def test_to_support_decides_domination_at_unit_scale(self, t):
+        # the residual used to be held against max(norm, 1e-300), so a
+        # matrix whose norm lies below that floor passed as dominated
+        rep = build_rep(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+        with pytest.raises(DominationError, match="round-trip residual"):
+            rep.to_support(t * np.eye(2))
+        np.testing.assert_allclose(rep.to_support(t * np.diag([0.5, 0.0])),
+                                   [[0.25 * t]], rtol=1e-12)
+
+    def test_to_support_on_a_subnormal_pair(self):
+        # S = basis diag(sum_eigs)^(-1/2) has entries near 7e154, so S* c S
+        # overflows at unit scale of c unless S is scaled too
+        t = 1e-310
+        rep = build_rep(t * np.diag([1.0, 0.0]), t * np.diag([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DominationError, match="round-trip residual"):
+                rep.to_support(t * np.eye(2))
+            np.testing.assert_allclose(rep.to_support(t * np.diag([0.5, 0.0])),
+                                       [[0.25]], rtol=1e-12)
+            with pytest.raises(NumericError, match="S\\* c S overflows"):
+                rep.to_support(np.diag([0.5, 0.0]))
+
+    @pytest.mark.parametrize("op", [
+        rn_factor, lambda a, b: kubo_ando_form(a, b, parallel())],
+        ids=["rn_factor", "kubo_ando_form"])
+    def test_derivative_factor_residual_needs_no_floor(self, op):
+        # the target's norm used to be floored at 1e-300, and already at
+        # 4**-495 the norm of value - target, about 1e-313, was rounded to a
+        # subnormal before the division
+        a = np.diag([2.0, 1.0])
+        want = op(a, HUGE_B / HUGE).residual
+        for k in (-495, -505):
+            assert op(4.0 ** k * a, 4.0 ** k * HUGE_B / HUGE).residual == want
+
+    def test_zero_target_has_zero_residual(self):
+        res = kubo_ando_form(np.diag([2.0, 1.0]), np.zeros((2, 2)), parallel())
+        assert res.residual == 0.0
+        assert not res.value.any()
