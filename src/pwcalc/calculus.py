@@ -12,6 +12,14 @@ homogeneous binary function can be evaluated on them by ordinary
 functional calculus and pushed back through the congruence
 ``m -> T* m T``.
 
+``gram_a = X* X`` is 0 on ``T(ker a)`` and 1 on ``T(ker b)``, of
+dimensions ``k0 = rank(a+b) - rank(a)`` and ``k1 = rank(a+b) - rank(b)``
+(Ando's decomposition in finite dimension), every rank taken at the
+support threshold of ``a + b``. Those eigenspaces come from the kernels
+that validating the pair already found, with their eigenvalues exactly
+0 and 1, and only the rest of ``gram_a`` is solved: a mutually singular
+pair, or one with a zero member, needs no second solve.
+
 With ``W`` the eigenbasis of ``X* X``, every query reads the one map
 ``E = W* T``: a profile's value is ``E* diag(f(x)) E``, the pairing
 weights of a positive functional ``rho`` are the diagonal of
@@ -31,8 +39,8 @@ from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import (DominationError, ExtendedValueError, InputError, NumericError,
                      PwCalcError)
 from .functions import PwFunction, _require_profile
-from .linalg import (SpectralDecomposition, _above_support, _checked, _exponent,
-                     _ldexp, _sqrt_of, _validated, _validated_pair, eig_hermitian,
+from .linalg import (SpectralDecomposition, _checked, _exponent, _ldexp, _sqrt_of,
+                     _structural_bases, _validated, _validated_pair, eig_hermitian,
                      hermitian_part, hermitize, safe_frobenius)
 
 _REP_RESIDUAL_LIMIT = 1e-6
@@ -167,7 +175,12 @@ class PwRep:
         identity holds by construction.
     gram_a_spec : SpectralDecomposition
         Spectral decomposition of ``gram_a``; its spectrum lies in [0, 1]
-        up to rounding.
+        up to rounding. It is exactly 0 on ``k0 = rank - rank(a)``
+        directions, an orthonormal basis of ``T(ker a)``, and exactly 1 on
+        ``k1 = rank - rank(b)``, one of ``T(ker b)``, with the ranks of
+        ``a`` and ``b`` at the support threshold of ``a + b``; the other
+        eigenpairs solve ``gram_a`` on the complement. The eigenvalues
+        ascend, ties in the order 0s, solved, 1s.
     eig_map : (rank, n) ndarray
         ``E = W* T`` for the eigenbasis ``W`` of ``gram_a_spec`` and the
         coordinate map ``T``: row ``i`` is ``(T* w_i)*``. Every calculus
@@ -487,16 +500,43 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     callable ``state`` returns (None without one).
 
     The validating call of the pair also solves the sum ``a + b`` and an
-    n x n Hermitian state, so a pair costs two kernel calls. The state may
-    leave that call once it is certified positive, as in
-    :meth:`PwRep.pairing_weights`. A member
-    clamped deeper than rounding (``linalg._rounding_level``) costs a
-    third, for the sum of the clamped pair. When ``state()`` or
+    n x n Hermitian state. The state may leave that call once it is
+    certified positive, as in :meth:`PwRep.pairing_weights`. A member
+    clamped deeper than rounding (``linalg._rounding_level``) costs another
+    call, for the sum of the clamped pair. When ``state()`` or
     its Hermitian part fails, the state has another size or its solve
     fails, ``w`` comes from validating ``state()`` after the rep exists,
     which raises the state's error. So errors come from the pair first,
     then the state, then the profiles and parameters that the caller
     applies to ``w``.
+
+    The last kernel call solves only the retained block of ``gram_a``.
+    The ranks of ``a``, ``b`` and ``a + b`` count the eigenvalues of their
+    validating decompositions above the support threshold of ``a + b``.
+    The kernel eigenvectors ``K_a`` and ``K_b`` at that cut give
+    orthonormal bases ``Z0`` of ``T K_a`` and ``Z1`` of ``T K_b``, of
+    ``k0 = rank - rank(a)`` and ``k1 = rank - rank(b)`` columns, by
+    Gram-Schmidt with column pivoting (``linalg._structural_bases``), and
+    ``C`` completes them. Only ``C* gram_a C``, of size ``rank - k0 -
+    k1``, is solved; ``Z0`` gets the eigenvalue 0 and ``Z1`` the
+    eigenvalue 1, exactly, and the spectrum is merged in ascending order
+    by a stable sort, with ``[Z0 | C V | Z1]`` in the same order. A
+    mutually singular pair, or one with a zero member, makes no such
+    call. With nothing split off (``k0 = k1 = 0``: ``a``, ``b`` and ``a +
+    b`` of one rank, as for two definite members) the block is ``gram_a``
+    itself, solved as before, with the same bits. Where rounding at the
+    cut makes the ranks contradict each other (``k0 < 0``, ``k1 < 0``,
+    ``k0 + k1 > rank``, or an image leaves only rounding outside the
+    bases before it, as when a direction of the support lies in the
+    kernel of both members), nothing is split off. Nor is it when ``Z0``
+    and ``Z1`` fail as eigenvectors: the residual of ``gram_a`` on them
+    must stay within the spectrum's rounding slack plus ``sqrt(rank)``
+    times ``cut / lam_min``, the most ``gram_a`` may be on a kernel
+    direction at the cut. So a direction of ``ker a`` at the cut gets ``x
+    = 0`` exactly. An explicit ``support_tol`` is the cut of the roots
+    (:func:`_sqrt_of`) and of ``gram_a`` alike: an eigenvalue of ``a`` or
+    ``b`` at or below it counts as kernel in ``gram_a`` too, not only in
+    the roots.
     """
     hr = None
     if state is not None:
@@ -507,7 +547,9 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     av, a_dec, bv, b_dec, dec, state_solved = _validated_pair(
         a, b, tol, sum_too=True, also=hr)
     n = av.shape[0]
-    keep = _above_support(dec.eigenvalues, tol)
+    # the support threshold of a + b: its rank, and the kernels of a and b
+    cut = tol.support_threshold(n, float(dec.eigenvalues[-1]) if n else 0.0)
+    keep = dec.eigenvalues > cut
     lam = dec.eigenvalues[keep]
     q = dec.basis[:, keep]
     rank = int(keep.sum())
@@ -522,12 +564,27 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     contr_b = b_half @ scaled
     gram_a = hermitize(scaled.conj().T @ av @ scaled)
     gram_b = hermitize(np.eye(rank, dtype=np.complex128) - gram_a)
-    spec = eig_hermitian(gram_a, tol)
+    slack = allowed = 0.0
+    if rank:
+        slack = max(_SPECTRUM_SLACK,
+                    _SPECTRUM_NOISE_FACTOR * n * EPS * float(lam[-1] / lam[0]))
+        # gram_a is up to about cut / lam[0] on a direction of ker a at the cut
+        allowed = slack + math.sqrt(rank) * cut / float(lam[0])
+    # gram_a is 0 on T(ker a) and 1 on T(ker b)
+    k_a = a_dec.basis[:, a_dec.eigenvalues <= cut]
+    k_b = b_dec.basis[:, b_dec.eigenvalues <= cut]
+    z0, z1, c = _structural_bases(coord_map, gram_a, k_a, k_b, rank - n + k_a.shape[1],
+                                  rank - n + k_b.shape[1], allowed)
+    block = gram_a if c is None else c.conj().T @ gram_a @ c
+    solved = (eig_hermitian(block, tol) if block.size else SpectralDecomposition(
+        np.zeros(0), np.zeros((0, 0), dtype=np.complex128)))
+    v = solved.basis if c is None else c @ solved.basis
+    x = np.concatenate((np.zeros(z0.shape[1]), solved.eigenvalues, np.ones(z1.shape[1])))
+    order = np.argsort(x, kind="stable")
+    spec = SpectralDecomposition(x[order], np.concatenate((z0, v, z1), axis=1)[:, order])
     if rank:
         lo = float(spec.eigenvalues[0])
         hi = float(spec.eigenvalues[-1])
-        slack = max(_SPECTRUM_SLACK,
-                    _SPECTRUM_NOISE_FACTOR * n * EPS * float(lam[-1] / lam[0]))
         if lo < -slack or hi > 1.0 + slack:
             excess = max(-lo, hi - 1.0)
             raise NumericError(

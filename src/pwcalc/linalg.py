@@ -2,7 +2,8 @@
 
 Deterministic primitives for complex Hermitian and positive semidefinite
 matrices: a two-sided Jacobi eigensolver, PSD validation, square roots,
-support projections, polar isometries and Kronecker products.
+support projections, polar isometries, Kronecker products and
+orthonormal bases by pivoted Gram-Schmidt.
 Everything takes and returns plain ``numpy`` arrays, matrices in
 ``complex128`` and eigenvalues in ``float64``, and is a pure function of
 its inputs, so concurrent use is safe. Inside the eigensolver, a matrix
@@ -475,6 +476,75 @@ def eig_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositio
     m = hermitian_part(a, tol)
     vals, vecs = _jacobi_eig(m)
     return SpectralDecomposition(vals, vecs)
+
+
+def _pivoted_columns(z: np.ndarray, m: np.ndarray, steps: int,
+                     floor: float = 0.0) -> np.ndarray | None:
+    """``z``, with orthonormal columns, and ``steps`` more orthonormal
+    columns from the span of ``m`` after it, by Gram-Schmidt with column
+    pivoting; None when a step finds no part of ``m`` left above ``floor``
+    in norm.
+
+    ``m`` is taken at unit scale (:func:`_exponent`), so its squares
+    neither overflow nor underflow. Each step projects the basis so far
+    out of every column of ``m`` twice, each time by the two products
+    ``z (z* r)``, and appends the column with the largest part left,
+    normalized: projecting twice leaves it orthogonal to ``z`` to
+    rounding. Householder reflectors are not used: they put rounding into
+    entries that the products leave exactly zero, such as those of a
+    diagonal pair."""
+    if not steps:
+        return z
+    e = _exponent(m)
+    m = _ldexp(m, -e, np.empty_like(m))
+    for _ in range(steps):
+        r = m - z @ (z.conj().T @ m)
+        r -= z @ (z.conj().T @ r)
+        sq = np.sum(np.abs(r) ** 2, axis=0)
+        j = int(np.argmax(sq))
+        norm = np.sqrt(sq[j])
+        if not (norm > 0.0 and np.ldexp(norm, e) > floor):
+            return None
+        z = np.concatenate((z, r[:, j:j + 1] / norm), axis=1)
+    return z
+
+
+def _structural_bases(t: np.ndarray, gram: np.ndarray, k_a: np.ndarray, k_b: np.ndarray,
+                      k0: int, k1: int, slack: float):
+    """``(z0, z1, c)``: orthonormal bases ``z0`` of ``k0`` columns from the
+    image ``t @ k_a`` and ``z1`` of ``k1`` from ``t @ k_b``, eigenvectors
+    of the Hermitian ``gram`` for 0 and 1, and ``c`` completing ``[z0 |
+    z1]`` to a unitary of ``t``'s rows.
+
+    Every column comes from :func:`_pivoted_columns`, the completion from
+    the identity's columns. Nothing is split off (empty ``z0`` and ``z1``,
+    ``c`` None: the complement is the identity itself) when
+    - the counts cannot be met: one is negative or their sum exceeds
+      ``t``'s rows;
+    - a pivot's part left is at most ``8 n eps ||t||_F``, a margin over
+      the rounding of the products ``t @ k`` (``t`` of ``n`` columns,
+      ``k`` orthonormal). Rounding at the cut can put a direction of the
+      sum's support in the kernel of both members: the part of its
+      second image left outside the first is then rounding, which
+      normalized would be an arbitrary direction of the support;
+    - the residual ``gram [z0 | z1] - [0 | z1]`` exceeds ``slack`` in
+      Frobenius norm.
+    """
+    rows = t.shape[0]
+    empty = np.zeros((rows, 0), dtype=np.complex128)
+    if min(k0, k1) < 0 or not 0 < k0 + k1 <= rows:
+        return empty, empty, None
+    floor = 8 * t.shape[1] * EPS * safe_frobenius(t)
+    z = _pivoted_columns(empty, t @ k_a, k0, floor)
+    z = None if z is None else _pivoted_columns(z, t @ k_b, k1, floor)
+    if z is None:
+        return empty, empty, None
+    resid = gram @ z
+    resid[:, k0:] -= z[:, k0:]
+    if not safe_frobenius(resid) <= slack:
+        return empty, empty, None
+    c = _pivoted_columns(z, np.eye(rows, dtype=np.complex128), rows - k0 - k1)
+    return z[:, :k0], z[:, k0:], c[:, k0 + k1:]
 
 
 def _checked(h: np.ndarray, solved, tol: ToleranceConfig):

@@ -24,17 +24,27 @@ state validation solves it; the certificate is also tested inside a
 sweep, so this need not be a whole number of sweeps) and before it
 converges (as ``validate_psd`` solves it).
 
-Last, for n = 16, 24 and 48, it prints the mean, least and most sweeps to
+Then, for n = 16, 24 and 48, it prints the mean, least and most sweeps to
 convergence of two-cluster spectra under a Haar ``U``: ``d`` exactly 0.3
 on half the indices and 0.7 on the rest, and a rank-``n/2`` projection.
 Both take several times the sweeps of the generic spectra above.
 
+Last, for ``SOLVES`` seeded n=24 pairs of each kind ``a_def``, ``b_def``
+and ``singular``, real and complex, drawn as the benchmark draws them at
+joint scale 1 (see :func:`pair`), it prints the size of ``build_rep``'s
+second kernel call, the solve of ``gram_a``'s retained block, and its
+mean, least and most rounds. ``gram_a`` is 0 on ``T(ker a)`` and 1 on
+``T(ker b)``, which ``build_rep`` splits off, so that call has size 12 on
+an ``a_def`` or ``b_def`` pair, where the whole ``gram_a`` had size 24,
+and a ``singular`` pair makes no second call.
+
 The counts are deterministic, so the script reports no timing. It
 imports ``pwcalc`` from the ``src`` directory next to this one. Not a
-test module: pytest does not collect it; ``tests/test_linalg.py`` imports
-its round counter.
+test module: pytest does not collect it; the tests import its round
+counter, its pair recipe and its recorder of kernel calls.
 """
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -42,13 +52,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pwcalc import linalg  # noqa: E402
+from pwcalc import calculus, linalg  # noqa: E402
 
 SIZES = (4, 8, 16, 24, 32)
 STATE_N = 24
 SEED = 20240811
 TINY = 4.0 ** -280
 CLUSTER_SIZES = (16, 24, 48)
+PAIR_N = 24
+PAIR_KINDS = ("a_def", "b_def", "singular")
 
 
 def gram(rng, n: int, rank: int, real: bool) -> np.ndarray:
@@ -87,6 +99,70 @@ def clustered(rng, n: int, real: bool, low: float, high: float) -> np.ndarray:
     ``high`` on the rest."""
     d = np.where(np.arange(n) < n // 2, low, high)
     return spectral(haar(rng, n, real), d)
+
+
+def psd_on(rng, cols: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``cols diag(d) cols*``, Hermitian, with ``d`` in [0.2, 1] times
+    ``scale``: a clean gap above the kernel."""
+    return spectral(cols, rng.uniform(0.2, 1.0, size=cols.shape[1]) * scale)
+
+
+def pair(rng, kind: str, n: int, real: bool, scale: float = 1.0):
+    """A PSD pair of ``kind``, as the benchmark draws it, with ``r =
+    max(1, n // 2)``: ``full`` has both members definite, ``a_def`` ``a``
+    of rank ``r`` and ``b`` definite, ``b_def`` the reverse, ``a_zero``
+    and ``b_zero`` a zero member and the other definite, ``singular``
+    ranges of rank ``r`` and ``n - r`` that meet only in 0 (the range of
+    ``b`` is the complement of that of ``a``, tilted toward it, so ``a +
+    b`` stays well conditioned), and ``ac`` a ``b`` inside the range of a
+    rank-``r`` ``a``."""
+    ua, ub = haar(rng, n, real), haar(rng, n, real)
+    r = max(1, n // 2)
+    zero = np.zeros((n, n), dtype=ua.dtype)
+    if kind == "full":
+        return psd_on(rng, ua, scale), psd_on(rng, ub, scale)
+    if kind == "a_def":
+        return psd_on(rng, ua[:, :r], scale), psd_on(rng, ub, scale)
+    if kind == "b_def":
+        return psd_on(rng, ua, scale), psd_on(rng, ub[:, :r], scale)
+    if kind == "a_zero":
+        return zero, psd_on(rng, ub, scale)
+    if kind == "b_zero":
+        return psd_on(rng, ua, scale), zero
+    if kind == "singular":
+        tilt = ua[:, :r] @ haar(rng, max(r, n - r), real)[:r, :n - r]
+        ran_b, _ = np.linalg.qr(ua[:, r:] + 0.5 * tilt)
+        return psd_on(rng, ua[:, :r], scale), psd_on(rng, ran_b, scale)
+    if kind == "ac":
+        inside = ua[:, :r] @ haar(rng, r, real)
+        return psd_on(rng, ua[:, :r], scale), psd_on(rng, inside, scale)
+    raise ValueError(f"unknown pair kind {kind!r}")
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """A list that collects, for each ``linalg._jacobi_eig`` call made
+    inside the block, the tuple of its members."""
+    calls = []
+    plain = linalg._jacobi_eig
+
+    def recording(*mats, **kwargs):
+        calls.append(mats)
+        return plain(*mats, **kwargs)
+
+    linalg._jacobi_eig = recording
+    try:
+        yield calls
+    finally:
+        linalg._jacobi_eig = plain
+
+
+def second_call(a: np.ndarray, b: np.ndarray):
+    """The members of ``build_rep(a, b)``'s second kernel call, or None
+    when it makes one call only."""
+    with kernel_calls() as calls:
+        calculus.build_rep(a, b)
+    return calls[1] if len(calls) > 1 else None
 
 
 class _Counted:
@@ -165,6 +241,19 @@ def main(argv) -> int:
                 cols.append(stats([rounds(m) for m in mats], per_sweep))
             print(f"{n:>3} {'real' if real else 'complex':<8} "
                   f"{cols[0]:>18} {cols[1]:>18}")
+    print()
+    print("build_rep's second kernel call: member sizes, rounds mean / min / max")
+    print(f"{'n':>3} {'pair':<8} {'input':<8} {'sizes':>8} {'rounds':>18}")
+    for kind in PAIR_KINDS:
+        for real in (True, False):
+            rng = np.random.default_rng([SEED, PAIR_N, real, PAIR_KINDS.index(kind)])
+            calls = [second_call(*pair(rng, kind, PAIR_N, real)) for _ in range(solves)]
+            solved = [mats for mats in calls if mats is not None]
+            sizes = sorted({m.shape[0] for mats in solved for m in mats})
+            cols = (",".join(map(str, sizes)) or "no call",
+                    stats([rounds(mats[0]) for mats in solved]) if solved else "-")
+            print(f"{PAIR_N:>3} {kind:<8} {'real' if real else 'complex':<8} "
+                  f"{cols[0]:>8} {cols[1]:>18}")
     return 0
 
 

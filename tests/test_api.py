@@ -16,6 +16,7 @@ from pwcalc import cli, linalg
 from pwcalc.fileio import load_matrix, load_vector
 
 from conftest import rand_pair
+from kernel_rounds import kernel_calls
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(pwcalc.__file__).parent
@@ -92,8 +93,10 @@ SOLVES = [
     ("trace_functional", "a2pd.json", "b2sing.json",
      lambda a, b: pwcalc.trace_functional(a, b, pwcalc.entropy()), 4),
     ("is_abs_continuous", "a3.json", "b3.json", pwcalc.is_abs_continuous, 4),
+    # a mutually singular pair: gram_a is 0 on T(ker a) and 1 on T(ker b),
+    # which fill the support, so it is not solved
     ("is_mutually_singular", "sing_a2.json", "sing_b2.json",
-     pwcalc.is_mutually_singular, 4),
+     pwcalc.is_mutually_singular, 3),
     ("pw_eval", "a3.json", "b3.json",
      lambda a, b: pwcalc.pw_eval(a, b, pwcalc.parallel()), 4),
     ("abs_cont_part", "a3.json", "b3.json", pwcalc.abs_cont_part, 4),
@@ -192,6 +195,23 @@ CALLS = [
 def test_kernel_calls(monkeypatch, name, fa, op, expected):
     calls = _kernel_calls(monkeypatch, op, _fixture(fa), _fixture("b3.json"))
     assert calls == expected, name
+
+
+def test_gram_a_solves_only_its_retained_block(monkeypatch):
+    # sing_a2 and sing_b2 are mutually singular: gram_a is 0 on T(ker a)
+    # and 1 on T(ker b), which fill the support, so only the validating
+    # call runs, with the state folded into it for a pairing
+    sing = _fixture_pair("sing_a2.json", "sing_b2.json")
+    rho = np.eye(2)
+    assert _kernel_calls(monkeypatch, pwcalc.build_rep, *sing) == [3]
+    assert _kernel_calls(monkeypatch, pwcalc.pw_pairing, *sing,
+                         pwcalc.entropy(), rho) == [4]
+    monkeypatch.undo()
+    # a3 and b3 have rank 2 each and a sum of rank 3: one direction each
+    # is split off, and the second call solves one member of size 1
+    with kernel_calls() as calls:
+        pwcalc.build_rep(*_fixture_pair("a3.json", "b3.json"))
+    assert [[m.shape[0] for m in mats] for mats in calls] == [[3, 3, 3], [1]]
 
 
 def test_cli_pair_folds_its_state(monkeypatch, capsys):
@@ -384,9 +404,28 @@ def test_a_rounding_clamp_keeps_the_folded_sum():
             assert np.linalg.norm(got.eval(fn) - want.eval(fn)) <= 1e-13 * scale, fn.name
 
 
+def _structural_counts(a, b, rep):
+    """``(k0, k1)``: the rank of the pair's sum less the rank of ``a`` and
+    of ``b``, each rank taken at the sum's support threshold."""
+    tol = rep.tol
+    cut = tol.support_threshold(rep.n, float(rep.sum_eigs[-1]) if rep.rank else 0.0)
+    ranks = [int((linalg._validated(m, tol)[1].eigenvalues > cut).sum()) for m in (a, b)]
+    return rep.rank - ranks[0], rep.rank - ranks[1]
+
+
 def test_a_rounding_clamp_takes_no_third_call(monkeypatch):
+    # the second call solves gram_a's retained block, and only a pair that
+    # has one, such as a pair that is not mutually singular, makes it
+    retained = 0
     for a, b in _rounding_clamped_pairs(100):
-        assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b) == [3, 1]
+        rep = pwcalc.build_rep(a, b)
+        k0, k1 = _structural_counts(a, b, rep)
+        assert k0 >= 0 and k1 >= 0 and k0 + k1 <= rep.rank
+        expected = [3, 1] if rep.rank > k0 + k1 else [3]
+        retained += rep.rank > k0 + k1
+        assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b) == expected
+        monkeypatch.undo()
+    assert 0 < retained < 100
 
 
 def test_a_clamp_above_a_custom_support_tol_takes_the_third_call(monkeypatch):
@@ -394,12 +433,14 @@ def test_a_clamp_above_a_custom_support_tol_takes_the_third_call(monkeypatch):
     # so a's clamp of -5e-11, within psd_tol, is deeper than rounding. The
     # sum of the Hermitian parts would shift b's small retained eigenvalue
     # (about 2e-10) by that clamp and put gram_a outside [0, 1]; the sum of
-    # the clamped pair is solved again, as build_rep of the clamped a does
+    # the clamped pair is solved again, as build_rep of the clamped a does.
+    # gram_a is not solved: the pair is mutually singular at the cut, so
+    # its retained block is empty
     tol = pwcalc.ToleranceConfig(support_tol=1e-10)
     a = np.diag([1.0, -5e-11])
     w = np.array([10.0, 1.414e-4])
     b = np.outer(w, w)
-    assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b, tol) == [3, 1, 1]
+    assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b, tol) == [3, 1]
     monkeypatch.undo()
     got = pwcalc.build_rep(a, b, tol)
     want = pwcalc.build_rep(pwcalc.validate_psd(a, tol)[0], b, tol)
