@@ -16,6 +16,11 @@ hold), 4 when a bounded result was requested but the value is +inf.
 
 The environment variable ``PWCALC_TOL_ZERO`` overrides the default of
 ``--tol-zero``; an explicit flag wins over the environment.
+
+A call builds only its subcommand's parser and imports only the modules
+its handler runs: ``lebesgue``, ``means`` and ``radon_nikodym`` are
+imported inside the handlers that call them (as ``from .lebesgue import``,
+since ``from . import lebesgue`` would load the whole package surface).
 """
 
 import argparse
@@ -25,9 +30,6 @@ import sys
 
 import numpy as np
 
-from . import lebesgue as leb
-from . import means
-from . import radon_nikodym as rn
 from .calculus import _build_rep, build_rep
 from .config import ToleranceConfig
 from .errors import (ExtendedValueError, InputError, NotPsdError, NumericError,
@@ -59,13 +61,22 @@ _FLAGS = {
 _FILE_FLAGS = ("a", "b", "rho", "xi", "a2", "b2", "rho2")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it is
+    one; the usage line lists every subcommand either way."""
     parser = argparse.ArgumentParser(
         prog="pwcalc",
         description="Functional calculus and Lebesgue decomposition for "
                     "pairs of positive semidefinite matrices.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required, optional) in COMMANDS.items():
+    if command in COMMANDS:
+        # the default metavar would list only the one subcommand added
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in names:
+        _, required, optional = COMMANDS[name]
         p = sub.add_parser(name)
         for flag in ("a", "b", *required, *optional):
             help_text, kind = _FLAGS[flag]
@@ -136,7 +147,8 @@ def _cmd_eval(args, tol, warnings):
 
 
 def _cmd_lebesgue(args, tol, warnings):
-    dec = leb.lebesgue_decompose(load_matrix(args.a), load_matrix(args.b), tol)
+    from .lebesgue import lebesgue_decompose
+    dec = lebesgue_decompose(load_matrix(args.a), load_matrix(args.b), tol)
     warnings.extend(dec.warnings)
     outputs = {
         "abs_part": matrix_payload(dec.abs_part),
@@ -153,12 +165,14 @@ def _cmd_lebesgue(args, tol, warnings):
 
 
 def _cmd_psum(args, tol, warnings):
-    value = leb.parallel_sum(load_matrix(args.a), load_matrix(args.b), tol)
+    from .lebesgue import parallel_sum
+    value = parallel_sum(load_matrix(args.a), load_matrix(args.b), tol)
     return {"value": matrix_payload(value)}, {}
 
 
 def _cmd_psum_limit(args, tol, warnings):
-    res = leb.parallel_sum_limit(load_matrix(args.a), load_matrix(args.b), tol)
+    from .lebesgue import parallel_sum_limit
+    res = parallel_sum_limit(load_matrix(args.a), load_matrix(args.b), tol)
     if not res.converged:
         warnings.append(
             f"no convergence within max_doublings={tol.max_doublings}: "
@@ -174,7 +188,8 @@ def _cmd_psum_limit(args, tol, warnings):
 
 
 def _cmd_singular(args, tol, warnings):
-    res = leb.is_mutually_singular(load_matrix(args.a), load_matrix(args.b), tol)
+    from .lebesgue import is_mutually_singular
+    res = is_mutually_singular(load_matrix(args.a), load_matrix(args.b), tol)
     outputs = {
         "is_singular": res.is_singular,
         "witness": None if res.witness is None else float(res.witness),
@@ -184,8 +199,9 @@ def _cmd_singular(args, tol, warnings):
 
 
 def _cmd_abscont(args, tol, warnings):
+    from .lebesgue import lebesgue_decompose
     # this report carries no warnings, so the decomposition's are dropped
-    dec = leb.lebesgue_decompose(load_matrix(args.a), load_matrix(args.b), tol)
+    dec = lebesgue_decompose(load_matrix(args.a), load_matrix(args.b), tol)
     proj = dec.projection
     deviation = hermitian_norm(proj - np.eye(len(proj), dtype=np.complex128))
     return {"is_abs_continuous": dec.num_zero_eigs == 0,
@@ -209,7 +225,8 @@ def _rn_outputs(res) -> tuple[dict, dict]:
 
 
 def _cmd_rn(args, tol, warnings):
-    res = rn.rn_factor(load_matrix(args.a), load_matrix(args.b), tol)
+    from .radon_nikodym import rn_factor
+    res = rn_factor(load_matrix(args.a), load_matrix(args.b), tol)
     if res.near_singular:
         warnings.append(
             f"{res.near_singular} ratio eigenvalue(s) retained within "
@@ -219,8 +236,9 @@ def _cmd_rn(args, tol, warnings):
 
 
 def _cmd_kubo(args, tol, warnings):
+    from .radon_nikodym import kubo_ando_form
     fn = named_function(args.phi, args.alpha)
-    res = rn.kubo_ando_form(load_matrix(args.a), load_matrix(args.b), fn, tol)
+    res = kubo_ando_form(load_matrix(args.a), load_matrix(args.b), fn, tol)
     return _rn_outputs(res)
 
 
@@ -238,15 +256,17 @@ def _cmd_pair(args, tol, warnings):
 
 
 def _cmd_trace(args, tol, warnings):
+    from .means import trace_functional
     fn = named_function(args.phi, args.alpha)
-    value = means.trace_functional(load_matrix(args.a), load_matrix(args.b),
-                                   fn, tol)
+    value = trace_functional(load_matrix(args.a), load_matrix(args.b), fn,
+                             tol)
     return {"value": value}, {}
 
 
 def _cmd_tensor_check(args, tol, warnings):
+    from .means import tensor_pairing_check
     fn = named_function(args.phi, args.alpha)
-    res = means.tensor_pairing_check(
+    res = tensor_pairing_check(
         load_matrix(args.a), load_matrix(args.b),
         load_matrix(args.a2), load_matrix(args.b2),
         load_matrix(args.rho), load_matrix(args.rho2), fn, tol)
@@ -263,8 +283,9 @@ def _cmd_tensor_check(args, tol, warnings):
 
 
 def _cmd_form_p(args, tol, warnings):
-    value = rn.rn_quadratic_form(load_matrix(args.a), load_matrix(args.b),
-                                 load_vector(args.xi), tol)
+    from .radon_nikodym import rn_quadratic_form
+    value = rn_quadratic_form(load_matrix(args.a), load_matrix(args.b),
+                              load_vector(args.xi), tol)
     return {"value": value}, {}
 
 
@@ -319,7 +340,8 @@ def _error_text(report: dict, warnings: list[str], error: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     report = {
         "operation": args.command,
         "inputs": _hash_inputs(args),

@@ -51,6 +51,11 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8, UTF-16 or UTF-32 text: "
+                         f"{exc}")
+    except RecursionError:
+        raise InputError(f"{path} nests its JSON too deeply to parse")
     if not isinstance(data, dict):
         raise InputError(f"{path} must contain a JSON object")
     return data

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import FIXTURES, GOLDEN_CASES, rand_pair, run_cli
 from pwcalc import InputError, build_rep
-from pwcalc.cli import main
+from pwcalc.cli import COMMANDS, build_parser, main
 from pwcalc.fileio import dumps_report, load_matrix, load_vector, matrix_payload
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +91,20 @@ class TestExitCodes:
         # derivative factorization needs a definite base
         rep = run_report(["rn", "--a", "b2sing.json", "--b", "a2pd.json"], 2)
         assert "positive definite" in rep["diagnostics"]["error"]
+
+    @pytest.mark.parametrize("data,message", [
+        (bytes.fromhex("fffefd7b7d"), "is not UTF-8, UTF-16 or UTF-32 text"),
+        (b'{"n": 2, "re": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "nests its JSON too deeply"),
+    ], ids=["not-text", "too-deep"])
+    def test_unreadable_json_is_invalid_input(self, tmp_path, data, message):
+        (tmp_path / "bad.json").write_bytes(data)
+        proc = run_cli(["rep", "--a", "bad.json", "--b", str(FIXTURES / "a1.json")],
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr.decode()
+        rep = json.loads(proc.stdout)
+        assert rep["status"] == "error"
+        assert rep["diagnostics"]["error"].startswith(f"bad.json {message}")
 
     def test_missing_required_flag(self):
         proc = run_cli(["pair", "--a", "a3.json", "--b", "b3.json",
@@ -333,6 +348,19 @@ class TestFileRoundTrip:
         with pytest.raises(InputError, match=message):
             load_matrix(str(path))
 
+    @pytest.mark.parametrize("load", [load_matrix, load_vector])
+    @pytest.mark.parametrize("data,message", [
+        (bytes.fromhex("fffefd7b7d"), "is not UTF-8, UTF-16 or UTF-32 text"),
+        (b"\xff\xff\xff\xff", "is not UTF-8, UTF-16 or UTF-32 text"),
+        (b'{"n": 2, "re": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "nests its JSON too deeply"),
+    ], ids=["utf16-bom", "no-encoding", "too-deep"])
+    def test_unreadable_json(self, tmp_path, load, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match=f"{re.escape(str(path))} {message}"):
+            load(str(path))
+
 
 class TestInProcessMain:
     def test_main_returns_exit_code(self, capsys):
@@ -388,3 +416,32 @@ class TestInProcessMain:
         assert report["status"] == "warning"
         [warning] = report["diagnostics"]["warnings"]
         assert "residual_sum" in warning and "||b||_F" in warning
+
+
+def _parsed(parser, argv, capsys):
+    """What ``parser`` makes of ``argv``: namespace or exit code, stdout and
+    stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+def _parser_cases():
+    yield []
+    yield ["-h"]
+    yield ["nope", "--a", "a.json"]
+    for name, (_, required, _) in COMMANDS.items():
+        flags = [x for flag in ("a", "b", *required) for x in (f"--{flag}", "1")]
+        yield [name, "-h"]
+        yield [name, *flags[:-2]]           # the last required flag missing
+        yield [name, *flags]
+        yield [name, *flags, "--bogus", "extra"]
+
+
+@pytest.mark.parametrize("argv", list(_parser_cases()),
+                         ids=lambda argv: "_".join(argv) or "no-args")
+def test_one_subparser_parses_as_the_full_parser(argv, capsys):
+    one = build_parser(argv[0] if argv else None)
+    assert _parsed(one, argv, capsys) == _parsed(build_parser(), argv, capsys)
