@@ -118,38 +118,12 @@ class SequenceResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class _Weights:
-    """A state's pairing weights ``plain + scaled * 2**k``, clipped at 0.
-
-    ``plain`` holds every weight whose plain sum is finite, with its bits,
-    and 0 elsewhere. ``scaled`` is None when every weight is finite;
-    otherwise it holds the other weights, summed with ``E`` and the state
-    scaled by ``2**-k``, and 0 elsewhere.
-    """
-
-    plain: np.ndarray
-    scaled: np.ndarray | None = None
-    k: int = 0
-
-    def scaled_dot(self, vals: np.ndarray) -> float:
-        """``sum(vals * weights)`` for finite, nonempty ``vals``.
-
-        ``vals`` and the weights are scaled down by powers of two to one
-        scale, under which no term or sum overflows, summed once and
-        scaled back: the result is never NaN, and +-inf only beyond the
-        float64 range. A term far enough below the largest becomes
-        subnormal and loses bits, so this serves only a sum whose plain
-        form overflows."""
-        parts = [(self.plain, 0)]
-        if self.scaled is not None:
-            parts.append((self.scaled, self.k))
-        kv = max(_exponent(vals), 0)
-        top = max(max(_exponent(w), 0) + k for w, k in parts)
-        v = np.ldexp(vals, -kv)
-        total = sum(float((v * np.ldexp(w, k - top)).sum()) for w, k in parts)
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(total, top + kv))
+def _headroom(n: int) -> int:
+    """The binary exponent ``r`` for which ``4 n**3 2**r`` stays below
+    ``2**1022``: a sum of at most ``4 n**3`` terms below ``2**r`` each,
+    such as a pairing weight, a trace or a quadratic form of size ``n`` on
+    operands scaled to it, then neither overflows nor rounds up to inf."""
+    return 1020 - 3 * n.bit_length()
 
 
 @dataclass(frozen=True)
@@ -337,20 +311,18 @@ class PwRep:
 
     def pairing_weights(self, rho) -> np.ndarray:
         """Spectral weights of ``T rho T*`` in the ``gram_a`` eigenbasis,
-        the diagonal of ``E rho E*`` on :attr:`eig_map`; a weight beyond
-        the float64 range reads ``inf``.
+        the diagonal of ``E rho E*`` on :attr:`eig_map`, from
+        :meth:`_weights`; a weight beyond the float64 range reads ``inf``.
 
         ``rho`` is validated as by :func:`validate_psd`, whose matrix it
         reads with the same bits, but its solve stops once Weyl's bound
         certifies ``rho`` positive (``linalg._certified``): nothing would be
         clamped then, so the matrix is ``rho``'s Hermitian part."""
-        w = self._state_weights(rho)
-        if w.scaled is None:
-            return w.plain
+        w, k = self._state_weights(rho)
         with np.errstate(over="ignore"):
-            return w.plain + np.ldexp(w.scaled, w.k)
+            return np.ldexp(w, k)
 
-    def _state_weights(self, rho) -> _Weights:
+    def _state_weights(self, rho) -> tuple[np.ndarray, int]:
         """:meth:`_weights` of the state ``rho``, validated. The solve may
         stop once it certifies ``rho`` positive: only the validated matrix
         is read, and its bits are those of :func:`validate_psd`'s."""
@@ -360,34 +332,28 @@ class PwRep:
                 f"state must be {self.n}x{self.n}, got {rv.shape}")
         return self._weights(rv)
 
-    def _weights(self, rv: np.ndarray) -> _Weights:
-        """The pairing weights ``Re diag(E rv E*)`` on :attr:`eig_map` of a
-        validated ``complex128`` state, clipped at 0.
+    def _weights(self, rv: np.ndarray) -> tuple[np.ndarray, int]:
+        """``(w, k)``: the pairing weights ``Re diag(E rv E*)`` on
+        :attr:`eig_map` of a validated ``complex128`` state are ``w 2**k``,
+        clipped at 0.
 
-        The rows of ``E`` scale with ``sqrt(||a + b||)``, so for a huge
-        pair the terms of a weight can overflow with both signs and read
-        ``inf - inf``, or the weight itself can leave the float64 range.
-        Only a weight that is not finite is summed again, with ``E`` and
-        ``rv`` scaled down by powers of two, and it stays scaled: see
-        :class:`_Weights`. Every finite weight keeps the bits of the plain
-        sum. Scaling the rest too would not keep them: a small weight or
-        term that the scaling pushes into the subnormal range loses bits
-        or drops to 0, however far above ``weight_tol`` it lies. The plain
-        sum also spares the common case the scaled copies."""
+        ``E`` is read at unit scale, ``E 2**-ke`` with ``ke`` from
+        ``linalg._exponent``, and ``rv`` is scaled by ``2**-kr`` only by
+        the headroom its size needs, ``kr = max(0, _exponent(rv) -
+        _headroom(n))``, so no term or sum of a weight, nor the sum of all
+        of them, overflows; ``k = 2 ke + kr``. Scaling by a power of two is
+        exact, so ``w 2**k`` has the bits of the plain sum ``E rv E*``
+        wherever that is finite, except where a term is subnormal in one
+        computation and not in the other. ``rv`` is not scaled by its own
+        largest entry: that would send a small entry beside a huge one,
+        and its weight, to 0."""
         e = self.eig_map
-        # a NaN imaginary part is discarded, a NaN weight summed again
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.real(np.sum((e @ rv) * e.conj(), axis=1))
-        bad = ~np.isfinite(w)
-        if not bad.any():
-            return _Weights(np.maximum(w, 0.0))
-        ke = max(_exponent(e), 0)
-        kr = max(_exponent(rv), 0)
-        es = np.ldexp(1.0, -ke) * e[bad]
-        scaled = np.zeros_like(w)
-        scaled[bad] = np.real(np.sum((es @ (np.ldexp(1.0, -kr) * rv)) * es.conj(), axis=1))
-        w[bad] = 0.0
-        return _Weights(np.maximum(w, 0.0), np.maximum(scaled, 0.0), 2 * ke + kr)
+        ke = _exponent(e)
+        e = _ldexp(e, -ke, np.empty_like(e))
+        kr = max(0, _exponent(rv) - _headroom(self.n))
+        rv = _ldexp(rv, -kr, np.empty_like(rv))
+        w = np.real(np.sum((e @ rv) * e.conj(), axis=1))
+        return np.maximum(w, 0.0), 2 * ke + kr
 
     def pairing(self, fn: PwFunction, rho) -> PairingResult:
         """Pair a profile with a positive functional, +inf allowed.
@@ -405,32 +371,29 @@ class PwRep:
         """
         return self._pairing(fn, self._state_weights(rho))
 
-    def _pairing(self, fn: PwFunction, w: _Weights) -> PairingResult:
-        """:meth:`pairing` against a state's :meth:`_weights` ``w``.
+    def _pairing(self, fn: PwFunction, wk) -> PairingResult:
+        """:meth:`pairing` against a state's :meth:`_weights` ``wk = (w, k)``.
 
-        The plain and the scaled weights are each compared with
-        ``weight_tol`` in their own scale and summed apart, and the scaled
-        sums are scaled back once each. A finite part that is not finite
-        then, because a term or a sum overflows, is summed again by
-        :meth:`_Weights.scaled_dot`. So a value beyond the float64 range
-        reads +-inf with its sign, none reads NaN, and every finite plain
-        sum keeps its bits."""
+        Each weight ``w 2**k`` is compared with the absolute
+        ``weight_tol``. The kept terms are summed once, with the profile
+        values scaled by ``2**-kv``: ``kv`` is the headroom (see
+        :func:`_headroom`) that the exponents of the values and of ``w``
+        need, so no term or sum overflows. The sums are scaled back once by
+        ``np.ldexp``, so a value beyond the float64 range reads +-inf with
+        its sign and none reads NaN. The value has the bits of the plain
+        sum of the values times ``w 2**k`` wherever that is finite, except
+        where a term is subnormal in one computation and not in the
+        other."""
+        w, k = wk
         vals = self.values(fn)
         inf_mask = np.isinf(vals)
-        tol = self.tol.weight_tol
-        keep = (~inf_mask) & (w.plain > tol)
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite_part = float((vals[keep] * w.plain[keep]).sum())
-            infinite_weight = float(w.plain[inf_mask].sum())
-            if w.scaled is not None:
-                keep_s = (~inf_mask) & (w.scaled > np.ldexp(tol, -w.k))
-                finite_part += float(np.ldexp((vals[keep_s] * w.scaled[keep_s]).sum(), w.k))
-                infinite_weight += float(np.ldexp(w.scaled[inf_mask].sum(), w.k))
-                keep |= keep_s
-        if not math.isfinite(finite_part):
-            # a row is plain or scaled, so one mask zeroes what neither keeps
-            finite_part = w.scaled_dot(np.where(keep, vals, 0.0))
-        value = math.inf if infinite_weight > tol else finite_part
+        with np.errstate(over="ignore"):
+            keep = (~inf_mask) & (np.ldexp(w, k) > self.tol.weight_tol)
+            kept = vals[keep]
+            kv = max(0, _exponent(kept) + _exponent(w) - _headroom(self.n))
+            finite_part = float(np.ldexp((np.ldexp(kept, -kv) * w[keep]).sum(), k + kv))
+            infinite_weight = float(np.ldexp(w[inf_mask].sum(), k))
+        value = math.inf if infinite_weight > self.tol.weight_tol else finite_part
         return PairingResult(value, finite_part, infinite_weight)
 
     def eval_sequence(self, fns, rho) -> SequenceResult:
@@ -444,7 +407,7 @@ class PwRep:
         """
         return self._sequence(fns, self._state_weights(rho))
 
-    def _sequence(self, fns, w: _Weights) -> SequenceResult:
+    def _sequence(self, fns, w) -> SequenceResult:
         """:meth:`eval_sequence` against a state's :meth:`_weights` ``w``."""
         try:
             fns = iter(fns)

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PairingResult, _build_rep, build_rep, pw_eval, pw_pairing
+from .calculus import (PairingResult, _build_rep, _headroom, build_rep, pw_eval,
+                       pw_pairing)
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import PwFunction, _require_profile, entropy, geometric, power
-from .linalg import _exponent, kron
+from .linalg import _exponent, _ldexp, kron
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,22 @@ def _trace_product(rho, a) -> float:
     """``Re tr(rho a)`` of a state and pair member as the caller passed
     them: :func:`tensor_pairing_check` hands over its raw ``rho1, a1`` and
     ``rho2, a2``, which its slot pairings have validated, but neither
-    their Hermitian parts nor their clamped matrices. A trace beyond
-    float64 reads +inf, as pairing values do. Only a plain trace
-    that is not finite is formed again from ``rho`` and ``a`` scaled by
-    powers of two, and scaled back, so every finite one keeps its bits."""
-    rho, a = np.asarray(rho), np.asarray(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.trace(rho @ a).real)
-        if not math.isfinite(value):
-            kr, ka = _exponent(rho), _exponent(a)
-            scaled = (rho * np.ldexp(1.0, -kr)) @ (a * np.ldexp(1.0, -ka))
-            value = float(np.ldexp(np.trace(scaled).real, kr + ka))
-    return value
+    their Hermitian parts nor their clamped matrices. Each is promoted to
+    at least ``float64``, so integers do not wrap and floats keep their
+    bits. Where the binary exponents of the two sum past the headroom of
+    their size (:func:`calculus._headroom`), the excess is taken off both
+    by powers of two, half each, and the trace is scaled back once: no
+    term overflows, and a trace beyond float64 reads +-inf, as pairing
+    values do. The trace has the bits of the plain ``tr(rho a)`` of the
+    promoted pair wherever that is finite, except where a term is
+    subnormal in one computation and not in the other."""
+    rho, a = (np.asarray(m) for m in (rho, a))
+    rho, a = (m.astype(np.result_type(m, np.float64), copy=False) for m in (rho, a))
+    excess = max(0, _exponent(rho) + _exponent(a) - _headroom(rho.shape[0]))
+    kr, ka = excess // 2, excess - excess // 2
+    product = _ldexp(rho, -kr, np.empty_like(rho)) @ _ldexp(a, -ka, np.empty_like(a))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.trace(product).real, kr + ka))
 
 
 def tensor_pairing_check(a1, b1, a2, b2, rho1, rho2, fn: PwFunction,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import PwRep, build_rep
+from .calculus import PwRep, _headroom, build_rep
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import PwFunction, _require_profile, abs_part
@@ -158,10 +158,15 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     the outer Gram of the first contraction, with the same suppression
     of classified-zero directions as :func:`rn_factor`. At finite
     dimension the value is always finite; it is returned as a float for
-    interface uniformity with the pairings. Only where the plain sum is
-    not finite is it summed again with ``xi`` scaled by ``2^-k`` and
-    scaled back by ``4^k``, so every finite plain value keeps its bits;
-    a value beyond the float64 range raises :class:`NumericError`.
+    interface uniformity with the pairings. It is summed once, with
+    ``xi`` scaled by ``2**-k``, ``k`` the excess of its binary exponent
+    over half the headroom of size ``n`` (:func:`calculus._headroom`), so
+    no square ``|B* xi|**2`` overflows,
+    and scaled back by ``4**k``: every term is nonnegative, so a value
+    that still overflows lies beyond the float64 range, and raises
+    :class:`NumericError`. The value has the bits of the plain sum
+    wherever that is finite, except where a term is subnormal in one
+    computation and not in the other.
     ``xi`` must be a 1-D vector of length ``n``; anything else raises
     :class:`InputError`.
     """
@@ -174,16 +179,10 @@ def rn_quadratic_form(a, b, xi, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if not np.isfinite(vec).all():
         raise InputError("vector contains non-finite entries")
     dec, hvals, _ = _ratio(rep, rep.values(abs_part()))
-
-    def form(v):
-        return float((hvals * np.abs(dec.basis.conj().T @ v) ** 2).sum())
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = form(vec)
-        if not math.isfinite(value):
-            # |B* xi|^2 overflowed before the weights scaled it down
-            k = _exponent(vec)
-            value = float(np.ldexp(form(vec * np.ldexp(1.0, -k)), 2 * k))
+    k = max(0, _exponent(vec) - _headroom(rep.n) // 2)
+    vec = _ldexp(vec, -k, np.empty_like(vec))
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp((hvals * np.abs(dec.basis.conj().T @ vec) ** 2).sum(), 2 * k))
     if not math.isfinite(value):
         raise NumericError("quadratic form outside the float64 range")
     return value

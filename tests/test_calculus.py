@@ -474,6 +474,30 @@ class TestPairing:
                         seen["zero" if unit == 0.0 else "finite"] += 1
         assert min(seen.values()) > 0, seen
 
+    @pytest.mark.parametrize("j", [1000, 1015, 1020])
+    def test_reused_rep_is_linear_in_the_state_up_to_the_float64_edge(self, j):
+        # the weights of 2**j rho are those of rho times 2**j, so every
+        # value is too, bit for bit: +-inf with the unit value's sign where
+        # the product leaves the float64 range, and no weight reads NaN. At
+        # norm 16 some weights of 2**1020 rho leave it while the value
+        # stays finite
+        rng = np.random.default_rng(5)
+        t = 2.0 ** j
+        seen = {"finite": 0, "inf": 0}
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            a, b = rand_pair(rng, n, int(rng.integers(1, n + 1)),
+                             int(rng.integers(1, n + 1)), scale=16.0)
+            rep = build_rep(a, b)
+            rho = rand_psd(rng, n)
+            rho /= np.abs(rho).max()
+            assert not np.isnan(rep.pairing_weights(t * rho)).any()
+            for fn in (entropy(), power(2.0), parallel(), left()):
+                unit = rep.pairing(fn, rho).value
+                assert rep.pairing(fn, t * rho).value == t * unit, fn.name
+                seen["inf" if math.isinf(t * unit) else "finite"] += 1
+        assert seen["finite"] > 0
+
 
 class TestEvalSequence:
     def test_scaled_parallel_scalar_formula(self):

@@ -11,6 +11,8 @@ from pwcalc import (InputError, NotPsdError, NumericError, abs_part, entropy,
                     tensor_pairing_check, trace_functional,
                     weighted_geometric_mean, arithmetic)
 
+from pwcalc import means
+
 from conftest import (geometric_mean_oracle, rand_pair, rand_psd, rand_state,
                       spec_norm, structured_pair)
 
@@ -223,6 +225,16 @@ class TestTensorPairingCheck:
                                        eye, [[1.0]], entropy())
         assert (res.lhs, res.rhs, res.residual) == (math.inf, math.inf, None)
         assert res.infinity_consistent
+
+    def test_integer_traces_do_not_wrap(self):
+        # tr(rho1 a1) = 2**64 and tr(rho a) = 300 overflow int64 and int8
+        big = [[2 ** 32]], [[2 ** 31]], [[2]], [[1]], [[2 ** 32]], [[1]]
+        got = tensor_pairing_check(*big, entropy())
+        want = tensor_pairing_check(*(np.array(m, dtype=float) for m in big), entropy())
+        assert (got.lhs, got.rhs, got.residual) == (want.lhs, want.rhs, want.residual)
+        assert got.residual < 1e-6 * abs(got.rhs)
+        three, hundred = np.array([[3]], np.int8), np.array([[100]], np.int8)
+        assert means._trace_product(three, hundred) == 300.0
 
     def test_sum_rule_of_opposite_infinities_is_a_numeric_error(self):
         # psi1 = 1e309 * 0.25 * ln(1/3) reads -inf and tr(rho1 a1) = 2.5e308

@@ -278,7 +278,7 @@ class TestJointHomogeneity:
     @pytest.mark.parametrize("k", [
         pytest.param(-100, marks=_ABSOLUTE_WEIGHT_TOL),
         pytest.param(-30, marks=_ABSOLUTE_WEIGHT_TOL),
-        -10, -1, 1, 10, 30, 100])
+        -10, -1, 1, 10, 30, 100, 250, 500, 510])
     def test_pairings(self, homogeneity_cases, name, k):
         op = HOMOGENEOUS_PAIRINGS[name]
         t = 4.0 ** k
