@@ -401,9 +401,10 @@ class PwRep:
 
         The Cauchy gaps ``|v[k+1] - v[k]|`` treat two consecutive equal
         infinite values as gap zero, and an infinite value next to any
-        other value as gap +inf. The sequence counts as converged when the
-        last three gaps (or all of them, if fewer) stay below
-        ``conv_tol``.
+        other value as gap +inf. The sequence counts as converged when it
+        has at least one gap and the last three gaps (or all of them, if
+        fewer) stay below ``conv_tol``: a one-profile sequence has no gap
+        and reads ``converged=False``.
         """
         return self._sequence(fns, self._state_weights(rho))
 

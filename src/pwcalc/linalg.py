@@ -43,15 +43,18 @@ or four more.
 A caller that needs only a PSD verdict and the validated matrix, such as
 the pairing of a state or ``PwRep.to_support``, may let the solve stop
 early. Such a member is tested at every sweep's end and, when it is
-solved alone, up to three times inside a sweep: Weyl's inequality bounds the smallest eigenvalue from
-below by ``min_i Re h_ii - ||off(h)||_F``. When that clears a margin of
-``32 * MAX_JACOBI_SWEEPS * n`` times the stopping target (the rounding of
-every round the solve could still run, and more), the member is
-:data:`CERTIFIED` positive: its full solve would have returned no
-negative eigenvalue, so validation clamps nothing and its matrix is the
-Hermitian part of the input, with the same bits. :func:`validate_psd`,
-which reports the smallest eigenvalue, and every caller of an eigenbasis
-still solve to convergence.
+solved alone, up to three times inside a sweep: Weyl's inequality bounds
+the smallest eigenvalue from below by ``min_i Re h_ii - ||e||_2``, with
+``e = off(h)`` the off-diagonal part, and ``||e||_2`` is at most the
+smaller of ``||e||_F`` and the Schatten-4 bound ``sqrt(||e* e||_F)``,
+taken with the rounding of the product (:func:`_certified`). When that
+clears a margin of ``32 * MAX_JACOBI_SWEEPS * n`` times the stopping
+target (the rounding of every round the solve could still run, and
+more), the member is :data:`CERTIFIED` positive: its full solve would
+have returned no negative eigenvalue, so validation clamps nothing and
+its matrix is the Hermitian part of the input, with the same bits.
+:func:`validate_psd`, which reports the smallest eigenvalue, and every
+caller of an eigenbasis still solve to convergence.
 """
 
 import functools
@@ -192,10 +195,12 @@ def safe_frobenius(m) -> float:
         return float(np.ldexp(frobenius(_ldexp(m, -k, np.empty_like(m))), k))
 
 
-def _offdiag_norm(h: np.ndarray) -> float:
-    m = h.astype(np.complex128)
-    np.fill_diagonal(m, 0.0)
-    return frobenius(m)
+def _offdiag_norm(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """The Frobenius norm of the off-diagonal part of ``h`` and that part,
+    as a ``complex128`` copy whatever the dtype of ``h``."""
+    e = h.astype(np.complex128)
+    np.fill_diagonal(e, 0.0)
+    return frobenius(e), e
 
 
 # what _jacobi_eig gives for a member that it certifies positive semidefinite
@@ -207,29 +212,53 @@ _ROUND_ROUNDING = 32
 _TESTS_PER_SWEEP = 4
 
 
-def _certified(h: np.ndarray, off: float, target: float, k: int) -> bool:
+def _certified(h: np.ndarray, off: float, e: np.ndarray, target: float,
+               k: int) -> bool:
     """Whether Weyl's bound certifies that the solve of ``h``, stopped here
-    with off-diagonal norm ``off``, at a sweep's end or between two rounds
-    inside it, would end with its smallest eigenvalue at or above 0.
+    with off-diagonal part ``e`` of Frobenius norm ``off``, at a sweep's
+    end or between two rounds inside it, would end with its smallest
+    eigenvalue at or above 0.
 
-    The smallest eigenvalue of ``h`` is at least ``min_i Re h_ii - off``
-    (Weyl). The rounds left, at most ``MAX_JACOBI_SWEEPS * n``, move it by
-    their rounding, each under ``_ROUND_ROUNDING * n * eps * ||h||_F``,
-    and the diagonal that the solve returns lies at or above the smallest
-    eigenvalue of the matrix it converged to. So the difference must clear
-    ``_ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n * target``, a margin that also
-    covers ``target`` and this test's own rounding. ``h`` is solved at unit
-    scale, ``2**-k`` times its member, so ``||h||_F`` is at least 1/2 and
-    the squares that underflow in ``off`` hide at most ``n * 2**-537``
-    from it, far inside the margin. The same bound from above, scaled back
-    by ``2**k``, must stay finite, where the solve would raise.
+    The smallest eigenvalue of ``h`` is at least ``min_i Re h_ii -
+    ||e||_2`` (Weyl), and ``||e||_2`` is at most ``min(off, s)``. Here
+    ``s = sqrt(||fl(e* e)||_F (1 + 4 n eps) + 4 n eps off**2) (1 + 4
+    eps)`` is the Schatten-4 bound ``||e||_2^2 = ||e* e||_2 <= ||e*
+    e||_F``, tighter than ``off`` by up to ``sqrt(n)`` for a dense ``e``,
+    with the rounding of the product: ``fl(e* e)`` is off ``e* e``
+    entrywise by at most ``sqrt(2) gamma_(n+2) <= 4 n eps`` times ``|e|*
+    |e|``, whatever the order of each sum (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, section 3.6, on complex inner
+    products), and ``|| |e|* |e| ||_F`` is at most ``off**2``. The
+    factors ``1 + 4 n eps`` and ``1 + 4 eps`` allow for the rounding of
+    the norm and of the square root; the margin below covers what they
+    miss. The Gram ``e* e`` is used, not ``e @ e``: the rotated ``h`` is
+    Hermitian only to rounding, and ``||e^2||_F`` does not bound
+    ``||e||_2^2`` for a non-Hermitian ``e``. ``e`` is a ``complex128``
+    copy, so the decision does not depend on the member's dtype.
+
+    The rounds left, at most ``MAX_JACOBI_SWEEPS * n``, move the smallest
+    eigenvalue by their rounding, each under ``_ROUND_ROUNDING * n * eps *
+    ||h||_F``, and the diagonal that the solve returns lies at or above
+    the smallest eigenvalue of the matrix it converged to. So the
+    difference must clear ``_ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n *
+    target``, a margin that also covers ``target`` and the rest of this
+    test's own rounding: the sums in the two norms err by under ``n**2 *
+    eps`` relative, and ``s`` is at most about ``off <= ||h||_F``. ``h``
+    is solved at unit scale, ``2**-k`` times its member, so ``||h||_F`` is
+    at least 1/2, and the squares and products that underflow in ``off``
+    and ``s`` hide at most ``n * 2**-537`` from either, far inside the
+    margin. The same bound from above, scaled back by ``2**k``, must stay
+    finite, where the solve would raise.
     """
     n = h.shape[0]
     d = h.diagonal().real
     margin = _ROUND_ROUNDING * MAX_JACOBI_SWEEPS * n * target
-    if float(d.min()) - off <= margin:
+    gram = frobenius(e.conj().T @ e)
+    s = math.sqrt(gram * (1.0 + 4 * n * EPS) + 4 * n * EPS * off * off) * (1.0 + 4 * EPS)
+    bound = min(off, s)
+    if float(d.min()) - bound <= margin:
         return False
-    return bool(np.isfinite(np.ldexp(float(d.max()) + off + margin, k)))
+    return bool(np.isfinite(np.ldexp(float(d.max()) + bound + margin, k)))
 
 
 def _rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -379,9 +408,9 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
                 if results[j] is CERTIFIED:
                     continue  # certified inside the previous sweep
                 h = hv[:n, i * n:(i + 1) * n]
-                off = _offdiag_norm(h)
+                off, e = _offdiag_norm(h)
                 if off > targets[j]:
-                    if j in certify and _certified(h, off, targets[j], exps[j]):
+                    if j in certify and _certified(h, off, e, targets[j], exps[j]):
                         results[j] = CERTIFIED
                     else:
                         left.append(i)
@@ -407,7 +436,7 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
                     for i, j in enumerate(active):
                         h = hv[:n, i * n:(i + 1) * n]
                         if results[j] is None and _certified(
-                                h, _offdiag_norm(h), targets[j], exps[j]):
+                                h, *_offdiag_norm(h), targets[j], exps[j]):
                             results[j] = CERTIFIED
                     if all(results[j] is CERTIFIED for j in active):
                         break  # every member is finished

@@ -24,6 +24,13 @@ state validation solves it; the certificate is also tested inside a
 sweep, so this need not be a whole number of sweeps) and before it
 converges (as ``validate_psd`` solves it).
 
+Next to them it prints the same two counts for ``to_support``'s matrices
+as the benchmark's reused-rep workload draws them: for ``SOLVES`` seeded
+n=24 pairs of each of its five kinds (``full``, ``a_def``, ``b_def``,
+``singular`` and ``a_zero``, see :func:`pair`), real and complex, one
+dominated matrix ``c = (a+b)^(1/2) k (a+b)^(1/2)``, ``k`` a state-like
+``U diag(d) U*`` with ``d`` in [0.2, 1] (see :func:`dominated`).
+
 Then, for n = 16, 24 and 48, it prints the mean, least and most sweeps to
 convergence of two-cluster spectra under a Haar ``U``: ``d`` exactly 0.3
 on half the indices and 0.7 on the rest, and a rank-``n/2`` projection.
@@ -41,7 +48,8 @@ and a ``singular`` pair makes no second call.
 The counts are deterministic, so the script reports no timing. It
 imports ``pwcalc`` from the ``src`` directory next to this one. Not a
 test module: pytest does not collect it; the tests import its round
-counter, its pair recipe and its recorder of kernel calls.
+counter, its state rows, its pair recipe and its recorder of kernel
+calls.
 """
 
 import contextlib
@@ -61,6 +69,8 @@ TINY = 4.0 ** -280
 CLUSTER_SIZES = (16, 24, 48)
 PAIR_N = 24
 PAIR_KINDS = ("a_def", "b_def", "singular")
+# the pair kinds of the benchmark's reused-rep workload
+REP_KINDS = ("full", "a_def", "b_def", "singular", "a_zero")
 
 
 def gram(rng, n: int, rank: int, real: bool) -> np.ndarray:
@@ -139,6 +149,16 @@ def pair(rng, kind: str, n: int, real: bool, scale: float = 1.0):
     raise ValueError(f"unknown pair kind {kind!r}")
 
 
+def dominated(rng, total: np.ndarray, real: bool) -> np.ndarray:
+    """``c = total^(1/2) k total^(1/2)`` with ``k = U diag(d) U*``, ``d`` in
+    [0.2, 1]: a matrix that ``to_support`` accepts, drawn as the benchmark
+    draws its pool."""
+    w, v = np.linalg.eigh(total)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    m = root @ psd_on(rng, haar(rng, total.shape[0], real)) @ root
+    return 0.5 * (m + m.conj().T)
+
+
 @contextlib.contextmanager
 def kernel_calls():
     """A list that collects, for each ``linalg._jacobi_eig`` call made
@@ -183,16 +203,43 @@ class _Counted:
             self.counter[0] += 1
 
 
-def rounds(m: np.ndarray, certify=()) -> int:
-    """The rounds that ``_jacobi_eig(m, certify=certify)`` runs."""
+@contextlib.contextmanager
+def round_counter():
+    """A one-item list that counts the rounds of the kernel calls made
+    inside the block."""
     counter = [0]
     plain = linalg._round_plan
     linalg._round_plan = lambda n, k: _Counted(plain(n, k), counter)
     try:
-        linalg._jacobi_eig(m, certify=certify)
+        yield counter
     finally:
         linalg._round_plan = plain
+
+
+def rounds(m: np.ndarray, certify=()) -> int:
+    """The rounds that ``_jacobi_eig(m, certify=certify)`` runs."""
+    with round_counter() as counter:
+        linalg._jacobi_eig(m, certify=certify)
     return counter[0]
+
+
+def state_rounds(real: bool, solves: int) -> list[list[int]]:
+    """The rounds to the certificate and to convergence of ``solves``
+    seeded n=24 states."""
+    rng = np.random.default_rng([SEED, STATE_N, real])
+    states = [state(rng, STATE_N, real) for _ in range(solves)]
+    return [[rounds(m, certify) for m in states] for certify in ((0,), ())]
+
+
+def dominated_rounds(kind: str, real: bool, solves: int) -> list[list[int]]:
+    """The rounds to the certificate and to convergence of ``solves``
+    seeded n=24 dominated matrices, one per ``kind`` pair."""
+    rng = np.random.default_rng([SEED, STATE_N, real, 10 + REP_KINDS.index(kind)])
+    mats = []
+    for _ in range(solves):
+        a, b = pair(rng, kind, STATE_N, real)
+        mats.append(dominated(rng, a + b, real))
+    return [[rounds(m, certify) for m in mats] for certify in ((0,), ())]
 
 
 def stats(counts, unit: int = 1) -> str:
@@ -221,13 +268,15 @@ def main(argv) -> int:
                       f"{total:>12.1f} {tiny / per_sweep:>10.2f}")
     print()
     print("rounds to the certificate and to convergence, mean / min / max")
-    print(f"{'n':>3} {'state':<8} {'certificate':>18} {'convergence':>18}")
-    for real in (True, False):
-        rng = np.random.default_rng([SEED, STATE_N, real])
-        states = [state(rng, STATE_N, real) for _ in range(solves)]
-        cols = [stats([rounds(m, certify) for m in states]) for certify in ((0,), ())]
-        print(f"{STATE_N:>3} {'real' if real else 'complex':<8} "
-              f"{cols[0]:>18} {cols[1]:>18}")
+    print(f"{'n':>3} {'matrix':<20} {'input':<8} {'certificate':>18} {'convergence':>18}")
+    rows = [("state", lambda real: state_rounds(real, solves))]
+    rows += [(f"to_support {kind}", lambda real, kind=kind: dominated_rounds(kind, real, solves))
+             for kind in REP_KINDS]
+    for name, counts in rows:
+        for real in (True, False):
+            cols = [stats(c) for c in counts(real)]
+            print(f"{STATE_N:>3} {name:<20} {'real' if real else 'complex':<8} "
+                  f"{cols[0]:>18} {cols[1]:>18}")
     print()
     print("sweeps to convergence on two-cluster spectra, mean / min / max")
     print(f"{'n':>3} {'input':<8} {'0.3 and 0.7':>18} {'projection':>18}")

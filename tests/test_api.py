@@ -715,12 +715,13 @@ def test_only_the_transfer_step_reads_the_eigenvectors_of_gram_a():
 
 def test_only_the_kernel_takes_the_plain_frobenius_norm():
     # the plain norm overflows above about 1e154 per entry and underflows
-    # below about 1e-154; the kernel takes it at unit scale itself, every
-    # other caller takes safe_frobenius
+    # below about 1e-154; the kernel and its certificate take it at unit
+    # scale themselves, every other caller takes safe_frobenius
     readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _readers(ast.parse(path.read_text()), "frobenius")}
     assert readers == {("linalg.py", "safe_frobenius"),
                        ("linalg.py", "_offdiag_norm"),
+                       ("linalg.py", "_certified"),
                        ("linalg.py", "_jacobi_eig")}
 
 

@@ -513,6 +513,17 @@ class TestEvalSequence:
         assert seq.converged
         assert seq.gaps == [0.0, 0.0]
 
+    def test_one_profile_has_no_gap_and_does_not_converge(self, rng):
+        # convergence needs at least one gap, so a lone value reads False,
+        # on a reused rep and one-shot alike
+        a, b = rand_pair(rng, 4, 4, 4)
+        rho = rand_state(rng, 4)
+        for seq in (eval_sequence(a, b, [parallel()], rho),
+                    build_rep(a, b).eval_sequence([parallel()], rho)):
+            assert len(seq.values) == 1 and math.isfinite(seq.values[0])
+            assert seq.gaps == []
+            assert not seq.converged
+
     def test_rn_cutoff_monotone(self, rng):
         a = rand_psd(rng, 5) + 0.3 * np.eye(5)
         b = rand_psd(rng, 5)

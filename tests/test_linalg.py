@@ -17,7 +17,7 @@ from pwcalc.linalg import (_jacobi_eig, _validated, _validated_pair, frobenius,
                            safe_frobenius)
 
 from conftest import rand_complex, rand_hermitian, rand_psd
-from kernel_rounds import rounds
+from kernel_rounds import round_counter, rounds, state_rounds
 
 
 class TestEig:
@@ -271,6 +271,7 @@ class TestPairValidation:
 _CERTIFICATE_KINDS = ("full", "pure", "near_singular", "rounding_negative", "tiny",
                       "overflow", "indefinite", "tiny_rank_deficient",
                       "tiny_near_singular", "tiny_rounding_negative")
+_RANK_ONE_KINDS = ("rank_one", "rank_one_inside", "rank_one_outside", "rank_one_below")
 
 
 def _certificate_states():
@@ -306,6 +307,56 @@ def _certificate_states():
         elif kind == "overflow":
             m = m * 2.0 ** -int(np.frexp(np.abs(m).max())[1]) * 2.0 ** 1023
         yield kind, m
+    yield from _rank_one_states()
+
+
+def _margin(h):
+    """:func:`linalg._certified`'s margin for ``h`` at unit scale."""
+    n = h.shape[0]
+    target = n * float(np.finfo(np.float64).eps) * frobenius(h)
+    return linalg._ROUND_ROUNDING * linalg.MAX_JACOBI_SWEEPS * n * target
+
+
+def _rank_one_states():
+    """``(kind, m)``: seeded ``m = c I - t v v*``, n 3-32, real and complex,
+    with ``t = 0.96`` and ``|v_i| = n**-1/2``, so ``m`` is at unit scale.
+
+    Its off-diagonal part ``e = -t (v v* - I/n)`` is that of a rank-one
+    matrix: ``||e||_2 = t (1 - 1/n)``, its Schatten-4 norm lies above that
+    by about ``t / (4 n**3)`` and ``||e||_F`` by about ``t / (2 n)``, and
+    Weyl's bound ``min_i m_ii - ||e||_2 = c - t`` is the smallest eigenvalue
+    exactly. ``c - t`` is, by kind, ``t / 4`` (``rank_one``, certified
+    before any rotation by either bound), the margin plus twice the
+    Schatten-4 excess (``rank_one_inside``: the unrotated ``m`` clears the
+    margin by the Schatten-4 bound but not by ``||e||_F``), the margin plus
+    half of it (``rank_one_outside``: it clears by neither), and half the
+    margin (``rank_one_below``: no bound on ``||e||_2`` can certify it)."""
+    rng = np.random.default_rng(2027)
+    t = 0.96
+    for k in range(6 * len(_RANK_ONE_KINDS)):
+        kind = _RANK_ONE_KINDS[k % len(_RANK_ONE_KINDS)]
+        n = int(rng.integers(3, 33))
+        real = bool(k // len(_RANK_ONE_KINDS) % 2)
+        phase = (rng.choice([-1.0, 1.0], size=n) if real
+                 else np.exp(2j * np.pi * rng.uniform(size=n)))
+        v = phase / np.sqrt(n)
+        rank_one = -t * np.outer(v, v.conj())
+        sigma = t * (1 - 1 / n)
+        excess = t * ((1 - 1 / n) ** 4 + (n - 1) / n ** 4) ** 0.25 - sigma
+        margin = _margin(hermitize(t * np.eye(n) + rank_one))
+        gap = {"rank_one": t / 4, "rank_one_inside": margin + 2 * excess,
+               "rank_one_outside": margin + excess / 2,
+               "rank_one_below": margin / 2}[kind]
+        yield kind, hermitize((t + gap) * np.eye(n) + rank_one)
+
+
+def _frobenius_certified(h, off, e, target, k):
+    """:func:`linalg._certified` with the bound ``||e||_F`` alone."""
+    d = h.diagonal().real
+    margin = linalg._ROUND_ROUNDING * linalg.MAX_JACOBI_SWEEPS * h.shape[0] * target
+    if float(d.min()) - off <= margin:
+        return False
+    return bool(np.isfinite(np.ldexp(float(d.max()) + off + margin, k)))
 
 
 def _certified(m):
@@ -328,7 +379,7 @@ class TestCertificate:
 
     def test_sound_and_same_bits(self):
         tol = ToleranceConfig()
-        certified = dict.fromkeys(_CERTIFICATE_KINDS, 0)
+        certified = dict.fromkeys(_CERTIFICATE_KINDS + _RANK_ONE_KINDS, 0)
         errors = 0
         for kind, m in _certificate_states():
             got = _outcome(lambda: _validated(m, tol, certify=True))
@@ -350,6 +401,71 @@ class TestCertificate:
         assert certified["full"] > 4 and certified["tiny"] > 4
         assert certified["overflow"] and certified["near_singular"]
         assert not certified["pure"]
+        assert certified["rank_one"] == certified["rank_one_inside"] == 6
+        assert not certified["rank_one_below"]
+
+    def test_the_schatten_bound_certifies_where_frobenius_refuses(self, monkeypatch):
+        # the certificate bounds ||e||_2 by min(||e||_F, s), so it passes at
+        # the first test where the Frobenius bound alone would, or earlier;
+        # the rounds and the tests between them do not depend on it
+        sooner = only_schatten = neither = 0
+        for kind, m in _certificate_states():
+            h = hermitian_part(m)
+            runs = []
+            for test in (linalg._certified, _frobenius_certified):
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "_certified", test)
+                    runs.append((_outcome(lambda: rounds(h, (0,))), _certified(m)))
+            (got, got_certified), (frob, frob_certified) = runs
+            if frob_certified:
+                assert got_certified and got <= frob, kind
+                sooner += got < frob
+            elif got_certified:
+                only_schatten += 1
+            else:
+                neither += 1
+            if kind == "rank_one_inside":
+                assert got_certified and got == 0 and frob > 0
+            if kind == "rank_one_outside":
+                assert got > 0
+        assert sooner > 25 and only_schatten > 0 and neither > 50
+
+    def test_a_real_member_runs_the_rounds_of_its_complex_twin(self):
+        # a real member shares a call with a complex one, so it is rotated
+        # in complex128; the certificate reads a complex128 copy of its
+        # off-diagonal either way, so it passes at the same round
+        twins = 0
+        for kind, m in _certificate_states():
+            h = hermitian_part(m)
+            n = h.shape[0]
+            if h.imag.any() or n < 2:
+                continue
+            # certified at the first test, before any rotation
+            z = np.eye(n) + 1e-3j * (np.eye(n, k=1) - np.eye(n, k=-1))
+            counts = []
+            for mats in ((h,), (h, z)):
+                with round_counter() as counter:
+                    try:
+                        got = _jacobi_eig(*mats, certify=(0, 1))
+                    except NumericError:  # the spectral norm overflows
+                        got = None
+                if len(mats) == 2 and got is not None:
+                    assert got[1] is linalg.CERTIFIED
+                    got = got[0]
+                counts.append((counter[0], got is linalg.CERTIFIED))
+            assert counts[0] == counts[1], kind
+            twins += 1
+        assert twins > 50
+
+    def test_state_rounds_are_pinned(self):
+        # kernel_rounds.py's seeded n=24 states: the mean rounds to the
+        # certificate under the Schatten-4 bound (the Frobenius bound alone
+        # took 50.7 and 51.6), and to convergence; a change to the
+        # certificate or the kernel restates them
+        for real, want in ((True, 33.0), (False, 27.0)):
+            certificate, convergence = state_rounds(real, 20)
+            assert sum(certificate) / len(certificate) == want
+            assert set(convergence) == {168}
 
     @pytest.mark.parametrize("k", [-5, 5])
     def test_decision_is_scale_invariant(self, k):
