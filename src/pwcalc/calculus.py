@@ -143,10 +143,9 @@ class PwRep:
         :meth:`from_support`, for arbitrary support-side matrices, reads it.
     contr_a, contr_b : (n, rank) ndarray
         Contractions carrying the square roots of ``a`` and ``b``.
-    gram_a, gram_b : (rank, rank) ndarray
-        Commuting PSD pair summing to the identity. ``gram_b`` is stored
-        as ``I - gram_a`` exactly (symmetrized), so the structural
-        identity holds by construction.
+    gram_a : (rank, rank) ndarray
+        ``X* X``; with :attr:`gram_b` a commuting PSD pair summing to the
+        identity.
     gram_a_spec : SpectralDecomposition
         Spectral decomposition of ``gram_a``; its spectrum lies in [0, 1]
         up to rounding. It is exactly 0 on ``k0 = rank - rank(a)``
@@ -178,7 +177,6 @@ class PwRep:
     contr_a: np.ndarray
     contr_b: np.ndarray
     gram_a: np.ndarray
-    gram_b: np.ndarray
     gram_a_spec: SpectralDecomposition
     eig_map: np.ndarray
     a: np.ndarray
@@ -188,6 +186,13 @@ class PwRep:
     a_eigs: np.ndarray
     split: SpectrumSplit
     tol: ToleranceConfig
+
+    @property
+    def gram_b(self) -> np.ndarray:
+        """``I - gram_a`` exactly, symmetrized, read off :attr:`gram_a`
+        on each access, so the structural identity holds by
+        construction."""
+        return hermitize(np.eye(self.rank, dtype=np.complex128) - self.gram_a)
 
     def from_support(self, m) -> np.ndarray:
         """Push a support-side Hermitian matrix through ``T* m T``.
@@ -527,7 +532,6 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     contr_a = a_half @ scaled
     contr_b = b_half @ scaled
     gram_a = hermitize(scaled.conj().T @ av @ scaled)
-    gram_b = hermitize(np.eye(rank, dtype=np.complex128) - gram_a)
     slack = allowed = 0.0
     if rank:
         slack = max(_SPECTRUM_SLACK,
@@ -563,8 +567,7 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
         raise NumericError(
             f"representation residuals too large: {resid_a:.3e}, {resid_b:.3e}")
     rep = PwRep(n=n, rank=rank, basis=q, sum_eigs=lam, coord_map=coord_map,
-                contr_a=contr_a, contr_b=contr_b, gram_a=gram_a,
-                gram_b=gram_b, gram_a_spec=spec,
+                contr_a=contr_a, contr_b=contr_b, gram_a=gram_a, gram_a_spec=spec,
                 eig_map=spec.basis.conj().T @ coord_map,
                 a=av, b=bv, a_half=a_half, b_half=b_half,
                 a_eigs=a_dec.eigenvalues,

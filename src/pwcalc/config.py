@@ -1,6 +1,7 @@
 """Numerical tolerance settings used by every operation in the library."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +12,9 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def _finite_positive(value) -> bool:
-    # bool is an int subclass, but True is not a tolerance
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+    # bool is an int subclass, but True is not a tolerance; numpy.bool_ is
+    # no numbers.Real
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and 0.0 < value < math.inf)
 
 
@@ -20,8 +22,10 @@ def _finite_positive(value) -> bool:
 class ToleranceConfig:
     """Bundle of tolerances controlling validation and spectral classification.
 
-    Every tolerance is a finite positive number (``support_tol`` may also
-    be None) and ``max_doublings`` a positive ``int``; ``bool`` is neither.
+    Every tolerance is a finite positive real number, numpy's included
+    (``support_tol`` may also be None), stored as ``float``, and
+    ``max_doublings`` a positive integer, stored as ``int``; ``bool`` is
+    neither.
 
     Attributes
     ----------
@@ -62,24 +66,26 @@ class ToleranceConfig:
     max_doublings: int = 60
 
     def __post_init__(self):
-        for name in ("herm_tol", "psd_tol", "zero_tol", "one_tol",
-                     "weight_tol", "conv_tol"):
+        for name in ("herm_tol", "psd_tol", "support_tol", "zero_tol",
+                     "one_tol", "weight_tol", "conv_tol"):
             value = getattr(self, name)
+            optional = name == "support_tol"
+            if optional and value is None:
+                continue
             if not _finite_positive(value):
-                raise InputError(
-                    f"{name} must be a finite positive number, got {value!r}")
+                raise InputError(f"{name} must be a finite positive number"
+                                 f"{' or None' if optional else ''}, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not self.zero_tol + self.one_tol < 1.0:
             raise InputError(
                 f"zero_tol + one_tol must be below 1, got {self.zero_tol!r} "
                 f"+ {self.one_tol!r}: an eigenvalue would be both 0 and 1")
-        if self.support_tol is not None and not _finite_positive(self.support_tol):
-            raise InputError(f"support_tol must be a finite positive number "
-                             f"or None, got {self.support_tol!r}")
-        if (not isinstance(self.max_doublings, int)
+        if (not isinstance(self.max_doublings, numbers.Integral)
                 or isinstance(self.max_doublings, bool)
                 or self.max_doublings <= 0):
             raise InputError(f"max_doublings must be a positive integer, "
                              f"got {self.max_doublings!r}")
+        object.__setattr__(self, "max_doublings", int(self.max_doublings))
 
     def support_threshold(self, dim: int, max_eig: float) -> float:
         """Effective kernel/support cutoff for a positive matrix."""

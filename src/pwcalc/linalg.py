@@ -350,9 +350,10 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
 
     Every member is solved at unit scale: it enters the array as ``m *
     2**-k``, with ``k`` from :func:`_exponent`, so that its largest part
-    lies in ``[1/2, 1)``, and its eigenvalues leave scaled back by
-    ``2**k``; a spectrum beyond the float64 range raises
-    :class:`NumericError`. Scaling by a power of two is exact for every
+    lies in ``[1/2, 1)``. Its eigenvalues are scaled back by ``2**k`` and
+    checked when it converges, once for each member: a spectrum beyond the
+    float64 range raises :class:`NumericError` there, whatever the other
+    members still do. Scaling by a power of two is exact for every
     entry that stays normal, and every step of a round (``tau``, the
     rotation, its phase and the stopping norm) is homogeneous. So ``m``
     and ``2**j m`` get the same eigenvectors and eigenvalues ``2**j``
@@ -415,9 +416,14 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
                     else:
                         left.append(i)
                     continue
-                vals = np.diag(h).real.copy()
+                vals = np.diag(h).real
                 order = np.argsort(vals, kind="stable")
-                results[j] = (vals[order],
+                vals = np.ldexp(vals[order], exps[j])
+                if not np.isfinite(vals).all():
+                    raise NumericError(
+                        "eigenvalue outside the float64 range: the matrix's "
+                        "spectral norm overflows")
+                results[j] = (vals,
                               hv[n:, i * n + order].astype(np.complex128, copy=False))
             if not left:
                 break
@@ -473,17 +479,9 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
                 tm = t * mag
                 flat[diag] = np.concatenate((app - tm, aqq + tm))
                 flat[off] = 0.0
-        if any(res is None for res in results):
-            raise NumericError(
-                f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
-        for j, k in enumerate(exps):
-            if results[j] is not CERTIFIED:
-                vals = np.ldexp(results[j][0], k)
-                if not np.isfinite(vals).all():
-                    raise NumericError(
-                        "eigenvalue outside the float64 range: the matrix's "
-                        "spectral norm overflows")
-                results[j] = vals, results[j][1]
+    if any(res is None for res in results):
+        raise NumericError(
+            f"Jacobi eigensolver did not converge within {MAX_JACOBI_SWEEPS} sweeps")
     return results[0] if len(mats) == 1 else results
 
 
@@ -629,42 +627,13 @@ def _validated(a, tol: ToleranceConfig,
     return _checked(h, _jacobi_eig(h, certify=(0,) if certify else ()), tol)
 
 
-def _solved_pair(ha, hb, sum_too: bool, also):
-    """``(a_result, b_result, extra)``: one kernel call for the pair and
-    the extra members of :func:`_validated_pair`, whose results ``extra``
-    keys ``"sum"`` and ``"also"``. Only ``also`` may leave certified.
-
-    If that call fails, for instance because an extra member does not
-    converge, the pair is solved alone: an extra member must not fail it.
-    """
-    members = {}
-    if sum_too:
-        with np.errstate(over="ignore"):
-            total = ha + hb
-        if np.isfinite(total).all():
-            # eig_hermitian(hermitize(av + bv)) solves hermitize of that
-            # exactly Hermitian matrix again
-            members["sum"] = hermitize(hermitize(total))
-    if also is not None and also.shape == ha.shape:
-        members["also"] = also
-    if members:
-        # "also" is the last member
-        last = (1 + len(members),) if "also" in members else ()
-        try:
-            a_res, b_res, *rest = _jacobi_eig(ha, hb, *members.values(), certify=last)
-            return a_res, b_res, dict(zip(members, rest))
-        except NumericError:
-            pass
-    return (*_jacobi_eig(ha, hb), {})
-
-
 def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None):
     """``(av, a_dec, bv, b_dec, sum_dec, also_solved)``: :func:`_validated`
     of a pair of one size, both solved in one side-by-side call.
 
     The same call may solve two more members of the pair's size. Each is
     a function of its own input bits only, so it has the bits of a solve
-    of its own:
+    of its own, and only ``also`` may leave the call certified:
 
     - with ``sum_too``, ``hermitize(ha + hb)`` of the Hermitian parts.
       ``sum_dec`` is that member's decomposition when every clamp is
@@ -678,28 +647,45 @@ def _validated_pair(a, b, tol: ToleranceConfig, sum_too: bool = False, also=None
       the kernel's ``(eigenvalues, eigenvectors)`` of it, not yet
       checked, or :data:`CERTIFIED` when the kernel certified it positive
       before it converged, or None when ``also`` is None, of another size
-      or its solve failed. :func:`_checked` takes either, for a caller
+      or the call failed. :func:`_checked` takes either, for a caller
       that reads only the validated matrix.
 
-    A bad pair raises what validating ``a`` and then ``b`` would: a
-    non-PSD ``a`` is reported before anything wrong with ``b``, and both
-    before the sum.
+    There is one fallback. When ``b``'s Hermitian check, the size check
+    or the call fails, ``a`` and then ``b`` are validated on their own,
+    one call each: that raises what failed, a non-PSD ``a`` before
+    anything wrong with ``b``, or else the size mismatch. A pair that
+    passes goes on without the extra members, so a failing extra member
+    costs the pair nothing: the sum is solved in a call of its own, and
+    ``also_solved`` is None. A bad pair is reported before the sum.
     """
     ha = hermitian_part(a, tol)
     try:
         hb = hermitian_part(b, tol)
-        solved = _solved_pair(ha, hb, sum_too, also) if hb.shape == ha.shape else None
+        if hb.shape != ha.shape:
+            raise InputError("pair members differ in size")  # reported below
+        members = {}
+        if sum_too:
+            with np.errstate(over="ignore"):
+                total = ha + hb
+            if np.isfinite(total).all():
+                # eig_hermitian(hermitize(av + bv)) solves hermitize of that
+                # exactly Hermitian matrix again
+                members["sum"] = hermitize(hermitize(total))
+        if also is not None and also.shape == ha.shape:
+            members["also"] = also
+        # "also" is the last member
+        last = (1 + len(members),) if "also" in members else ()
+        a_res, b_res, *rest = _jacobi_eig(ha, hb, *members.values(), certify=last)
     except (InputError, NumericError):
-        solved = None
-    if solved is None:
-        # validating in turn raises what failed, a's verdict first; only
-        # a size mismatch gets past it
-        av, _ = _validated(a, tol)
-        bv, _ = _validated(b, tol)
-        raise InputError(f"pair members differ in size: {av.shape} vs {bv.shape}")
-    a_res, b_res, extra = solved
-    av, a_dec = _checked(ha, a_res, tol)
-    bv, b_dec = _checked(hb, b_res, tol)
+        av, a_dec = _validated(a, tol)
+        bv, b_dec = _validated(b, tol)
+        if av.shape != bv.shape:
+            raise InputError(f"pair members differ in size: {av.shape} vs {bv.shape}")
+        extra = {}
+    else:
+        extra = dict(zip(members, rest))
+        av, a_dec = _checked(ha, a_res, tol)
+        bv, b_dec = _checked(hb, b_res, tol)
     sum_dec = None
     if "sum" in extra and _rounding_level(a_dec, tol) and _rounding_level(b_dec, tol):
         sum_dec = SpectralDecomposition(*extra["sum"])

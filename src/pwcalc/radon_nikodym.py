@@ -50,9 +50,13 @@ class RnFactorization:
 
 
 def _require_definite(rep: PwRep) -> None:
+    """Raise :class:`InputError` unless ``rep``'s ``a`` is positive
+    definite at the support threshold; the empty ``a`` is."""
+    if not rep.n:
+        return
     w = rep.a_eigs
-    smallest = float(w[0]) if rep.n else 0.0
-    th = rep.tol.support_threshold(rep.n, float(w[-1]) if rep.n else 0.0)
+    smallest = float(w[0])
+    th = rep.tol.support_threshold(rep.n, float(w[-1]))
     if smallest <= th or rep.rank != rep.n:
         raise InputError(
             f"base matrix must be positive definite: smallest eigenvalue "
@@ -134,7 +138,7 @@ def kubo_ando_form(a, b, fn: PwFunction,
     factor = hermitize(dec.apply(hvals))
     # factor's root shares dec's basis; h at or below the support
     # threshold counts as zero, as for any PSD root
-    th = tol.support_threshold(hvals.size, float(hvals.max()))
+    th = tol.support_threshold(hvals.size, float(hvals.max(initial=0.0)))
     root_h = hermitize(dec.apply(np.sqrt(np.where(hvals > th, hvals, 0.0))))
     root = root_h @ rep.a_half
     value = hermitize(root.conj().T @ root)

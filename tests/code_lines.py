@@ -2,15 +2,18 @@
 
 Usage::
 
-    python tests/code_lines.py [DIR]
+    python tests/code_lines.py [--functions] [DIR]
 
 Prints one row per ``*.py`` file of ``DIR`` (default ``src/pwcalc`` next
 to this directory) and the totals. A code line holds a token other than a
 comment, a newline, an indent or a dedent, and lies outside every string
 expression statement (a docstring, or a bare string used as a comment).
 A token that spans several lines, such as a multi-line string in an
-expression, makes each of them a code line. Not a test module: pytest
-does not collect it.
+expression, makes each of them a code line. With ``--functions`` it
+prints instead one row per function and method, ``file:qualified.name``,
+largest first: the code lines from its ``def`` line to its last line,
+so a nested function counts in its own row and in its enclosing one.
+Not a test module: pytest does not collect it.
 """
 
 import ast
@@ -44,11 +47,40 @@ def count(text: str) -> tuple[int, int]:
     return len(text.splitlines()), len(code_line_numbers(text))
 
 
+def function_code_lines(text: str) -> list[tuple[str, int]]:
+    """``(qualified name, code lines)`` of every function and method of the
+    Python source ``text``, in source order, nested ones included."""
+    code = code_line_numbers(text)
+    rows = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    span = range(child.lineno, child.end_lineno + 1)
+                    rows.append((name, len(code.intersection(span))))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(text), "")
+    return rows
+
+
 def main(argv) -> int:
+    functions = "--functions" in argv
+    argv = [arg for arg in argv if arg != "--functions"]
     if len(argv) > 1:
-        print("usage: python tests/code_lines.py [DIR]", file=sys.stderr)
+        print("usage: python tests/code_lines.py [--functions] [DIR]", file=sys.stderr)
         return 2
     root = Path(argv[0]) if argv else SRC
+    if functions:
+        rows = [(f"{path.name}:{name}", code) for path in sorted(root.glob("*.py"))
+                for name, code in function_code_lines(path.read_text())]
+        for name, code in sorted(rows, key=lambda row: (-row[1], row[0])):
+            print(f"{name:<50} {code:>6}")
+        return 0
     total_lines = total_code = 0
     for path in sorted(root.glob("*.py")):
         lines, code = count(path.read_text())

@@ -308,8 +308,9 @@ def test_a_failing_extra_member_falls_back(monkeypatch):
 
     monkeypatch.setattr(linalg, "_jacobi_eig", failing)
     assert repr(pwcalc.pw_pairing(a, b, pwcalc.entropy(), rho)) == repr(want)
-    # the pair alone, then the sum, gram_a and the state on their own
-    assert calls == [4, 2, 1, 1, 1]
+    # a and b validated in turn, then the sum, gram_a and the state on
+    # their own
+    assert calls == [4, 1, 1, 1, 1, 1]
     # a bad pair keeps its own error, not the size mismatch of the
     # fallback that validates in turn
     with pytest.raises(pwcalc.NotPsdError, match="eigenvalue -1.0"):
@@ -675,6 +676,27 @@ def test_only_build_rep_folds_a_state_into_the_pair():
     callers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _state_passers(ast.parse(path.read_text()))]
     assert callers == [("calculus.py", "_build_rep")]
+
+
+def _side_by_side_solvers(tree):
+    """Innermost enclosing function of every call of ``_jacobi_eig`` with
+    more than one positional argument or a starred one."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and "_jacobi_eig" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))
+                and (len(node.args) > 1
+                     or any(isinstance(arg, ast.Starred) for arg in node.args))):
+            yield owner.get(node)
+
+
+def test_only_the_pair_validation_solves_members_side_by_side():
+    # one side-by-side call with one fallback: a failing call is recovered
+    # by validating each member on its own, not by another shared call
+    callers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _side_by_side_solvers(ast.parse(path.read_text()))]
+    assert callers == [("linalg.py", "_validated_pair")]
 
 
 def _eigenvector_reads(tree):

@@ -1,5 +1,6 @@
 """Tests for the pair representation, congruence map, evaluation and pairings."""
 
+import dataclasses
 import math
 import sys
 
@@ -40,6 +41,17 @@ class TestBuildRep:
                                    atol=1e-12)
         np.testing.assert_allclose(rep.gram_a + rep.gram_b, np.eye(2),
                                    atol=1e-12)
+
+    def test_gram_b_is_read_off_gram_a(self, rng):
+        # not stored: each read gives hermitize(I - gram_a), the bits that
+        # build_rep stored as a field before
+        assert "gram_b" not in {f.name for f in dataclasses.fields(calculus.PwRep)}
+        for _ in range(30):
+            rep = build_rep(*random_rank_pair(rng))
+            want = linalg.hermitize(np.eye(rep.rank, dtype=np.complex128) - rep.gram_a)
+            assert rep.gram_b.dtype == want.dtype
+            assert rep.gram_b.shape == (rep.rank, rep.rank)
+            assert rep.gram_b.tobytes() == want.tobytes()
 
     def test_contraction_identity_200_random(self, rng):
         # Gram identity of the two contractions, rank-deficient pairs included

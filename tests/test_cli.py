@@ -404,6 +404,22 @@ class TestInProcessMain:
         [warning] = report["diagnostics"]["warnings"]
         assert warning.startswith("1 ratio eigenvalue(s) retained")
 
+    @pytest.mark.parametrize("argv,outputs", [
+        (["rn"], {name: {"n": 0, "re": [], "im": []}
+                  for name in ("factor", "root", "value")}),
+        (["kubo", "--phi", "geom:0.5"], {name: {"n": 0, "re": [], "im": []}
+                                         for name in ("factor", "root", "value")}),
+        (["form-p", "--xi", "empty.json"], {"value": 0}),
+    ], ids=["rn", "kubo", "form-p"])
+    def test_empty_base_is_definite(self, capsys, monkeypatch, tmp_path, argv, outputs):
+        # the 0x0 pair, which every other subcommand accepts too
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.json").write_text('{"n": 0, "re": []}')
+        assert main([*argv, "--a", "empty.json", "--b", "empty.json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "ok"
+        assert report["outputs"] == outputs
+
     def test_lebesgue_warns_when_parts_lose_b(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path, m in zip(paths, rand_pair(np.random.default_rng(3), 5, 3, 4)):

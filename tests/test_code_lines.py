@@ -1,7 +1,7 @@
 """The rule of ``code_lines.count``, the line counter of ``src/pwcalc``."""
 
 import code_lines
-from code_lines import code_line_numbers, count
+from code_lines import code_line_numbers, count, function_code_lines
 
 # a docstring, a comment after code and alone, blank lines, a bare string
 # statement, a multi-line string in an expression and a continued
@@ -47,3 +47,44 @@ def test_main_prints_each_module_and_the_totals(tmp_path, capsys):
 
 def test_usage_error():
     assert code_lines.main(["a", "b"]) == 2
+    assert code_lines.main(["--functions", "a", "b"]) == 2
+
+
+# a class with a docstring, a method, a decorated method holding a nested
+# function, and a function with a comment; the code lines are 1, 4, 6, 8-12,
+# 15 and 17, and a function's run from its def line, not its decorator, to
+# its last line
+FUNCTIONS = '''class A:
+    """Docstring."""
+
+    def method(self):
+        """Docstring."""
+        return 1
+
+    @property
+    def prop(self):
+        def inner():
+            return 2
+        return inner()
+
+
+def f(x):
+    # a comment
+    return x
+'''
+
+
+def test_function_code_lines():
+    assert function_code_lines(FUNCTIONS) == [
+        ("A.method", 2), ("A.prop", 4), ("A.prop.inner", 2), ("f", 2)]
+    assert function_code_lines(MODULE) == [("f", 5)]
+    assert function_code_lines("x = 1\n") == []
+
+
+def test_main_lists_functions_largest_first(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(FUNCTIONS)
+    (tmp_path / "b.py").write_text(MODULE)
+    assert code_lines.main(["--functions", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["b.py:f", "5"], ["a.py:A.prop", "4"], ["a.py:A.method", "2"],
+                    ["a.py:A.prop.inner", "2"], ["a.py:f", "2"]]

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from pwcalc import (DominationError, InputError, NotPsdError, NumericError,
-                    ToleranceConfig, build_rep, eig_hermitian, entropy_pairing,
-                    hermitian_norm, hermitian_part, hermitize, kron,
-                    kubo_ando_form, lebesgue_decompose, parallel, parallel_sum,
-                    parallel_sum_limit, polar_isometry, psd_sqrt, rn_factor,
-                    rn_quadratic_form, support_projection, validate_psd)
+                    ToleranceConfig, build_rep, eig_hermitian, entropy,
+                    entropy_pairing, hermitian_norm, hermitian_part, hermitize,
+                    kron, kubo_ando_form, lebesgue_decompose, parallel,
+                    parallel_sum, parallel_sum_limit, polar_isometry, psd_sqrt,
+                    pw_pairing, rn_factor, rn_quadratic_form, support_projection,
+                    validate_psd)
 from pwcalc import linalg
 from pwcalc.linalg import (_jacobi_eig, _validated, _validated_pair, frobenius,
                            safe_frobenius)
@@ -170,11 +171,27 @@ class TestPairValidation:
         (_PSD, _NONPSD, NotPsdError, "eigenvalue -1.000000e"),
     ], ids=["nonpsd-nonherm", "nonpsd-size", "nonpsd-range", "nonpsd-nonpsd",
             "nonherm-nonpsd", "psd-nonherm", "psd-size", "psd-range", "psd-nonpsd"])
-    def test_a_is_reported_first(self, a, b, error, match):
+    def test_a_is_reported_first(self, a, b, error, match, monkeypatch):
         with pytest.raises(error, match=match):
             _validated_pair(a, b, ToleranceConfig())
         with pytest.raises(error, match=match):
             build_rep(a, b)
+        # the sum and a state share the validating call, so a call that
+        # fails carries them; the fallback validates a and then b alone
+        state = np.eye(a.shape[0]) / a.shape[0]
+        calls = []
+
+        def counting(*mats, **kwargs):
+            calls.append(len(mats))
+            return _jacobi_eig(*mats, **kwargs)
+
+        monkeypatch.setattr(linalg, "_jacobi_eig", counting)
+        with pytest.raises(error, match=match):
+            _validated_pair(a, b, ToleranceConfig(), sum_too=True, also=state)
+        if b is _OUT_OF_RANGE:
+            assert calls[:2] == [4, 1]
+        with pytest.raises(error, match=match):
+            pw_pairing(a, b, entropy(), state)
 
     def test_same_bits_as_validating_in_turn(self, rng):
         tol = ToleranceConfig()
@@ -789,15 +806,31 @@ class TestToleranceConfig:
     @pytest.mark.parametrize("field", ["herm_tol", "psd_tol", "support_tol",
                                        "zero_tol", "one_tol", "weight_tol",
                                        "conv_tol"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan, True],
-                             ids=["inf", "nan", "bool"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, True, np.float32(np.inf),
+                                       np.float64(-1e-3), np.bool_(True)],
+                             ids=["inf", "nan", "bool", "numpy-inf", "numpy-negative",
+                                  "numpy-bool"])
     def test_rejects_non_finite_and_bool(self, field, value):
         with pytest.raises(InputError, match=f"{field} must be a finite"):
             ToleranceConfig(**{field: value})
 
     def test_rejects_bool_max_doublings(self):
-        with pytest.raises(InputError, match="max_doublings"):
-            ToleranceConfig(max_doublings=True)
+        for value in (True, np.bool_(True), np.int64(0), np.float64(5.0), 5.0):
+            with pytest.raises(InputError, match="max_doublings"):
+                ToleranceConfig(max_doublings=value)
+
+    @pytest.mark.parametrize("field", ["herm_tol", "psd_tol", "support_tol",
+                                       "zero_tol", "one_tol", "weight_tol",
+                                       "conv_tol"])
+    def test_numpy_tolerances_are_stored_as_float(self, field):
+        for value in (np.float16(1e-3), np.float32(1e-3), np.float64(1e-3)):
+            got = getattr(ToleranceConfig(**{field: value}), field)
+            assert type(got) is float and got == float(value)
+
+    def test_numpy_max_doublings_is_stored_as_int(self):
+        for value in (np.int64(5), np.uint8(5), np.int32(5)):
+            got = ToleranceConfig(max_doublings=value).max_doublings
+            assert type(got) is int and got == 5
 
     def test_rejects_overlapping_windows(self):
         # an eigenvalue in [0.3, 0.7] would be classified both 0 and 1

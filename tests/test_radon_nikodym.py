@@ -78,6 +78,18 @@ class TestRnFactor:
         assert spec_norm(prev - res.value) < 1e-8
 
 
+def test_empty_base_is_definite():
+    # the 0x0 pair: rn_factor, kubo_ando_form and rn_quadratic_form accept
+    # it as every other operation does
+    empty = np.zeros((0, 0))
+    for res in (rn_factor(empty, empty), kubo_ando_form(empty, empty, geometric(0.5))):
+        assert res.factor.shape == res.root.shape == res.value.shape == (0, 0)
+        assert res.residual == res.condition == 0.0
+        assert res.infinite_directions == res.near_singular == 0
+        assert res.margin == math.inf
+    assert rn_quadratic_form(empty, empty, np.zeros(0)) == 0.0
+
+
 def _same_bits(x, y):
     # field-wise bit equality of two factorizations
     for field in dataclasses.fields(x):
