@@ -22,53 +22,40 @@ subcommand runs.
 __version__ = "0.1.0"
 
 
+# module -> the public names it exports; __all__ and the bindings read it
+_EXPORTS = {
+    "calculus": ("PairingResult", "PwRep", "SequenceResult", "SpectrumSplit",
+                 "build_rep", "eval_sequence", "pw_eval", "pw_pairing"),
+    "config": ("DEFAULT_TOL", "ToleranceConfig"),
+    "errors": ("DominationError", "ExtendedValueError", "InputError",
+               "NotPsdError", "NumericError", "PwCalcError"),
+    "functions": ("PwFunction", "abs_part", "arithmetic", "entropy", "geometric",
+                  "left", "named_function", "parallel", "power", "right",
+                  "rn_cutoff", "scaled_parallel"),
+    "lebesgue": ("LebesgueDecomposition", "ParallelSumLimit", "SingularityCheck",
+                 "abs_cont_part", "abs_continuity_projection", "is_abs_continuous",
+                 "is_mutually_singular", "lebesgue_decompose", "parallel_sum",
+                 "parallel_sum_expressions", "parallel_sum_limit",
+                 "solvable_subspace_projection"),
+    "linalg": ("SpectralDecomposition", "eig_hermitian", "hermitian_norm",
+               "hermitian_part", "hermitize", "kron", "polar_isometry", "psd_sqrt",
+               "support_projection", "validate_psd"),
+    "means": ("TensorCheck", "entropy_pairing", "power_pairing",
+              "tensor_pairing_check", "trace_functional", "weighted_geometric_mean"),
+    "radon_nikodym": ("RnFactorization", "kubo_ando_form", "rn_factor",
+                      "rn_quadratic_form"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
 def _bind_exports():
-    # the one list of exports; the package __getattr__ runs it
-    from .calculus import (PairingResult, PwRep, SequenceResult, SpectrumSplit,
-                           build_rep, eval_sequence, pw_eval, pw_pairing)
-    from .config import DEFAULT_TOL, ToleranceConfig
-    from .errors import (DominationError, ExtendedValueError, InputError,
-                         NotPsdError, NumericError, PwCalcError)
-    from .functions import (PwFunction, abs_part, arithmetic, entropy,
-                            geometric, left, named_function, parallel, power,
-                            right, rn_cutoff, scaled_parallel)
-    from .lebesgue import (LebesgueDecomposition, ParallelSumLimit,
-                           SingularityCheck, abs_cont_part,
-                           abs_continuity_projection, is_abs_continuous,
-                           is_mutually_singular, lebesgue_decompose,
-                           parallel_sum, parallel_sum_expressions,
-                           parallel_sum_limit, solvable_subspace_projection)
-    from .linalg import (SpectralDecomposition, eig_hermitian,
-                         hermitian_norm, hermitian_part, hermitize, kron,
-                         polar_isometry, psd_sqrt, support_projection,
-                         validate_psd)
-    from .means import (TensorCheck, entropy_pairing, power_pairing,
-                        tensor_pairing_check, trace_functional,
-                        weighted_geometric_mean)
-    from .radon_nikodym import (RnFactorization, kubo_ando_form, rn_factor,
-                                rn_quadratic_form)
-    globals().update(locals())
-
-
-__all__ = [
-    "DEFAULT_TOL", "DominationError", "ExtendedValueError", "InputError",
-    "LebesgueDecomposition", "NotPsdError", "NumericError", "PairingResult",
-    "ParallelSumLimit", "PwCalcError", "PwFunction", "PwRep",
-    "RnFactorization", "SequenceResult", "SingularityCheck",
-    "SpectralDecomposition", "SpectrumSplit", "TensorCheck",
-    "ToleranceConfig", "abs_cont_part", "abs_continuity_projection",
-    "abs_part", "arithmetic", "build_rep", "eig_hermitian", "entropy",
-    "entropy_pairing", "eval_sequence", "geometric", "hermitian_norm",
-    "hermitian_part", "hermitize", "is_abs_continuous",
-    "is_mutually_singular", "kron", "kubo_ando_form", "lebesgue_decompose",
-    "left", "named_function", "parallel", "parallel_sum",
-    "parallel_sum_expressions", "parallel_sum_limit",
-    "polar_isometry", "power", "power_pairing", "psd_sqrt", "pw_eval",
-    "pw_pairing", "right", "rn_cutoff", "rn_factor", "rn_quadratic_form",
-    "scaled_parallel", "solvable_subspace_projection", "support_projection",
-    "tensor_pairing_check", "trace_functional", "validate_psd",
-    "weighted_geometric_mean",
-]
+    # the package __getattr__ runs it; importlib is imported here so that
+    # it binds no public name
+    from importlib import import_module
+    for module, names in _EXPORTS.items():
+        mod = import_module(f".{module}", __name__)
+        globals().update((name, getattr(mod, name)) for name in names)
 
 
 def __getattr__(name):

@@ -90,27 +90,18 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> ToleranceConfig:
+    # PWCALC_TOL_ZERO fills a missing --tol-zero; a flag left out keeps
+    # the ToleranceConfig default
     zero = args.tol_zero
-    if zero is None:
-        env = os.environ.get("PWCALC_TOL_ZERO")
-        if env is not None:
-            try:
-                zero = float(env)
-            except ValueError:
-                raise InputError(
-                    f"PWCALC_TOL_ZERO is not a number: {env!r}")
-    kwargs = {}
-    if zero is not None:
-        kwargs["zero_tol"] = zero
-    if args.tol_one is not None:
-        kwargs["one_tol"] = args.tol_one
-    if args.max_doublings is not None:
-        kwargs["max_doublings"] = args.max_doublings
-    return ToleranceConfig(**kwargs)
-
-
-def _config_payload(tol: ToleranceConfig) -> dict:
-    return dataclasses.asdict(tol)
+    env = os.environ.get("PWCALC_TOL_ZERO")
+    if zero is None and env is not None:
+        try:
+            zero = float(env)
+        except ValueError:
+            raise InputError(f"PWCALC_TOL_ZERO is not a number: {env!r}")
+    given = {"zero_tol": zero, "one_tol": args.tol_one,
+             "max_doublings": args.max_doublings}
+    return ToleranceConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _margin_diagnostics(rep) -> dict:
@@ -353,7 +344,7 @@ def main(argv=None) -> int:
     warnings: list[str] = []
     try:
         tol = _tolerances(args)
-        report["config"] = _config_payload(tol)
+        report["config"] = dataclasses.asdict(tol)
         outputs, diagnostics = COMMANDS[args.command][0](args, tol, warnings)
         report["outputs"] = outputs
         report["diagnostics"] = {"warnings": list(warnings), **diagnostics}

@@ -115,39 +115,19 @@ def _fmt_float(x: float) -> str:
 
 def dumps_report(obj) -> str:
     """Serialize a report deterministically (fixed order, 17 digits)."""
-    pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces) + "\n"
+    return _dumps(obj) + "\n"
 
 
-def _write(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _write(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(value, out)
-        out.append("]")
-    else:
-        raise NumericError(f"cannot serialize object of type {type(obj)!r}")
+def _dumps(obj) -> str:
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(key))}:{_dumps(value)}"
+                              for key, value in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_dumps(value) for value in obj) + "]"
+    raise NumericError(f"cannot serialize object of type {type(obj)!r}")

@@ -45,7 +45,12 @@ class PwFunction:
 
     def values(self, x: np.ndarray, zero_mask: np.ndarray,
                one_mask: np.ndarray) -> np.ndarray:
-        """Evaluate on classified eigenvalues; entries may be +inf."""
+        """Evaluate on classified eigenvalues; entries may be +inf.
+
+        A profile that overflows or divides by zero raises
+        :class:`NumericError`; one that raises ``TypeError`` or
+        ``ValueError``, or returns what ``float()`` rejects (a complex
+        number, None, an array), raises :class:`InputError`."""
         out = np.empty(len(x), dtype=np.float64)
         # loop over Python floats and bools: indexing numpy scalars costs
         # more than most profile calls
@@ -58,10 +63,14 @@ class PwFunction:
             else:
                 try:
                     val = float(self.profile(min(max(xi, 0.0), 1.0)))
-                except OverflowError:
+                except (OverflowError, ZeroDivisionError) as exc:
                     raise NumericError(
                         f"profile {self.name!r} leaves the float64 range "
-                        f"at x = {xi!r}")
+                        f"at x = {xi!r}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise InputError(
+                        f"profile {self.name!r} gives no real number at "
+                        f"x = {xi!r}: {exc}") from exc
             if math.isnan(val):
                 raise NumericError(
                     f"profile {self.name!r} returned NaN at x = {xi!r}")

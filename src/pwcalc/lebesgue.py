@@ -203,7 +203,9 @@ def parallel_sum_limit(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ParallelSumL
     the iterates nondecreasing in the PSD order. Iteration stops once
     the successive Frobenius gap drops below ``conv_tol`` or after
     ``max_doublings`` steps; running out of steps is reported through
-    the ``converged`` flag, not as an exception.
+    the ``converged`` flag, not as an exception. A doubling whose scale
+    ``2^k`` lies beyond the float64 range (``k >= 1024``) raises
+    :class:`NumericError`.
     """
     rep = build_rep(a, b, tol)
     prev_vals = rep.values(scaled_parallel(1.0))
@@ -213,7 +215,12 @@ def parallel_sum_limit(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> ParallelSumL
     converged = False
     doublings = 0
     for k in range(1, tol.max_doublings + 1):
-        cur_vals = rep.values(scaled_parallel(2.0 ** k))
+        try:
+            scale = 2.0 ** k
+        except OverflowError:
+            raise NumericError(f"doubling {k} scales the first slot by 2**{k}, "
+                               f"beyond the float64 range") from None
+        cur_vals = rep.values(scaled_parallel(scale))
         if float((cur_vals - prev_vals).min(initial=0.0)) < -1e-9:
             raise NumericError(
                 "parallel-sum profile family failed to be nondecreasing")

@@ -117,7 +117,12 @@ def hermitian_part(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     is scaled; the zero matrix passes with deviation 0. Both sides are
     scanned on the halves ``a / 2``, which cannot overflow for finite
     entries and give the same verdict wherever they stay normal.
+
+    Every operation that takes a ``tol`` reads it here first, so a ``tol``
+    that is not a :class:`ToleranceConfig` raises :class:`InputError`.
     """
+    if not isinstance(tol, ToleranceConfig):
+        raise InputError(f"tol must be a ToleranceConfig, got {type(tol).__name__}")
     m = _as_square(a)
     h = 0.5 * m
     half_scale = float(np.abs(h).max()) if m.size else 0.0
@@ -282,12 +287,15 @@ def _rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-# A process solves at few sizes: lib-medium's mix reaches 8 and its traced
-# run 13 (with the 64 and 128 of the kernel sweep), each alone and the
-# input sizes also two to four side by side (a pair, its sum and a state,
-# fewer as members converge): lib-medium's mix uses 22 keys. Rebuilding
-# the plan once per solve cost 1-4% of lib-medium's ops/s. An entry holds
-# about 32 m n^2 bytes.
+# A process solves at few (size, members) keys: the input sizes side by
+# side (a pair, its sum and a state, fewer as members converge) and the
+# retained blocks of gram_a alone, whose sizes vary with the ranks drawn.
+# One seeded lib-medium cycle used 21-24 keys at seeds 1-5 and three cycles
+# 23; its traced run adds the 64 and 128 of the kernel sweep. A rep-sweep
+# pair's whole sequence used 2 and five pairs 4.
+# tests/test_api.py checks that no plan is evicted. Rebuilding the plan once
+# per solve cost 1-4% of lib-medium's ops/s. An entry holds about 32 m n^2
+# bytes.
 @functools.lru_cache(maxsize=32)
 def _round_plan(n: int, m: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The rounds of :func:`_rounds` as read-only indices for ``m``

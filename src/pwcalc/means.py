@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (PairingResult, _build_rep, _headroom, build_rep, pw_eval,
-                       pw_pairing)
+from .calculus import PairingResult, _build_rep, _headroom, build_rep, pw_pairing
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import InputError, NumericError
 from .functions import PwFunction, _require_profile, entropy, geometric, power
@@ -39,8 +38,10 @@ class TensorCheck:
 
 def weighted_geometric_mean(a, b, alpha: float,
                             tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Weighted geometric mean of a PSD pair, weight ``alpha`` in (0, 1)."""
-    return pw_eval(a, b, geometric(alpha), tol)
+    """Weighted geometric mean of a PSD pair, weight ``alpha`` in (0, 1).
+
+    The pair is validated before the weight, as in every one-shot call."""
+    return build_rep(a, b, tol).eval(geometric(alpha))
 
 
 def power_pairing(a, b, alpha: float, rho,

@@ -119,6 +119,8 @@ def kubo_ando_form(a, b, fn: PwFunction,
     of four, wherever the value and the target stay normal; a zero target,
     which comes only with a zero value, reads 0.
     """
+    rep = build_rep(a, b, tol)
+    _require_definite(rep)
     _require_profile(fn)
     if not fn.vanishes_at_zero or fn.at_zero != 0.0:
         raise InputError(
@@ -127,8 +129,6 @@ def kubo_ando_form(a, b, fn: PwFunction,
         raise InputError(
             f"profile {fn.name!r} is unbounded; the congruence form "
             f"requires a bounded profile")
-    rep = build_rep(a, b, tol)
-    _require_definite(rep)
     vals = rep._bounded_values(fn)
     if (vals < 0.0).any():
         raise InputError(

@@ -4,7 +4,9 @@ import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import math
+import sys
 import types
 from pathlib import Path
 
@@ -291,6 +293,69 @@ def test_a_bad_profile_raises_after_a_good_state(name):
     good = np.diag([2.0, 1.0]), np.diag([1.0, 3.0])
     assert _error(lambda: _STATE_OPS[name](*good, np.eye(2))) == (
         pwcalc.InputError, _PROFILE_ERRORS[name])
+
+
+# one-shot operations without a state, each with a bad profile, parameter or
+# vector, and what that raises for a good pair
+_ARGUMENT_OPS = {
+    "pw_eval": (lambda a, b: pwcalc.pw_eval(a, b, "parallel"),
+                "a profile must be a PwFunction, got str"),
+    "trace_functional": (lambda a, b: pwcalc.trace_functional(a, b, None),
+                         "a profile must be a PwFunction, got NoneType"),
+    "weighted_geometric_mean": (lambda a, b: pwcalc.weighted_geometric_mean(a, b, 2.0),
+                                "geometric mean weight must lie in (0, 1), got 2.0"),
+    "kubo_ando_form_unbounded": (
+        lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.entropy()),
+        "profile 'entropy' is unbounded; the congruence form requires a bounded profile"),
+    "kubo_ando_form_not_vanishing": (
+        lambda a, b: pwcalc.kubo_ando_form(a, b, pwcalc.arithmetic()),
+        "profile 'arith' must vanish on the ray x = 0"),
+    "kubo_ando_form_not_a_profile": (lambda a, b: pwcalc.kubo_ando_form(a, b, "parallel"),
+                                     "a profile must be a PwFunction, got str"),
+    "rn_quadratic_form": (lambda a, b: pwcalc.rn_quadratic_form(a, b, np.ones(3)),
+                          "expected a vector of length 2, got shape (3,)"),
+}
+
+
+@pytest.mark.parametrize("name", _ARGUMENT_OPS, ids=list(_ARGUMENT_OPS))
+def test_a_bad_argument_raises_after_the_pair(name):
+    op, message = _ARGUMENT_OPS[name]
+    good = np.diag([2.0, 1.0]), np.diag([1.0, 3.0])
+    assert _error(lambda: op(*good)) == (pwcalc.InputError, message)
+    bad_a = np.diag([1.0, -1.0]), np.eye(2)
+    assert _error(lambda: op(*bad_a)) == _error(lambda: pwcalc.validate_psd(bad_a[0]))
+
+
+def test_kubo_ando_form_needs_a_definite_base_before_a_profile():
+    singular = np.diag([1.0, 0.0]), np.eye(2)
+    kind, message = _error(lambda: pwcalc.kubo_ando_form(*singular, pwcalc.entropy()))
+    assert kind is pwcalc.InputError and message.startswith(
+        "base matrix must be positive definite")
+
+
+# the public operations that take a tol, and a valid value of every other
+# parameter they take
+_TOL_OPS = [name for name in pwcalc.__all__
+            if inspect.isfunction(getattr(pwcalc, name))
+            and "tol" in inspect.signature(getattr(pwcalc, name)).parameters]
+_ARGUMENTS = {
+    "a": np.diag([2.0, 1.0]), "b": np.diag([1.0, 3.0]), "m": np.eye(2),
+    "rho": np.eye(2), "xi": np.ones(2), "alpha": 2.0, "fn": pwcalc.parallel(),
+    "fns": [pwcalc.parallel()], "a1": np.eye(2), "b1": np.eye(2), "a2": np.eye(1),
+    "b2": np.eye(1), "rho1": np.eye(2), "rho2": np.eye(1),
+}
+_OVERRIDES = {"weighted_geometric_mean": {"alpha": 0.5},
+              "tensor_pairing_check": {"fn": pwcalc.power(2.0)}}
+
+
+@pytest.mark.parametrize("name", _TOL_OPS)
+def test_a_tol_that_is_no_tolerance_config_is_an_input_error(name):
+    op = getattr(pwcalc, name)
+    args = {p: _ARGUMENTS[p] for p in inspect.signature(op).parameters if p != "tol"}
+    args.update(_OVERRIDES.get(name, {}))
+    op(**args, tol=pwcalc.DEFAULT_TOL)
+    assert _error(lambda: op(**args, tol=1e-8)) == (
+        pwcalc.InputError, "tol must be a ToleranceConfig, got float")
 
 
 def test_a_failing_extra_member_falls_back(monkeypatch):
@@ -614,6 +679,23 @@ def test_only_the_kernel_entry_reads_the_round_plan():
     readers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _readers(ast.parse(path.read_text()), "_round_plan")]
     assert readers == [("linalg.py", "_jacobi_eig")]
+
+
+def test_the_round_plan_cache_holds_the_benchmark_mix(monkeypatch):
+    # one seeded lib-medium cycle (seed 3 solves at the most sizes of seeds
+    # 1-5), then one rep-sweep pair's build and first queries, in one
+    # process: every plan built stays cached. The benchmark is imported as
+    # it stands, with no bytecode written beside it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    workloads = importlib.import_module("workloads")
+    gen = importlib.import_module("inputs").Gen
+    linalg._round_plan.cache_clear()
+    for name, seed, count in (("lib-medium", 3, None), ("rep-sweep", 1, 60)):
+        for op in next(workloads.WORKLOADS[name](gen(np.random.default_rng(seed)), {}))[:count]:
+            op.run()
+    info = linalg._round_plan.cache_info()
+    assert info.misses == info.currsize <= info.maxsize, info
 
 
 def _loads(tree, name):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, GOLDEN_CASES, rand_pair, run_cli
-from pwcalc import InputError, build_rep
+from pwcalc import InputError, NumericError, build_rep
 from pwcalc.cli import COMMANDS, build_parser, main
 from pwcalc.fileio import dumps_report, load_matrix, load_vector, matrix_payload
 
@@ -223,6 +223,15 @@ class TestExitCodes:
                         "--b", "b1.json"])
         assert proc.returncode == 4
 
+    # --phi is resolved before any file is read, so a bad profile name is
+    # reported before a pair that fails on its own
+    def test_profile_name_precedes_the_pair(self):
+        pair = ["--a", "bad_nonpsd.json", "--b", "b1.json"]
+        rep = run_report(["psum", *pair], 3)
+        assert "not positive semidefinite" in rep["diagnostics"]["error"]
+        rep = run_report(["eval", "--phi", "bogus", *pair], 2)
+        assert "unknown profile 'bogus'" in rep["diagnostics"]["error"]
+
     def test_unknown_profile(self):
         rep = run_report(["eval", "--phi", "nope", "--a", "a3.json",
                           "--b", "b3.json"], 2)
@@ -252,6 +261,13 @@ class TestFlagsAndEnv:
                       "--tol-zero", "1e-8"],
                      env_extra={"PWCALC_TOL_ZERO": "0.5"})
         assert rep["config"]["zero_tol"] == 1e-8
+
+    def test_env_fills_zero_tol_beside_another_flag(self):
+        rep = run_report(["lebesgue", "--a", "a3.json", "--b", "b3.json",
+                          "--tol-one", "1e-6"],
+                         env_extra={"PWCALC_TOL_ZERO": "1e-7"})
+        assert rep["config"]["zero_tol"] == 1e-7
+        assert rep["config"]["one_tol"] == 1e-6
 
     def test_bad_env_value(self):
         rep = run_report(["psum", "--a", "a3.json", "--b", "b3.json"], 2,
@@ -319,6 +335,33 @@ class TestFileRoundTrip:
 
     def test_inf_sentinel(self):
         assert json.loads(dumps_report({"v": math.inf}))["v"] == "+inf"
+
+    # every type a report may hold, and the bytes it is written as
+    @pytest.mark.parametrize("value,text", [
+        (None, "null"), (True, "true"), (False, "false"),
+        ('a"b\\\n\xe9', '"a\\"b\\\\\\n\\u00e9"'), (np.str_("x"), '"x"'),
+        (7, "7"), (10 ** 20, "100000000000000000000"), (np.int64(-5), "-5"),
+        (np.uint8(255), "255"), (0.1, "0.10000000000000001"), (-0.0, "-0"),
+        (1e300, "1.0000000000000001e+300"), (5e-324, "4.9406564584124654e-324"),
+        (np.float32(0.1), "0.10000000149011612"), (np.float64(2.5), "2.5"),
+        (math.inf, '"+inf"'), ({}, "{}"), ([], "[]"), ((), "[]"),
+        ({"a": [1, (2.5, None)], "b": {"c": True}, 3: "k"},
+         '{"a":[1,[2.5,null]],"b":{"c":true},"3":"k"}'),
+    ])
+    def test_report_bytes(self, value, text):
+        assert dumps_report(value) == text + "\n"
+
+    @pytest.mark.parametrize("value,message", [
+        (math.nan, "NaN is not representable in a report"),
+        ([1.0, {"v": -math.inf}], "-inf is not representable in a report"),
+        (np.bool_(True), f"cannot serialize object of type {np.bool_!r}"),
+        (1 + 2j, "cannot serialize object of type <class 'complex'>"),
+        ({"v": object()}, "cannot serialize object of type <class 'object'>"),
+    ], ids=["nan", "-inf", "np.bool_", "complex", "object"])
+    def test_report_errors(self, value, message):
+        with pytest.raises(NumericError) as info:
+            dumps_report(value)
+        assert type(info.value) is NumericError and str(info.value) == message
 
     def test_shape_validation(self, tmp_path):
         path = tmp_path / "bad.json"

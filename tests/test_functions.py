@@ -131,6 +131,30 @@ class TestGuards:
         with pytest.raises(NumericError, match="float64 range"):
             power_pairing(np.eye(2), np.diag([1.0, 0.1]), 400.0, np.eye(2))
 
+    def test_division_by_zero_is_a_numeric_error(self):
+        fn = PwFunction("ratio", lambda x: 1.0 / (x - 0.5), 0.0, 0.0, True)
+        with pytest.raises(NumericError, match=r"'ratio' leaves the float64 "
+                                               r"range at x = 0\.5$") as info:
+            values_at(fn, [0.25, 0.5])
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    # a profile value that float() rejects is the caller's mistake
+    @pytest.mark.parametrize("profile,cause", [
+        (lambda x: (x - 0.5) ** 0.5, TypeError),  # complex below 1/2
+        (lambda x: None, TypeError),
+        (lambda x: np.array([x, x]), TypeError),
+        (lambda x: math.log(x - 0.5), ValueError),  # raised by the profile
+    ], ids=["complex", "none", "array", "domain"])
+    def test_a_value_that_is_no_real_number_is_an_input_error(self, profile, cause):
+        fn = PwFunction("custom", profile, 0.0, 0.0, True)
+        with pytest.raises(InputError, match=r"^profile 'custom' gives no real "
+                                             r"number at x = 0\.25: ") as info:
+            values_at(fn, [0.25])
+        assert isinstance(info.value.__cause__, cause)
+        # x = 1/4 and 3/4 on this pair
+        with pytest.raises(InputError, match="profile 'custom' gives no real number"):
+            pw_eval(np.diag([1.0, 3.0]), np.diag([3.0, 1.0]), fn)
+
     @pytest.mark.parametrize("make", [
         lambda: power(math.inf), lambda: power(math.nan),
         lambda: scaled_parallel(math.inf), lambda: scaled_parallel(math.nan),

@@ -376,6 +376,14 @@ class TestParallelSumLimit:
         assert res.doublings == 5
         assert len(res.gaps) == 5
 
+    def test_doubling_past_the_float64_range_is_a_numeric_error(self):
+        # the gaps never reach conv_tol, so the doublings run to 2**1024
+        tol = ToleranceConfig(support_tol=1e-320, zero_tol=1e-310,
+                              conv_tol=5e-324, max_doublings=2000)
+        with pytest.raises(NumericError, match=r"^doubling 1024 scales the first "
+                                               r"slot by 2\*\*1024, beyond"):
+            parallel_sum_limit(np.diag([1e-300, 1.0]), np.eye(2), tol)
+
 
 class TestTensorMultiplicativity:
     def test_kron_factorization(self, rng):
