@@ -17,6 +17,10 @@ hold), 4 when a bounded result was requested but the value is +inf.
 The environment variable ``PWCALC_TOL_ZERO`` overrides the default of
 ``--tol-zero``; an explicit flag wins over the environment.
 
+Each input path is read once per call: the report's ``sha256`` is the
+digest of the bytes the handler parses, and a pipe such as ``/dev/stdin``
+can be an input.
+
 A call builds only its subcommand's parser and imports only the modules
 its handler runs: ``lebesgue``, ``means`` and ``radon_nikodym`` are
 imported inside the handlers that call them (as ``from .lebesgue import``,
@@ -25,6 +29,7 @@ since ``from . import lebesgue`` would load the whole package surface).
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import sys
 
@@ -34,8 +39,7 @@ from .calculus import _build_rep, build_rep
 from .config import ToleranceConfig
 from .errors import (ExtendedValueError, InputError, NotPsdError, NumericError,
                      PwCalcError)
-from .fileio import (dumps_report, load_matrix, load_vector,
-                     matrix_payload, sha256_file)
+from .fileio import dumps_report, matrix_payload, parse_input, read_input
 from .functions import named_function
 from .linalg import hermitian_norm, safe_frobenius
 
@@ -113,8 +117,8 @@ def _margin_diagnostics(rep) -> dict:
     }
 
 
-def _cmd_rep(args, tol, warnings):
-    rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
+def _cmd_rep(args, load, tol, warnings):
+    rep = build_rep(load(args.a), load(args.b), tol)
     eye = np.eye(rep.rank, dtype=np.complex128)
     diagnostics = _margin_diagnostics(rep)
     diagnostics["identity_residual"] = safe_frobenius(
@@ -130,16 +134,16 @@ def _cmd_rep(args, tol, warnings):
     return outputs, diagnostics
 
 
-def _cmd_eval(args, tol, warnings):
+def _cmd_eval(args, load, tol, warnings):
     fn = named_function(args.phi, args.alpha)
-    rep = build_rep(load_matrix(args.a), load_matrix(args.b), tol)
+    rep = build_rep(load(args.a), load(args.b), tol)
     value = rep.eval(fn)
     return {"value": matrix_payload(value)}, _margin_diagnostics(rep)
 
 
-def _cmd_lebesgue(args, tol, warnings):
+def _cmd_lebesgue(args, load, tol, warnings):
     from .lebesgue import lebesgue_decompose
-    dec = lebesgue_decompose(load_matrix(args.a), load_matrix(args.b), tol)
+    dec = lebesgue_decompose(load(args.a), load(args.b), tol)
     warnings.extend(dec.warnings)
     outputs = {
         "abs_part": matrix_payload(dec.abs_part),
@@ -155,15 +159,15 @@ def _cmd_lebesgue(args, tol, warnings):
     return outputs, diagnostics
 
 
-def _cmd_psum(args, tol, warnings):
+def _cmd_psum(args, load, tol, warnings):
     from .lebesgue import parallel_sum
-    value = parallel_sum(load_matrix(args.a), load_matrix(args.b), tol)
+    value = parallel_sum(load(args.a), load(args.b), tol)
     return {"value": matrix_payload(value)}, {}
 
 
-def _cmd_psum_limit(args, tol, warnings):
+def _cmd_psum_limit(args, load, tol, warnings):
     from .lebesgue import parallel_sum_limit
-    res = parallel_sum_limit(load_matrix(args.a), load_matrix(args.b), tol)
+    res = parallel_sum_limit(load(args.a), load(args.b), tol)
     if not res.converged:
         warnings.append(
             f"no convergence within max_doublings={tol.max_doublings}: "
@@ -178,9 +182,9 @@ def _cmd_psum_limit(args, tol, warnings):
     return outputs, {}
 
 
-def _cmd_singular(args, tol, warnings):
+def _cmd_singular(args, load, tol, warnings):
     from .lebesgue import is_mutually_singular
-    res = is_mutually_singular(load_matrix(args.a), load_matrix(args.b), tol)
+    res = is_mutually_singular(load(args.a), load(args.b), tol)
     outputs = {
         "is_singular": res.is_singular,
         "witness": None if res.witness is None else float(res.witness),
@@ -189,10 +193,10 @@ def _cmd_singular(args, tol, warnings):
     return outputs, {}
 
 
-def _cmd_abscont(args, tol, warnings):
+def _cmd_abscont(args, load, tol, warnings):
     from .lebesgue import lebesgue_decompose
     # this report carries no warnings, so the decomposition's are dropped
-    dec = lebesgue_decompose(load_matrix(args.a), load_matrix(args.b), tol)
+    dec = lebesgue_decompose(load(args.a), load(args.b), tol)
     proj = dec.projection
     deviation = hermitian_norm(proj - np.eye(len(proj), dtype=np.complex128))
     return {"is_abs_continuous": dec.num_zero_eigs == 0,
@@ -215,9 +219,9 @@ def _rn_outputs(res) -> tuple[dict, dict]:
     return outputs, diagnostics
 
 
-def _cmd_rn(args, tol, warnings):
+def _cmd_rn(args, load, tol, warnings):
     from .radon_nikodym import rn_factor
-    res = rn_factor(load_matrix(args.a), load_matrix(args.b), tol)
+    res = rn_factor(load(args.a), load(args.b), tol)
     if res.near_singular:
         warnings.append(
             f"{res.near_singular} ratio eigenvalue(s) retained within "
@@ -226,17 +230,17 @@ def _cmd_rn(args, tol, warnings):
     return _rn_outputs(res)
 
 
-def _cmd_kubo(args, tol, warnings):
+def _cmd_kubo(args, load, tol, warnings):
     from .radon_nikodym import kubo_ando_form
     fn = named_function(args.phi, args.alpha)
-    res = kubo_ando_form(load_matrix(args.a), load_matrix(args.b), fn, tol)
+    res = kubo_ando_form(load(args.a), load(args.b), fn, tol)
     return _rn_outputs(res)
 
 
-def _cmd_pair(args, tol, warnings):
+def _cmd_pair(args, load, tol, warnings):
     fn = named_function(args.phi, args.alpha)
-    rep, w = _build_rep(load_matrix(args.a), load_matrix(args.b), tol,
-                        lambda: load_matrix(args.rho))
+    rep, w = _build_rep(load(args.a), load(args.b), tol,
+                        lambda: load(args.rho))
     res = rep._pairing(fn, w)
     outputs = {
         "value": res.value,
@@ -246,21 +250,19 @@ def _cmd_pair(args, tol, warnings):
     return outputs, _margin_diagnostics(rep)
 
 
-def _cmd_trace(args, tol, warnings):
+def _cmd_trace(args, load, tol, warnings):
     from .means import trace_functional
     fn = named_function(args.phi, args.alpha)
-    value = trace_functional(load_matrix(args.a), load_matrix(args.b), fn,
-                             tol)
+    value = trace_functional(load(args.a), load(args.b), fn, tol)
     return {"value": value}, {}
 
 
-def _cmd_tensor_check(args, tol, warnings):
+def _cmd_tensor_check(args, load, tol, warnings):
     from .means import tensor_pairing_check
     fn = named_function(args.phi, args.alpha)
     res = tensor_pairing_check(
-        load_matrix(args.a), load_matrix(args.b),
-        load_matrix(args.a2), load_matrix(args.b2),
-        load_matrix(args.rho), load_matrix(args.rho2), fn, tol)
+        load(args.a), load(args.b), load(args.a2), load(args.b2),
+        load(args.rho), load(args.rho2), fn, tol)
     if not res.infinity_consistent:
         warnings.append("one side of the tensor identity is +inf and the "
                         "other is finite")
@@ -273,10 +275,10 @@ def _cmd_tensor_check(args, tol, warnings):
     return outputs, {}
 
 
-def _cmd_form_p(args, tol, warnings):
+def _cmd_form_p(args, load, tol, warnings):
     from .radon_nikodym import rn_quadratic_form
-    value = rn_quadratic_form(load_matrix(args.a), load_matrix(args.b),
-                              load_vector(args.xi), tol)
+    value = rn_quadratic_form(load(args.a), load(args.b),
+                              load(args.xi, 1), tol)
     return {"value": value}, {}
 
 
@@ -299,18 +301,27 @@ COMMANDS = {
 }
 
 
-def _hash_inputs(args) -> dict:
-    inputs = {}
+def _read_inputs(args) -> tuple[dict, dict]:
+    """The report's ``inputs`` and, for each input path of the call, its
+    bytes or the ``InputError`` reading it raised. A path is read once, so
+    the report hashes the bytes the handler parses and a pipe such as
+    ``/dev/stdin`` can be an input."""
+    data, inputs = {}, {}
     for key in _FILE_FLAGS:
         path = getattr(args, key, None)
-        if not path:
+        if path is None:
             continue
-        try:
-            digest = sha256_file(path)
-        except OSError:
-            digest = None
-        inputs[key] = {"path": path, "sha256": digest}
-    return inputs
+        if path not in data:
+            try:
+                data[path] = read_input(path)
+            except InputError as exc:
+                data[path] = exc
+        if path:  # an empty path is left out; its handler reports it
+            raw = data[path]
+            digest = (None if isinstance(raw, InputError)
+                      else hashlib.sha256(raw).hexdigest())
+            inputs[key] = {"path": path, "sha256": digest}
+    return data, inputs
 
 
 def _exit_code(exc: PwCalcError) -> int:
@@ -333,9 +344,17 @@ def _error_text(report: dict, warnings: list[str], error: str) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    data, inputs = _read_inputs(args)
+
+    def load(path, ndim=2):
+        # a file that could not be read fails where its handler parses it
+        if isinstance(data[path], InputError):
+            raise data[path]
+        return parse_input(data[path], path, ndim)
+
     report = {
         "operation": args.command,
-        "inputs": _hash_inputs(args),
+        "inputs": inputs,
         "config": None,
         "outputs": {},
         "diagnostics": {"warnings": []},
@@ -345,7 +364,8 @@ def main(argv=None) -> int:
     try:
         tol = _tolerances(args)
         report["config"] = dataclasses.asdict(tol)
-        outputs, diagnostics = COMMANDS[args.command][0](args, tol, warnings)
+        handler = COMMANDS[args.command][0]
+        outputs, diagnostics = handler(args, load, tol, warnings)
         report["outputs"] = outputs
         report["diagnostics"] = {"warnings": list(warnings), **diagnostics}
         report["status"] = "warning" if warnings else "ok"
@@ -366,7 +386,3 @@ def main(argv=None) -> int:
             code = EXIT_INPUT
     sys.stdout.write(text)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,7 +9,6 @@ same double. +inf is encoded as the string "+inf" to stay inside strict
 JSON.
 """
 
-import hashlib
 import json
 import math
 
@@ -43,12 +42,19 @@ def _shape_check(data, key, shape):
     return arr
 
 
-def _load_json(path: str) -> dict:
+def read_input(path: str) -> bytes:
+    """The bytes of an input file; one that cannot be read is an
+    ``InputError``."""
     try:
         with open(path, "rb") as fh:
-            data = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _load_json(raw: bytes, path: str) -> dict:
+    try:
+        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
     except UnicodeDecodeError as exc:
@@ -69,8 +75,10 @@ def _dimension(data, path) -> int:
     return n
 
 
-def _load(path: str, ndim: int) -> np.ndarray:
-    data = _load_json(path)
+def parse_input(raw: bytes, path: str, ndim: int) -> np.ndarray:
+    """Parse the bytes of a matrix (``ndim`` 2) or vector (``ndim`` 1)
+    file named ``path`` into a complex array."""
+    data = _load_json(raw, path)
     shape = (_dimension(data, path),) * ndim
     re = _shape_check(data, "re", shape)
     if data.get("im") is None:
@@ -80,12 +88,12 @@ def _load(path: str, ndim: int) -> np.ndarray:
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a complex matrix from a matrix file."""
-    return _load(path, 2)
+    return parse_input(read_input(path), path, 2)
 
 
 def load_vector(path: str) -> np.ndarray:
     """Read a complex vector from a vector file (flat ``re``/``im``)."""
-    return _load(path, 1)
+    return parse_input(read_input(path), path, 1)
 
 
 def matrix_payload(m: np.ndarray) -> dict:
@@ -96,11 +104,6 @@ def matrix_payload(m: np.ndarray) -> dict:
         "re": [[float(v) for v in row] for row in m.real],
         "im": [[float(v) for v in row] for row in m.imag],
     }
-
-
-def sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _fmt_float(x: float) -> str:

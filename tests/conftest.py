@@ -46,14 +46,15 @@ GOLDEN_CASES = {
 }
 
 
-def run_cli(argv, cwd=FIXTURES, env_extra=None):
+def run_cli(argv, cwd=FIXTURES, env_extra=None, stdin=None):
     """Run ``python -m pwcalc`` on the package under test, with
-    ``PWCALC_TOL_ZERO`` scrubbed from the environment."""
+    ``PWCALC_TOL_ZERO`` scrubbed from the environment and the bytes
+    ``stdin``, if given, on a pipe as standard input."""
     env = {k: v for k, v in os.environ.items() if k != "PWCALC_TOL_ZERO"}
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "pwcalc", *argv],
-                          capture_output=True, cwd=cwd,
+                          input=stdin, capture_output=True, cwd=cwd,
                           env=with_package_path(env))
 
 

@@ -82,6 +82,9 @@ class TestExitCodes:
     def test_invalid_input_missing_file(self):
         rep = run_report(["psum", "--a", "nope.json", "--b", "b3.json"], 2)
         assert rep["status"] == "error"
+        assert rep["inputs"]["a"] == {"path": "nope.json", "sha256": None}
+        assert rep["diagnostics"]["error"].startswith(
+            "cannot read nope.json: [Errno 2] No such file or directory")
 
     def test_invalid_input_non_hermitian(self):
         rep = run_report(["psum", "--a", "bad_nonherm.json", "--b", "b3.json"], 2)
@@ -302,6 +305,32 @@ class TestFlagsAndEnv:
         assert rep["status"] == "error" and rep["outputs"] == {}
         assert str(out) in rep["diagnostics"]["error"]
         assert not out.parent.exists()
+
+
+class TestInputFiles:
+    # a pipe can be read once only: the report hashes the bytes the
+    # handler parses, and a path named twice is read once
+    @pytest.mark.parametrize("argv,named", [
+        (["rep", "--a", "/dev/stdin", "--b", "b3.json"],
+         ["rep", "--a", "a3.json", "--b", "b3.json"]),
+        (["rep", "--a", "/dev/stdin", "--b", "/dev/stdin"],
+         ["rep", "--a", "a3.json", "--b", "a3.json"]),
+        (["form-p", "--a", "a2pd.json", "--b", "b2sing.json",
+          "--xi", "/dev/stdin"],
+         ["form-p", "--a", "a2pd.json", "--b", "b2sing.json",
+          "--xi", "xi2.json"]),
+    ], ids=["matrix", "both-members", "vector"])
+    def test_piped_input_reads_as_the_named_file(self, argv, named):
+        stem = named[argv.index("/dev/stdin")]
+        piped = run_cli(argv, stdin=(FIXTURES / stem).read_bytes())
+        direct = run_cli(named)
+        assert (piped.returncode, piped.stderr) == (direct.returncode,
+                                                    direct.stderr)
+        rep, expected = json.loads(piped.stdout), json.loads(direct.stdout)
+        for key, value in rep["inputs"].items():
+            assert value["path"] == argv[argv.index(f"--{key}") + 1]
+            value["path"] = expected["inputs"][key]["path"]
+        assert rep == expected
 
 
 class TestFileRoundTrip:

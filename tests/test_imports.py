@@ -85,3 +85,64 @@ with contextlib.redirect_stdout(io.StringIO()):
 {LOADED}""")
     assert {m for m in ON_DEMAND if m in loaded} == {
         m for m, commands in ON_DEMAND.items() if argv[0] in commands}
+
+
+def test_script_runs_the_process_entry():
+    import tomllib
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml",
+              "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"pwcalc": "pwcalc.__main__:run"}
+
+
+def test_entry_module_loads_no_numpy_and_no_submodule():
+    # the script imports the entry module before it calls ``run``; numpy
+    # loaded then would be imported with the collector still on
+    assert _fresh(f"import pwcalc.__main__\n{LOADED}") == [
+        "pwcalc", "pwcalc.__main__"]
+
+
+# ``run`` with the golden ``rep`` argv; a profile hook records the collector
+# state when ``cli.main`` starts, and whether the module dicts of numpy and
+# the command line are left out of the collector's tracked objects
+ENTRY_STATE = f"""
+import gc
+sys.argv = ["pwcalc", *{GOLDEN_CASES["rep"]!r}]
+seen = []
+
+def probe(frame, event, arg):
+    if (event == "call" and frame.f_code.co_name == "main"
+            and frame.f_code.co_filename.endswith("cli.py") and not seen):
+        tracked = {{id(obj) for obj in gc.get_objects()}}
+        seen.append([gc.isenabled(), gc.get_freeze_count() > 0,
+                     [id(vars(sys.modules[name])) in tracked
+                      for name in ("numpy", "pwcalc.cli")]])
+
+import contextlib, io
+from pwcalc.__main__ import run
+sys.setprofile(probe)
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        run()
+except SystemExit as exc:
+    code = exc.code
+sys.setprofile(None)
+print(json.dumps([code, *seen]))
+"""
+
+
+def test_entry_freezes_the_imports_and_runs_main_collecting():
+    code, (enabled, frozen, tracked) = _fresh(ENTRY_STATE)
+    assert code == 0
+    assert enabled and frozen
+    assert tracked == [False, False]
+
+
+def test_in_process_main_leaves_the_collector_alone():
+    assert _fresh(f"""
+import contextlib, gc, io
+from pwcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({GOLDEN_CASES["rep"]!r})
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
+""") == [0, True, 0]
