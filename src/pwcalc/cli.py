@@ -6,7 +6,10 @@ to ``--out``). The report is emitted on errors too, with ``status`` set
 and the message in the diagnostics; only usage errors (unknown
 subcommand, missing or unexpected flag) exit 2 without a report. A
 report that cannot be written to ``--out`` is replaced by one error
-report on standard output that names the file.
+report on standard output that names the file. ``main`` flushes the report
+to standard output; where that fails (descriptor 1 closed, a full disk, a
+reader that closed the pipe), one line on standard error says so and the
+call exits 1.
 
 Exit codes: 0 success, 1 internal failure, 2 invalid input (parsing,
 validation, preconditions, an unwritable ``--out``), 3 numeric failure
@@ -384,5 +387,25 @@ def main(argv=None) -> int:
             text = _error_text(report, warnings, f"cannot write the report "
                                f"to {args.out}: {exc.strerror or exc}")
             code = EXIT_INPUT
-    sys.stdout.write(text)
-    return code
+    return code if _write_stdout(text) else EXIT_INTERNAL
+
+
+def _write_stdout(text: str) -> bool:
+    """Write ``text`` to standard output and flush it; where that fails,
+    say why in one line on standard error and return False."""
+    try:
+        if sys.stdout is None:  # descriptor 1 was closed when Python started
+            raise OSError("it is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"pwcalc: cannot write the report to standard output: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
+if __name__ == "__main__":
+    print("pwcalc.cli runs no call; use python -m pwcalc",
+          file=sys.stderr)
+    sys.exit(EXIT_INPUT)

@@ -46,16 +46,20 @@ GOLDEN_CASES = {
 }
 
 
-def run_cli(argv, cwd=FIXTURES, env_extra=None, stdin=None):
+def run_cli(argv, cwd=FIXTURES, env_extra=None, stdin=None,
+            stdout=subprocess.PIPE, preexec_fn=None):
     """Run ``python -m pwcalc`` on the package under test, with
     ``PWCALC_TOL_ZERO`` scrubbed from the environment and the bytes
-    ``stdin``, if given, on a pipe as standard input."""
+    ``stdin``, if given, on a pipe as standard input. Standard output is
+    captured unless ``stdout`` names another target; ``preexec_fn`` runs
+    in the child before the interpreter starts."""
     env = {k: v for k, v in os.environ.items() if k != "PWCALC_TOL_ZERO"}
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "pwcalc", *argv],
-                          input=stdin, capture_output=True, cwd=cwd,
-                          env=with_package_path(env))
+                          input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+                          cwd=cwd, env=with_package_path(env),
+                          preexec_fn=preexec_fn)
 
 
 @pytest.fixture

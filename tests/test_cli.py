@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -331,6 +332,61 @@ class TestInputFiles:
             assert value["path"] == argv[argv.index(f"--{key}") + 1]
             value["path"] = expected["inputs"][key]["path"]
         assert rep == expected
+
+
+# a child's standard output holds what is written until it is flushed,
+# or passes each write on at once
+BUFFERING = {"buffered": {"PYTHONUNBUFFERED": ""},
+             "unbuffered": {"PYTHONUNBUFFERED": "1"}}
+
+
+class TestStandardOutput:
+    # a report standard output cannot take is one line on standard error
+    # and exit 1, the internal failure, with no traceback
+    FAILED = b"pwcalc: cannot write the report to standard output: "
+
+    def test_closed_descriptor(self):
+        proc = run_cli(GOLDEN_CASES["rep"], preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == self.FAILED + b"it is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffering", sorted(BUFFERING))
+    def test_full_device(self, buffering):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli(GOLDEN_CASES["rep"], stdout=full,
+                           env_extra=BUFFERING[buffering])
+        assert proc.returncode == 1
+        assert proc.stderr == self.FAILED + b"No space left on device\n"
+
+    @pytest.mark.parametrize("buffering", sorted(BUFFERING))
+    def test_reader_closed_the_pipe(self, buffering):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_cli(GOLDEN_CASES["rep"], stdout=write,
+                           env_extra=BUFFERING[buffering])
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == self.FAILED + b"Broken pipe\n"
+
+    def test_report_beyond_a_pipe_buffer(self, capsys, monkeypatch, rng,
+                                         tmp_path):
+        # the process ends without the interpreter's own flush at exit:
+        # none of a buffered report larger than the pipe may be lost
+        for name, m in zip(("a.json", "b.json"), rand_pair(rng, 48)):
+            (tmp_path / name).write_text(json.dumps(matrix_payload(m)))
+        argv = ["rep", "--a", "a.json", "--b", "b.json"]
+        proc = run_cli([*argv, "--out", "spawned.json"], cwd=tmp_path,
+                       env_extra=BUFFERING["buffered"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "in_process.json"]) == 0
+        report = capsys.readouterr().out.encode()
+        assert len(report) > 64 * 1024
+        assert proc.stdout == report
+        assert (tmp_path / "spawned.json").read_bytes() == report
 
 
 class TestFileRoundTrip:

@@ -102,10 +102,25 @@ def test_entry_module_loads_no_numpy_and_no_submodule():
         "pwcalc", "pwcalc.__main__"]
 
 
+# ``run`` ends the process with ``os._exit``; in these probes it is replaced
+# by a recorder that raises ``Exit`` with the code and what standard output
+# held by then
+RECORD_EXIT = """
+import io, os
+
+class Exit(Exception):
+    pass
+
+def record(code):
+    raise Exit(code, sys.stdout.getvalue())
+
+os._exit = record
+"""
+
 # ``run`` with the golden ``rep`` argv; a profile hook records the collector
 # state when ``cli.main`` starts, and whether the module dicts of numpy and
 # the command line are left out of the collector's tracked objects
-ENTRY_STATE = f"""
+ENTRY_STATE = RECORD_EXIT + f"""
 import gc
 sys.argv = ["pwcalc", *{GOLDEN_CASES["rep"]!r}]
 seen = []
@@ -124,8 +139,8 @@ sys.setprofile(probe)
 try:
     with contextlib.redirect_stdout(io.StringIO()):
         run()
-except SystemExit as exc:
-    code = exc.code
+except Exit as exc:
+    code = exc.args[0]
 sys.setprofile(None)
 print(json.dumps([code, *seen]))
 """
@@ -146,3 +161,86 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main({GOLDEN_CASES["rep"]!r})
 print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
 """) == [0, True, 0]
+
+
+# argv that make ``main`` return each of its exit codes but 1
+EXIT_ARGV = {
+    0: GOLDEN_CASES["rep"],
+    2: ["psum", "--a", "nope.json", "--b", "b3.json"],
+    3: ["psum", "--a", "bad_nonpsd.json", "--b", "b3.json"],
+    4: GOLDEN_CASES["eval_entropy_extended"],
+}
+
+
+def _in_process(argv, capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    from pwcalc.cli import main
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_ARGV))
+def test_entry_flushes_and_ends_the_process_with_mains_code(code, capsys,
+                                                             monkeypatch):
+    # standard output is a text layer that holds what is written until it
+    # is flushed; the recorder sees only the flushed bytes
+    left = _fresh(RECORD_EXIT + f"""
+class Held(io.TextIOWrapper):
+    def getvalue(self):
+        return self.buffer.getvalue().decode()
+
+sys.stdout = Held(io.BytesIO(), encoding="utf-8")
+sys.argv = ["pwcalc", *{EXIT_ARGV[code]!r}]
+from pwcalc.__main__ import run
+try:
+    run()
+except Exit as exc:
+    left = list(exc.args)
+sys.stdout = sys.__stdout__
+print(json.dumps(left))
+""")
+    assert left == list(_in_process(EXIT_ARGV[code], capsys, monkeypatch))
+    assert left[0] == code
+
+
+def test_entry_leaves_usage_errors_to_the_interpreter():
+    assert _fresh(RECORD_EXIT + """
+sys.argv = ["pwcalc", "rep", "--a", "a3.json"]
+from pwcalc.__main__ import run
+try:
+    run()
+except SystemExit as exc:
+    print(json.dumps(exc.code))
+""") == 2
+
+
+def test_in_process_main_never_ends_the_process():
+    assert _fresh(f"""
+import contextlib, io, os
+ends = []
+os._exit = ends.append
+from pwcalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {list(EXIT_ARGV.values())!r}]
+print(json.dumps([codes, ends]))
+""") == [sorted(EXIT_ARGV), []]
+
+
+def test_cli_module_is_no_process_entry():
+    env = {k: v for k, v in os.environ.items() if k != "PWCALC_TOL_ZERO"}
+    proc = subprocess.run([sys.executable, "-m", "pwcalc.cli",
+                           *GOLDEN_CASES["rep"]], capture_output=True,
+                          cwd=FIXTURES, env=with_package_path(env))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"pwcalc.cli runs no call; use python -m pwcalc\n"
+
+
+def test_cold_start_probe_runs_one_round():
+    proc = subprocess.run([sys.executable, str(Path(__file__).parent
+                                               / "cold_start.py"),
+                           "--rounds", "1"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert [row[:22].rstrip() for row in rows] == [
+        "python -c pass", "import numpy", "import pwcalc.cli",
+        "python -m pwcalc rep"]
