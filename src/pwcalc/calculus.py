@@ -18,7 +18,11 @@ dimensions ``k0 = rank(a+b) - rank(a)`` and ``k1 = rank(a+b) - rank(b)``
 support threshold of ``a + b``. Those eigenspaces come from the kernels
 that validating the pair already found, with their eigenvalues exactly
 0 and 1, and only the rest of ``gram_a`` is solved: a mutually singular
-pair, or one with a zero member, needs no second solve.
+pair, or one with a zero member, needs no second solve. One function,
+:func:`_split_spectrum`, takes every decision at that threshold and
+``rep.split`` (:class:`SpectrumSplit`) records it: the counts, whether the
+split was made or why it was refused, and the masks of the
+eigenvalues classified as 0 and 1.
 
 With ``W`` the eigenbasis of ``X* X``, every query reads the one map
 ``E = W* T``: a profile's value is ``E* diag(f(x)) E``, the pairing
@@ -39,9 +43,9 @@ from .config import DEFAULT_TOL, EPS, ToleranceConfig
 from .errors import (DominationError, ExtendedValueError, InputError, NumericError,
                      PwCalcError)
 from .functions import PwFunction, _require_profile
-from .linalg import (SpectralDecomposition, _checked, _exponent, _ldexp, _sqrt_of,
-                     _structural_bases, _validated, _validated_pair, eig_hermitian,
-                     hermitian_part, hermitize, safe_frobenius)
+from .linalg import (SpectralDecomposition, _checked, _exponent, _ldexp, _pivoted_columns,
+                     _sqrt_of, _validated, _validated_pair, eig_hermitian, hermitian_part,
+                     hermitize, safe_frobenius)
 
 _REP_RESIDUAL_LIMIT = 1e-6
 _ROUNDTRIP_LIMIT = 1e-8
@@ -54,7 +58,8 @@ _SPECTRUM_NOISE_FACTOR = 8.0
 
 @dataclass(frozen=True)
 class SpectrumSplit:
-    """The one classification of the commuting representative's spectrum.
+    """The one classification of the commuting representative's spectrum,
+    with the rank decision it rests on.
 
     ``zero`` and ``one`` mark eigenvalues within ``zero_tol`` of 0 and
     within ``one_tol`` of 1; ``retained`` marks the rest. ``margin`` is
@@ -63,7 +68,18 @@ class SpectrumSplit:
     discontinuous, so callers should surface it. ``near_zero`` counts
     retained eigenvalues below ``10 * zero_tol``.
 
-    It is computed once per pair by :func:`_classify` and every 0/1
+    ``k0 = rank(a+b) - rank(a)`` and ``k1 = rank(a+b) - rank(b)`` count
+    the directions of ``T(ker a)`` and ``T(ker b)``, every rank taken at
+    the support threshold of ``a + b``; rounding at that cut can make them
+    contradict each other. ``verdict`` says what became of the structural
+    split: ``"none"`` when ``k0 = k1 = 0`` and nothing needed splitting
+    off, ``"split"`` when ``k0`` zeros and ``k1`` ones were split off
+    exactly, and otherwise why nothing was: ``"counts"`` (a count is
+    negative or they sum beyond the rank), ``"pivot"`` (a kernel image
+    left only rounding outside the bases before it) or ``"eigenvectors"``
+    (the bases failed as eigenvectors of ``gram_a``).
+
+    It is computed once per pair by :func:`_split_spectrum` and every 0/1
     decision reads it: every profile value (through :meth:`PwRep.values`),
     the absolutely continuous and singular parts and the projection of the
     Lebesgue decomposition, both singularity predicates and the
@@ -75,24 +91,100 @@ class SpectrumSplit:
     retained: np.ndarray
     margin: float
     near_zero: int
+    k0: int
+    k1: int
+    verdict: str
 
 
-def _classify(x: np.ndarray, tol: ToleranceConfig) -> SpectrumSplit:
-    """Split the ascending spectrum ``x`` of ``gram_a`` at 0 and 1; the
-    only place that reads ``zero_tol`` and ``one_tol`` to decide."""
+def _split_spectrum(t: np.ndarray, gram: np.ndarray, lam: np.ndarray,
+                    a_dec: SpectralDecomposition, b_dec: SpectralDecomposition,
+                    cut: float, tol: ToleranceConfig):
+    """``(spec, split)``: the spectral decomposition of ``gram``, the
+    ``gram_a`` of the coordinate map ``t`` (``rank x n``), and its
+    :class:`SpectrumSplit`. ``lam`` holds the sum's eigenvalues above its
+    support threshold ``cut``, and ``a_dec`` and ``b_dec`` are the
+    validating decompositions of the members. Every rank decision at the
+    cut is taken here.
+
+    The kernel eigenvectors ``K_a`` and ``K_b`` of the members at the cut
+    give orthonormal bases ``Z0`` of ``t K_a`` and ``Z1`` of ``t K_b``, of
+    ``k0`` and ``k1`` columns, by Gram-Schmidt with column pivoting
+    (``linalg._pivoted_columns``), and the identity's columns complete them
+    by ``C``. Only ``C* gram C`` is solved; ``Z0`` gets the eigenvalue 0
+    and ``Z1`` the eigenvalue 1, exactly, and the spectrum is merged in
+    ascending order by a stable sort, with ``[Z0 | C V | Z1]`` in the same
+    order. Nothing is split off, and ``gram`` is solved whole, with the
+    bits of ``eig_hermitian(gram)``, when the verdict is not ``"split"``:
+
+    - ``"counts"``: a count is negative or ``k0 + k1`` exceeds the rank;
+    - ``"pivot"``: a pivot's part left is at most ``8 n eps ||t||_F``, a
+      margin over the rounding of the products ``t K``. Rounding at the
+      cut can put a direction of the sum's support in the kernel of both
+      members: the part of its second image left outside the first is
+      then rounding, which normalized would be an arbitrary direction;
+    - ``"eigenvectors"``: the residual ``gram [Z0 | Z1] - [0 | Z1]``
+      exceeds, in Frobenius norm, the spectrum's rounding slack plus
+      ``sqrt(rank)`` times ``cut / lam_min``, the most ``gram_a`` may be
+      on a kernel direction at the cut.
+
+    The merged spectrum must lie in ``[0, 1]`` up to its rounding slack,
+    about ``n eps cond(a + b)`` and at least ``_SPECTRUM_SLACK``, or
+    :class:`NumericError` is raised. The masks then cut it at ``zero_tol``
+    and ``one_tol``, the only place that reads them to decide.
+    """
+    rank, n = t.shape
+    slack = allowed = 0.0
+    if rank:
+        slack = max(_SPECTRUM_SLACK,
+                    _SPECTRUM_NOISE_FACTOR * n * EPS * float(lam[-1] / lam[0]))
+        # gram_a is up to about cut / lam[0] on a direction of ker a at the cut
+        allowed = slack + math.sqrt(rank) * cut / float(lam[0])
+    # gram_a is 0 on T(ker a) and 1 on T(ker b)
+    k_a = a_dec.basis[:, a_dec.eigenvalues <= cut]
+    k_b = b_dec.basis[:, b_dec.eigenvalues <= cut]
+    k0 = rank - n + k_a.shape[1]
+    k1 = rank - n + k_b.shape[1]
+    z0 = z1 = empty = np.zeros((rank, 0), dtype=np.complex128)
+    verdict = "none" if k0 == k1 == 0 else "counts"
+    if min(k0, k1) >= 0 and 0 < k0 + k1 <= rank:
+        floor = 8 * n * EPS * safe_frobenius(t)
+        z = _pivoted_columns(empty, t @ k_a, k0, floor)
+        z = None if z is None else _pivoted_columns(z, t @ k_b, k1, floor)
+        verdict = "pivot"
+        if z is not None:
+            resid = gram @ z
+            resid[:, k0:] -= z[:, k0:]
+            verdict = "split" if safe_frobenius(resid) <= allowed else "eigenvectors"
+    block, c = gram, None
+    if verdict == "split":
+        c = _pivoted_columns(z, np.eye(rank, dtype=np.complex128), rank - k0 - k1)[:, k0 + k1:]
+        z0, z1 = z[:, :k0], z[:, k0:]
+        block = c.conj().T @ gram @ c
+    solved = (eig_hermitian(block, tol) if block.size else SpectralDecomposition(
+        np.zeros(0), np.zeros((0, 0), dtype=np.complex128)))
+    v = solved.basis if c is None else c @ solved.basis
+    x = np.concatenate((np.zeros(z0.shape[1]), solved.eigenvalues, np.ones(z1.shape[1])))
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    spec = SpectralDecomposition(x, np.concatenate((z0, v, z1), axis=1)[:, order])
+    if rank and (x[0] < -slack or x[-1] > 1.0 + slack):
+        lo, hi = float(x[0]), float(x[-1])
+        raise NumericError(
+            f"commuting representative has spectrum outside [0, 1] by "
+            f"{max(-lo, hi - 1.0):.3e}, beyond its rounding slack {slack:.3e}: "
+            f"[{lo!r}, {hi!r}]")
     zero = x <= tol.zero_tol
     one = x >= 1.0 - tol.one_tol
     retained = ~(zero | one)
     near_zero = int((x[~zero] <= 10.0 * tol.zero_tol).sum())
+    margin = math.inf
     if retained.any():
         xr = x[retained]
         margin = float(np.minimum(xr - tol.zero_tol, (1.0 - tol.one_tol) - xr).min())
-    else:
-        margin = math.inf
     # every query of the rep reads the same masks
     for mask in (zero, one, retained):
         mask.flags.writeable = False
-    return SpectrumSplit(zero, one, retained, margin, near_zero)
+    return spec, SpectrumSplit(zero, one, retained, margin, near_zero, k0, k1, verdict)
 
 
 @dataclass(frozen=True)
@@ -166,7 +258,8 @@ class PwRep:
         rounding-level negatives were clamped.
     split : SpectrumSplit
         Classification of ``gram_a``'s spectrum at 0 and 1 (read-only
-        masks), computed once since it depends only on the rep.
+        masks), with the counts ``k0`` and ``k1`` and the split's verdict,
+        computed once since it depends only on the rep.
     """
 
     n: int
@@ -479,30 +572,20 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     then the state, then the profiles and parameters that the caller
     applies to ``w``.
 
-    The last kernel call solves only the retained block of ``gram_a``.
     The ranks of ``a``, ``b`` and ``a + b`` count the eigenvalues of their
     validating decompositions above the support threshold of ``a + b``.
-    The kernel eigenvectors ``K_a`` and ``K_b`` at that cut give
-    orthonormal bases ``Z0`` of ``T K_a`` and ``Z1`` of ``T K_b``, of
-    ``k0 = rank - rank(a)`` and ``k1 = rank - rank(b)`` columns, by
-    Gram-Schmidt with column pivoting (``linalg._structural_bases``), and
-    ``C`` completes them. Only ``C* gram_a C``, of size ``rank - k0 -
-    k1``, is solved; ``Z0`` gets the eigenvalue 0 and ``Z1`` the
-    eigenvalue 1, exactly, and the spectrum is merged in ascending order
-    by a stable sort, with ``[Z0 | C V | Z1]`` in the same order. A
-    mutually singular pair, or one with a zero member, makes no such
-    call. With nothing split off (``k0 = k1 = 0``: ``a``, ``b`` and ``a +
-    b`` of one rank, as for two definite members) the block is ``gram_a``
-    itself, solved as before, with the same bits. Where rounding at the
-    cut makes the ranks contradict each other (``k0 < 0``, ``k1 < 0``,
-    ``k0 + k1 > rank``, or an image leaves only rounding outside the
-    bases before it, as when a direction of the support lies in the
-    kernel of both members), nothing is split off. Nor is it when ``Z0``
-    and ``Z1`` fail as eigenvectors: the residual of ``gram_a`` on them
-    must stay within the spectrum's rounding slack plus ``sqrt(rank)``
-    times ``cut / lam_min``, the most ``gram_a`` may be on a kernel
-    direction at the cut. So a direction of ``ker a`` at the cut gets ``x
-    = 0`` exactly. An explicit ``support_tol`` is the cut of the roots
+    ``_build_rep`` cuts the sum there, and :func:`_split_spectrum` takes
+    every other decision at that cut once: the counts ``k0 = rank -
+    rank(a)`` and ``k1 = rank - rank(b)``, the split of ``gram_a``'s exact
+    0- and 1-eigenspaces ``T(ker a)`` and ``T(ker b)`` or the reason it
+    was refused, the last kernel call, which solves only the retained
+    block, and the masks at ``zero_tol`` and ``one_tol``; ``rep.split``
+    records them. A mutually singular pair, or one with a zero member,
+    makes no such call. With nothing split off (``k0 = k1 = 0``: ``a``,
+    ``b`` and ``a + b`` of one rank, as for two definite members, or a
+    split refused) the block is ``gram_a`` itself, with the bits of its
+    whole solve. So a direction of ``ker a`` at the cut gets ``x = 0``
+    exactly. An explicit ``support_tol`` is the cut of the roots
     (:func:`_sqrt_of`) and of ``gram_a`` alike: an eigenvalue of ``a`` or
     ``b`` at or below it counts as kernel in ``gram_a`` too, not only in
     the roots.
@@ -516,7 +599,8 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     av, a_dec, bv, b_dec, dec, state_solved = _validated_pair(
         a, b, tol, sum_too=True, also=hr)
     n = av.shape[0]
-    # the support threshold of a + b: its rank, and the kernels of a and b
+    # the support threshold of a + b and its rank; _split_spectrum reads the
+    # kernels of a and b at the same cut
     cut = tol.support_threshold(n, float(dec.eigenvalues[-1]) if n else 0.0)
     keep = dec.eigenvalues > cut
     lam = dec.eigenvalues[keep]
@@ -532,33 +616,7 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     contr_a = a_half @ scaled
     contr_b = b_half @ scaled
     gram_a = hermitize(scaled.conj().T @ av @ scaled)
-    slack = allowed = 0.0
-    if rank:
-        slack = max(_SPECTRUM_SLACK,
-                    _SPECTRUM_NOISE_FACTOR * n * EPS * float(lam[-1] / lam[0]))
-        # gram_a is up to about cut / lam[0] on a direction of ker a at the cut
-        allowed = slack + math.sqrt(rank) * cut / float(lam[0])
-    # gram_a is 0 on T(ker a) and 1 on T(ker b)
-    k_a = a_dec.basis[:, a_dec.eigenvalues <= cut]
-    k_b = b_dec.basis[:, b_dec.eigenvalues <= cut]
-    z0, z1, c = _structural_bases(coord_map, gram_a, k_a, k_b, rank - n + k_a.shape[1],
-                                  rank - n + k_b.shape[1], allowed)
-    block = gram_a if c is None else c.conj().T @ gram_a @ c
-    solved = (eig_hermitian(block, tol) if block.size else SpectralDecomposition(
-        np.zeros(0), np.zeros((0, 0), dtype=np.complex128)))
-    v = solved.basis if c is None else c @ solved.basis
-    x = np.concatenate((np.zeros(z0.shape[1]), solved.eigenvalues, np.ones(z1.shape[1])))
-    order = np.argsort(x, kind="stable")
-    spec = SpectralDecomposition(x[order], np.concatenate((z0, v, z1), axis=1)[:, order])
-    if rank:
-        lo = float(spec.eigenvalues[0])
-        hi = float(spec.eigenvalues[-1])
-        if lo < -slack or hi > 1.0 + slack:
-            excess = max(-lo, hi - 1.0)
-            raise NumericError(
-                f"commuting representative has spectrum outside [0, 1] by "
-                f"{excess:.3e}, beyond its rounding slack {slack:.3e}: "
-                f"[{lo!r}, {hi!r}]")
+    spec, split = _split_spectrum(coord_map, gram_a, lam, a_dec, b_dec, cut, tol)
     resid_a = safe_frobenius(contr_a @ coord_map - a_half)
     resid_b = safe_frobenius(contr_b @ coord_map - b_half)
     limit_a = _REP_RESIDUAL_LIMIT * max(1.0, safe_frobenius(a_half))
@@ -570,8 +628,7 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
                 contr_a=contr_a, contr_b=contr_b, gram_a=gram_a, gram_a_spec=spec,
                 eig_map=spec.basis.conj().T @ coord_map,
                 a=av, b=bv, a_half=a_half, b_half=b_half,
-                a_eigs=a_dec.eigenvalues,
-                split=_classify(spec.eigenvalues, tol), tol=tol)
+                a_eigs=a_dec.eigenvalues, split=split, tol=tol)
     if state is None:
         return rep, None
     if state_solved is None:

@@ -544,44 +544,6 @@ def _pivoted_columns(z: np.ndarray, m: np.ndarray, steps: int,
     return z
 
 
-def _structural_bases(t: np.ndarray, gram: np.ndarray, k_a: np.ndarray, k_b: np.ndarray,
-                      k0: int, k1: int, slack: float):
-    """``(z0, z1, c)``: orthonormal bases ``z0`` of ``k0`` columns from the
-    image ``t @ k_a`` and ``z1`` of ``k1`` from ``t @ k_b``, eigenvectors
-    of the Hermitian ``gram`` for 0 and 1, and ``c`` completing ``[z0 |
-    z1]`` to a unitary of ``t``'s rows.
-
-    Every column comes from :func:`_pivoted_columns`, the completion from
-    the identity's columns. Nothing is split off (empty ``z0`` and ``z1``,
-    ``c`` None: the complement is the identity itself) when
-    - the counts cannot be met: one is negative or their sum exceeds
-      ``t``'s rows;
-    - a pivot's part left is at most ``8 n eps ||t||_F``, a margin over
-      the rounding of the products ``t @ k`` (``t`` of ``n`` columns,
-      ``k`` orthonormal). Rounding at the cut can put a direction of the
-      sum's support in the kernel of both members: the part of its
-      second image left outside the first is then rounding, which
-      normalized would be an arbitrary direction of the support;
-    - the residual ``gram [z0 | z1] - [0 | z1]`` exceeds ``slack`` in
-      Frobenius norm.
-    """
-    rows = t.shape[0]
-    empty = np.zeros((rows, 0), dtype=np.complex128)
-    if min(k0, k1) < 0 or not 0 < k0 + k1 <= rows:
-        return empty, empty, None
-    floor = 8 * t.shape[1] * EPS * safe_frobenius(t)
-    z = _pivoted_columns(empty, t @ k_a, k0, floor)
-    z = None if z is None else _pivoted_columns(z, t @ k_b, k1, floor)
-    if z is None:
-        return empty, empty, None
-    resid = gram @ z
-    resid[:, k0:] -= z[:, k0:]
-    if not safe_frobenius(resid) <= slack:
-        return empty, empty, None
-    c = _pivoted_columns(z, np.eye(rows, dtype=np.complex128), rows - k0 - k1)
-    return z[:, :k0], z[:, k0:], c[:, k0 + k1:]
-
-
 def _checked(h: np.ndarray, solved, tol: ToleranceConfig):
     """``(matrix, dec)``: :func:`validate_psd`'s matrix for the Hermitian
     ``h`` and the decomposition of the kernel's ``(eigenvalues,

@@ -13,11 +13,13 @@ expression, makes each of them a code line. With ``--functions`` it
 prints instead one row per function and method, ``file:qualified.name``,
 largest first: the code lines from its ``def`` line to its last line,
 so a nested function counts in its own row and in its enclosing one.
-Not a test module: pytest does not collect it.
+When the reader closes the pipe early, as ``| head`` does, it stops
+quietly with status 1. Not a test module: pytest does not collect it.
 """
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -92,4 +94,12 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so that the
+        # interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -45,6 +45,9 @@ mean, least and most rounds. ``gram_a`` is 0 on ``T(ker a)`` and 1 on
 an ``a_def`` or ``b_def`` pair, where the whole ``gram_a`` had size 24,
 and a ``singular`` pair makes no second call.
 
+When the reader closes the pipe early, as ``| head`` does, it stops
+quietly with status 1.
+
 The counts are deterministic, so the script reports no timing. It
 imports ``pwcalc`` from the ``src`` directory next to this one. Not a
 test module: pytest does not collect it; the tests import its round
@@ -53,6 +56,7 @@ calls.
 """
 
 import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -307,4 +311,12 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull, so that the
+        # interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

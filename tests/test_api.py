@@ -720,6 +720,29 @@ def test_only_build_rep_and_from_support_read_the_coordinate_map():
                        ("calculus.py", "from_support")}
 
 
+def _callers(tree, name):
+    """Innermost enclosing function (None at module level) of every call
+    of ``name``, as a variable or an attribute."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            yield owner.get(node)
+
+
+def test_one_function_takes_the_rank_decisions_at_the_cut():
+    # the split's record is built, and the kernel bases pivoted, in one
+    # function, and the sum's cut is read only where it is taken and there,
+    # so a second rank decision at the cut cannot come back
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    for name in ("SpectrumSplit", "_pivoted_columns"):
+        callers = {(file, owner) for file, tree in trees.items()
+                   for owner in _callers(tree, name)}
+        assert callers == {("calculus.py", "_split_spectrum")}, name
+    readers = {(file, owner) for file, tree in trees.items() for owner in _loads(tree, "cut")}
+    assert readers == {("calculus.py", "_build_rep"), ("calculus.py", "_split_spectrum")}
+
+
 def _raisers(tree, name):
     """Innermost enclosing function of every ``raise`` of the exception
     class ``name``, called or bare."""

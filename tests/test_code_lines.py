@@ -1,5 +1,8 @@
 """The rule of ``code_lines.count``, the line counter of ``src/pwcalc``."""
 
+import subprocess
+import sys
+
 import code_lines
 from code_lines import code_line_numbers, count, function_code_lines
 
@@ -88,3 +91,16 @@ def test_main_lists_functions_largest_first(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["b.py:f", "5"], ["a.py:A.prop", "4"], ["a.py:A.method", "2"],
                     ["a.py:A.prop.inner", "2"], ["a.py:f", "2"]]
+
+
+def test_a_pipe_closed_after_one_line_ends_quietly(tmp_path):
+    # 4,000 rows, far more than the pipe holds, so the script is still
+    # writing when the reader goes away, as under "| head -1"
+    (tmp_path / "a.py").write_text("".join(f"def f{i}():\n    return {i}\n"
+                                           for i in range(4000)))
+    with subprocess.Popen([sys.executable, code_lines.__file__, "--functions", str(tmp_path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().split() == [b"a.py:f0", b"2"]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""

@@ -55,16 +55,16 @@ CASES = _cases()
 IDS = [c[0] for c in CASES]
 
 
-def _split_nothing(t, gram, k_a, k_b, k0, k1, slack):
-    empty = np.zeros((t.shape[0], 0), dtype=np.complex128)
-    return empty, empty, None
+def _split_nothing(z, m, steps, floor=0.0):
+    # no pivot is ever found, so every split that is needed is refused
+    return None
 
 
 @pytest.fixture
 def undeflated(monkeypatch):
     """Call it to make ``build_rep`` split nothing off for the rest of the
     test: ``gram_a`` is then solved whole, as ``eig_hermitian(rep.gram_a)``."""
-    return lambda: monkeypatch.setattr(calculus, "_structural_bases", _split_nothing)
+    return lambda: monkeypatch.setattr(calculus, "_pivoted_columns", _split_nothing)
 
 
 def _slack(rep):
@@ -82,6 +82,11 @@ def test_exact_eigenvalues_number_k0_and_k1(name, a, b, k0, k1):
     assert int(rep.split.zero.sum()) == k0
     assert int(rep.split.one.sum()) == k1
     assert (np.diff(x) >= 0.0).all()
+    assert (rep.split.k0, rep.split.k1) == (k0, k1)
+    assert rep.split.verdict == ("none" if k0 == k1 == 0 else "split")
+    # the slots swap T(ker a) and T(ker b), and the decision with them
+    swapped = pw.build_rep(b, a).split
+    assert (swapped.k0, swapped.k1, swapped.verdict) == (k1, k0, rep.split.verdict)
 
 
 @pytest.mark.parametrize("name,a,b,k0,k1", CASES, ids=IDS)
@@ -199,7 +204,7 @@ class TestGuard:
     def _same_as_reference(self, monkeypatch, a, b, tol=pw.DEFAULT_TOL):
         rep, sizes = _calls(a, b, tol)
         assert sizes[1:] == [[rep.rank]]
-        monkeypatch.setattr(calculus, "_structural_bases", _split_nothing)
+        monkeypatch.setattr(calculus, "_pivoted_columns", _split_nothing)
         want = pw.build_rep(a, b, tol)
         monkeypatch.undo()
         assert rep.gram_a_spec.eigenvalues.tobytes() == want.gram_a_spec.eigenvalues.tobytes()
@@ -215,6 +220,7 @@ class TestGuard:
         b = np.diag([1.0, -4e-16])
         rep = self._same_as_reference(monkeypatch, a, b)
         assert rep.rank == 1
+        assert (rep.split.k0, rep.split.k1, rep.split.verdict) == (-1, 0, "counts")
 
     def test_a_direction_in_both_kernels(self, monkeypatch):
         # a = b: the direction of 0.6 * cut lies in the kernel of each at
@@ -224,6 +230,7 @@ class TestGuard:
         a = np.diag([1.0, 0.6 * cut])
         rep = self._same_as_reference(monkeypatch, a, a.copy())
         assert rep.rank == 2
+        assert (rep.split.k0, rep.split.k1, rep.split.verdict) == (1, 1, "pivot")
         assert np.allclose(rep.gram_a_spec.eigenvalues, 0.5, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -239,6 +246,7 @@ class TestGuard:
         a = spectral(u, np.array([1.0, 0.7 * cut] + [0.0] * (n - 2)))
         rep = self._same_as_reference(monkeypatch, a, a.copy())
         assert rep.rank == 2
+        assert (rep.split.k0, rep.split.k1, rep.split.verdict) == (1, 1, "pivot")
         assert not pw.is_mutually_singular(a, a.copy()).is_singular
         assert np.abs(pw.parallel_sum(a, a.copy()) - 0.5 * a).max() <= 1e-15
 
@@ -255,19 +263,45 @@ class TestGuard:
         b = spectral(u, np.array([0.3, 6e-7, 0.0]))
         rep = self._same_as_reference(monkeypatch, a, b, tol)
         assert rep.rank == 3
+        assert (rep.split.k0, rep.split.k1, rep.split.verdict) == (1, 2, "pivot")
         assert np.allclose(rep.gram_a_spec.eigenvalues, [0.5, 1 / 1.3, 1.0],
                            rtol=0, atol=1e-9)
         assert not pw.is_mutually_singular(a, b, tol).is_singular
         want = spectral(u, np.array([0.3 / 1.3, 3e-7, 0.0]))
         assert np.abs(pw.parallel_sum(a, b, tol) - want).max() <= 1e-12
 
+    @staticmethod
+    def _split(t, gram, ker_a, ker_b):
+        """``calculus._split_spectrum`` of ``gram`` for the coordinate map
+        ``t`` of a sum with unit eigenvalues, at the cut 0, of members
+        whose kernels there are spanned by ``ker_a`` and ``ker_b``."""
+        def dec(ker):
+            n, k = ker.shape
+            x = np.concatenate((np.zeros(k), np.ones(n - k)))
+            return linalg.SpectralDecomposition(
+                x, np.concatenate((ker, np.zeros((n, n - k))), axis=1))
+        return calculus._split_spectrum(t, gram, np.ones(t.shape[0]), dec(ker_a),
+                                        dec(ker_b), 0.0, pw.DEFAULT_TOL)
+
+    @staticmethod
+    def _solved_whole(spec, gram):
+        whole = pw.eig_hermitian(gram)
+        return (spec.eigenvalues.tobytes() == whole.eigenvalues.tobytes()
+                and spec.basis.tobytes() == whole.basis.tobytes())
+
     def test_contradictory_counts_split_nothing_off(self):
-        t = np.eye(3, dtype=np.complex128)
+        # a coordinate map of a rank-3 sum on C^4, whose kernel e4 lies in
+        # the kernel of each member at the cut unless rounding moved it
+        t = np.eye(3, 4, dtype=np.complex128)
         gram = np.diag([0.0, 0.0, 1.0]).astype(np.complex128)
-        ker = t[:, :2]
-        for k0, k1 in ((-1, 1), (2, 2), (0, 0)):
-            z0, z1, c = linalg._structural_bases(t, gram, ker, ker, k0, k1, 1e-9)
-            assert z0.shape == z1.shape == (3, 0) and c is None
+        e = np.eye(4, dtype=np.complex128)
+        for ker_a, ker_b, counts, verdict in (
+                (e[:, :0], e[:, 2:], (-1, 1), "counts"),
+                (e[:, [0, 1, 3]], e[:, [0, 1, 3]], (2, 2), "counts"),
+                (e[:, 3:], e[:, 3:], (0, 0), "none")):
+            spec, split = self._split(t, gram, ker_a, ker_b)
+            assert (split.k0, split.k1, split.verdict) == (*counts, verdict)
+            assert self._solved_whole(spec, gram)
 
     def test_a_pivot_of_rounding_splits_nothing_off(self):
         # b's kernel image leaves 1e-17 outside a's: rounding, at most the
@@ -275,17 +309,21 @@ class TestGuard:
         t = np.eye(3, dtype=np.complex128)
         gram = np.diag([0.0, 1.0, 0.5]).astype(np.complex128)
         k_b = np.array([[1.0], [1e-17], [0.0]], dtype=np.complex128)
-        z0, z1, c = linalg._structural_bases(t, gram, t[:, :1], k_b, 1, 1, 1e-9)
-        assert z0.shape == z1.shape == (3, 0) and c is None
-        z0, z1, c = linalg._structural_bases(t, gram, t[:, :1], t[:, 1:2], 1, 1, 1e-9)
-        assert np.array_equal(np.abs(np.concatenate((z0, z1, c), axis=1)), t)
+        spec, split = self._split(t, gram, t[:, :1], k_b)
+        assert (split.k0, split.k1, split.verdict) == (1, 1, "pivot")
+        assert self._solved_whole(spec, gram)
+        spec, split = self._split(t, gram, t[:, :1], t[:, 1:2])
+        assert split.verdict == "split"
+        assert list(spec.eigenvalues) == [0.0, 0.5, 1.0]
+        assert np.array_equal(np.abs(spec.basis), t[:, [0, 2, 1]])
 
     def test_bases_that_fail_as_eigenvectors_split_nothing_off(self):
         # e1 and e2 are eigenvectors of gram, but for 0.5 and 0.2
         t = np.eye(3, dtype=np.complex128)
         gram = np.diag([0.5, 0.2, 0.7]).astype(np.complex128)
-        z0, z1, c = linalg._structural_bases(t, gram, t[:, :1], t[:, 1:2], 1, 1, 1e-9)
-        assert z0.shape == z1.shape == (3, 0) and c is None
+        spec, split = self._split(t, gram, t[:, :1], t[:, 1:2])
+        assert (split.k0, split.k1, split.verdict) == (1, 1, "eigenvectors")
+        assert self._solved_whole(spec, gram)
 
 
 class TestExplicitSupportTol:
