@@ -35,7 +35,7 @@ slot, for instance) are reported.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class SpectrumSplit:
     the absolutely continuous and singular parts and the projection of the
     Lebesgue decomposition, both singularity predicates and the
     suppressed directions of the derivative factors.
+
+    The spectrum ascends and ``zero_tol + one_tol < 1``, so ``zero`` is a
+    prefix and ``one`` a suffix. The private ``_points``, ``(kz, xs,
+    ko)``, holds their lengths and the retained eigenvalues as a tuple of
+    floats, all inside (0, 1): the evaluation points of every profile.
     """
 
     zero: np.ndarray
@@ -94,6 +99,7 @@ class SpectrumSplit:
     k0: int
     k1: int
     verdict: str
+    _points: tuple = field(repr=False, compare=False)
 
 
 def _split_spectrum(t: np.ndarray, gram: np.ndarray, lam: np.ndarray,
@@ -130,7 +136,9 @@ def _split_spectrum(t: np.ndarray, gram: np.ndarray, lam: np.ndarray,
     The merged spectrum must lie in ``[0, 1]`` up to its rounding slack,
     about ``n eps cond(a + b)`` and at least ``_SPECTRUM_SLACK``, or
     :class:`NumericError` is raised. The masks then cut it at ``zero_tol``
-    and ``one_tol``, the only place that reads them to decide.
+    and ``one_tol``, the only place that reads them to decide, and the
+    retained eigenvalues between them become the profiles' evaluation
+    points.
     """
     rank, n = t.shape
     slack = allowed = 0.0
@@ -177,14 +185,16 @@ def _split_spectrum(t: np.ndarray, gram: np.ndarray, lam: np.ndarray,
     one = x >= 1.0 - tol.one_tol
     retained = ~(zero | one)
     near_zero = int((x[~zero] <= 10.0 * tol.zero_tol).sum())
+    xr = x[retained]
     margin = math.inf
-    if retained.any():
-        xr = x[retained]
+    if xr.size:
         margin = float(np.minimum(xr - tol.zero_tol, (1.0 - tol.one_tol) - xr).min())
-    # every query of the rep reads the same masks
+    # every query of the rep reads the same masks and points
     for mask in (zero, one, retained):
         mask.flags.writeable = False
-    return spec, SpectrumSplit(zero, one, retained, margin, near_zero, k0, k1, verdict)
+    points = (int(zero.sum()), tuple(xr.tolist()), int(one.sum()))
+    return spec, SpectrumSplit(zero, one, retained, margin, near_zero, k0, k1, verdict,
+                               points)
 
 
 @dataclass(frozen=True)
@@ -250,7 +260,8 @@ class PwRep:
         ``E = W* T`` for the eigenbasis ``W`` of ``gram_a_spec`` and the
         coordinate map ``T``: row ``i`` is ``(T* w_i)*``. Every calculus
         value ``E* diag(v) E``, pairing weight ``Re diag(E rho E*)`` and
-        the singular part of the Lebesgue decomposition read it.
+        the singular part of the Lebesgue decomposition read it; the
+        private ``_eig_map_h`` holds ``E*`` contiguous, for :meth:`_push`.
     a, b, a_half, b_half : ndarray
         Validated inputs and their PSD square roots.
     a_eigs : ndarray
@@ -279,6 +290,7 @@ class PwRep:
     a_eigs: np.ndarray
     split: SpectrumSplit
     tol: ToleranceConfig
+    _eig_map_h: np.ndarray = field(repr=False, compare=False)
 
     @property
     def gram_b(self) -> np.ndarray:
@@ -310,8 +322,7 @@ class PwRep:
     def _push(self, vals: np.ndarray) -> np.ndarray:
         """``T* W diag(vals) W* T`` for finite ``vals`` on ``gram_a``'s
         spectrum, as the one product ``E* (vals E)`` on :attr:`eig_map`."""
-        e = self.eig_map
-        return hermitize(e.conj().T @ (vals[:, None] * e))
+        return hermitize(self._eig_map_h @ (vals[:, None] * self.eig_map))
 
     def _outer_basis(self, contr: np.ndarray, cols=slice(None)):
         """``(C W / sqrt(sq), sq)`` with ``sq = ||C w||^2`` per column, for
@@ -394,10 +405,13 @@ class PwRep:
         return self._push(self._bounded_values(fn))
 
     def values(self, fn: PwFunction) -> np.ndarray:
-        """``fn`` on ``gram_a``'s spectrum as :attr:`split` classifies it."""
+        """``fn`` on ``gram_a``'s spectrum as :attr:`split` classifies it:
+        its endpoint values on the eigenvalues classified 0 and 1, and the
+        profile called once on each retained eigenvalue, in ascending
+        order, from the points fixed when the rep was built."""
         _require_profile(fn)
-        split = self.split
-        return fn.values(self.gram_a_spec.eigenvalues, split.zero, split.one)
+        kz, xs, ko = self.split._points
+        return fn._evaluate(xs, kz, ko)
 
     def _bounded_values(self, fn: PwFunction) -> np.ndarray:
         vals = self.values(fn)
@@ -624,11 +638,12 @@ def _build_rep(a, b, tol: ToleranceConfig, state=None):
     if resid_a > limit_a or resid_b > limit_b:
         raise NumericError(
             f"representation residuals too large: {resid_a:.3e}, {resid_b:.3e}")
+    eig_map = spec.basis.conj().T @ coord_map
     rep = PwRep(n=n, rank=rank, basis=q, sum_eigs=lam, coord_map=coord_map,
                 contr_a=contr_a, contr_b=contr_b, gram_a=gram_a, gram_a_spec=spec,
-                eig_map=spec.basis.conj().T @ coord_map,
-                a=av, b=bv, a_half=a_half, b_half=b_half,
-                a_eigs=a_dec.eigenvalues, split=split, tol=tol)
+                eig_map=eig_map, a=av, b=bv, a_half=a_half, b_half=b_half,
+                a_eigs=a_dec.eigenvalues, split=split, tol=tol,
+                _eig_map_h=np.ascontiguousarray(eig_map.conj().T))
     if state is None:
         return rep, None
     if state_solved is None:

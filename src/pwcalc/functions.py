@@ -32,7 +32,8 @@ class PwFunction:
         Must be side-effect free; it may be called from multiple threads.
     at_zero, at_one : float
         Values used for eigenvalues classified to the endpoints; each is
-        finite or ``math.inf``, never ``-inf`` or NaN.
+        a real number, finite or ``math.inf``, never ``-inf`` or NaN (nor a
+        ``bool``), checked and stored as ``float`` at construction.
     vanishes_at_zero : bool
         True iff the function is zero on the whole ray x = 0.
     """
@@ -43,43 +44,85 @@ class PwFunction:
     at_one: float
     vanishes_at_zero: bool
 
+    def __post_init__(self):
+        for field in ("at_zero", "at_one"):
+            value = getattr(self, field)
+            try:
+                ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                      and float(value) > -math.inf)
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise InputError(
+                    f"{field} of profile {self.name!r} must be a real number, "
+                    f"finite or +inf, got {value!r}")
+            object.__setattr__(self, field, float(value))
+
     def values(self, x: np.ndarray, zero_mask: np.ndarray,
                one_mask: np.ndarray) -> np.ndarray:
         """Evaluate on classified eigenvalues; entries may be +inf.
 
-        A profile that overflows or divides by zero raises
+        ``x`` is a 1-D real array and the masks boolean arrays of its
+        shape; an entry in both masks takes ``at_zero``. The profile is
+        called on the other entries, clamped to [0, 1], in index order. A
+        profile that overflows or divides by zero raises
         :class:`NumericError`; one that raises ``TypeError`` or
         ``ValueError``, or returns what ``float()`` rejects (a complex
         number, None, an array), raises :class:`InputError`."""
+        if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "fiu"):
+            raise InputError("x must be a 1-D real array")
+        for mask in (zero_mask, one_mask):
+            if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                    and mask.shape == x.shape):
+                raise InputError(f"masks must be boolean arrays of shape {x.shape}")
+        retained = ~(zero_mask | one_mask)
+        shown = x[retained].tolist()
         out = np.empty(len(x), dtype=np.float64)
-        # loop over Python floats and bools: indexing numpy scalars costs
-        # more than most profile calls
-        for i, (xi, at_zero, at_one) in enumerate(
-                zip(x.tolist(), zero_mask.tolist(), one_mask.tolist())):
-            if at_zero:
-                val = self.at_zero
-            elif at_one:
-                val = self.at_one
-            else:
-                try:
-                    val = float(self.profile(min(max(xi, 0.0), 1.0)))
-                except (OverflowError, ZeroDivisionError) as exc:
-                    raise NumericError(
-                        f"profile {self.name!r} leaves the float64 range "
-                        f"at x = {xi!r}") from exc
-                except (TypeError, ValueError) as exc:
-                    raise InputError(
-                        f"profile {self.name!r} gives no real number at "
-                        f"x = {xi!r}: {exc}") from exc
-            if math.isnan(val):
-                raise NumericError(
-                    f"profile {self.name!r} returned NaN at x = {xi!r}")
-            if val == -math.inf:
-                raise InputError(
-                    f"profile {self.name!r} returned -inf at x = {xi!r}; "
-                    f"profiles must be bounded from below")
-            out[i] = val
+        out[one_mask] = self.at_one
+        out[zero_mask] = self.at_zero
+        out[retained] = self._evaluate([min(max(xi, 0.0), 1.0) for xi in shown],
+                                       shown=shown)
         return out
+
+    def _evaluate(self, points, kz: int = 0, ko: int = 0, shown=None) -> np.ndarray:
+        """``kz`` times ``at_zero``, the profile at each of ``points``, then
+        ``ko`` times ``at_one``, as one float64 array.
+
+        The profile is called once per point, in order, and the result is
+        tested for NaN and -inf once. On any failure the points are run
+        again one at a time, so the first failing point raises, with the
+        error :meth:`values` documents; ``shown`` (``points`` by default)
+        holds the points as its messages print them."""
+        try:
+            out = np.array([self.at_zero] * kz + list(map(float, map(self.profile, points)))
+                           + [self.at_one] * ko)
+            if (out > -math.inf).all():
+                return out
+        except Exception:
+            pass
+        vals = [self._value_at(p, xi) for p, xi in zip(points, shown or points)]
+        return np.array([self.at_zero] * kz + vals + [self.at_one] * ko)
+
+    def _value_at(self, p: float, xi: float) -> float:
+        """The profile at ``p``, checked; ``xi`` names the point in an error."""
+        try:
+            val = float(self.profile(p))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NumericError(
+                f"profile {self.name!r} leaves the float64 range "
+                f"at x = {xi!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(
+                f"profile {self.name!r} gives no real number at "
+                f"x = {xi!r}: {exc}") from exc
+        if math.isnan(val):
+            raise NumericError(
+                f"profile {self.name!r} returned NaN at x = {xi!r}")
+        if val == -math.inf:
+            raise InputError(
+                f"profile {self.name!r} returned -inf at x = {xi!r}; "
+                f"profiles must be bounded from below")
+        return val
 
 
 def _require_profile(fn) -> None:

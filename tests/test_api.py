@@ -852,24 +852,19 @@ def test_only_the_kernel_takes_the_plain_frobenius_norm():
                        ("linalg.py", "_jacobi_eig")}
 
 
-def _profile_evaluations(tree):
-    """Innermost enclosing function (None at module level) of every
-    ``.values(...)`` call with more than one argument:
-    ``PwFunction.values(x, zero_mask, one_mask)`` meets the split, while
-    ``PwRep.values(fn)`` and ``dict.values()`` do not."""
-    owner = _owners(tree)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "values"
-                and len(node.args) + len(node.keywords) > 1):
-            yield owner.get(node)
-
-
 def test_profiles_meet_the_split_only_in_pwrep_values():
-    # one evaluator, so a change to how a profile reads the split is made once
-    calls = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
-             for owner in _profile_evaluations(ast.parse(path.read_text()))]
-    assert calls == [("calculus.py", "values")]
+    # one evaluator, so a change to how a profile reads the split is made
+    # once: only PwRep.values reads the split's evaluation points, and it
+    # and PwFunction.values, from its masks, feed the one core that calls
+    # the profile
+    def readers(name):
+        return {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+                for owner in _readers(ast.parse(path.read_text()), name)}
+
+    assert readers("_points") == {("calculus.py", None), ("calculus.py", "values")}
+    assert readers("_evaluate") == {("calculus.py", "values"), ("functions.py", "values")}
+    assert readers("profile") == {("functions.py", None), ("functions.py", "_evaluate"),
+                                  ("functions.py", "_value_at")}
 
 
 @pytest.mark.parametrize("op", [
@@ -879,12 +874,12 @@ def test_profiles_meet_the_split_only_in_pwrep_values():
 ], ids=["rn_factor", "kubo_parallel", "kubo_geom"])
 def test_kubo_ando_evaluates_its_profile_once(monkeypatch, op):
     calls = []
-    real = pwcalc.PwFunction.values
+    real = pwcalc.PwFunction._evaluate
 
-    def counting(fn, *args):
+    def counting(fn, *args, **kwargs):
         calls.append(fn.name)
-        return real(fn, *args)
+        return real(fn, *args, **kwargs)
 
-    monkeypatch.setattr(pwcalc.PwFunction, "values", counting)
+    monkeypatch.setattr(pwcalc.PwFunction, "_evaluate", counting)
     op(*_fixture_pair("a2pd.json", "b2sing.json"))
     assert len(calls) == 1, calls

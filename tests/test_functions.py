@@ -172,6 +172,56 @@ class TestGuards:
         assert np.isfinite(out).all()
 
 
+class TestValuesArguments:
+    """``PwFunction.values`` takes a 1-D real array and boolean masks of its
+    shape, and nothing else."""
+
+    @pytest.mark.parametrize("x,zero,one", [
+        # zip used to stop at the short masks and leave the rest unwritten
+        (np.array([0.2, 0.5, 0.7]), np.array([False]), np.array([False])),
+        (np.full((2, 2), 0.5), np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool)),
+        ([0.2, 0.5], np.zeros(2, dtype=bool), np.zeros(2, dtype=bool)),
+    ], ids=["short-masks", "2-d", "list"])
+    def test_rejected(self, x, zero, one):
+        with pytest.raises(InputError):
+            left().values(x, zero, one)
+
+    def test_masks_must_be_boolean(self):
+        with pytest.raises(InputError, match="boolean"):
+            left().values(np.array([0.2, 0.5]), np.zeros(2), np.zeros(2, dtype=bool))
+
+
+class TestEndpointValues:
+    """``at_zero`` and ``at_one`` are checked when the profile is made: a
+    real number, finite or +inf, stored as a float."""
+
+    @pytest.mark.parametrize("value", [None, "0.5", 1 + 2j, math.nan, -math.inf, True,
+                                       np.True_, np.float64("nan"), -10 ** 400],
+                             ids=["none", "str", "complex", "nan", "-inf", "bool",
+                                  "np-bool", "np-nan", "huge"])
+    @pytest.mark.parametrize("field", ["at_zero", "at_one"])
+    def test_rejected_naming_the_field(self, field, value):
+        args = {"at_zero": 0.0, "at_one": 0.0, field: value}
+        with pytest.raises(InputError, match=f"^{field} of profile 't' must be a "
+                                             r"real number, finite or \+inf"):
+            PwFunction("t", lambda x: x, vanishes_at_zero=True, **args)
+
+    @pytest.mark.parametrize("value,want", [
+        (2, 2.0), (np.float64(0.5), 0.5), (np.int64(3), 3.0), (math.inf, math.inf),
+        (-1.5, -1.5)])
+    def test_stored_as_float(self, value, want):
+        fn = PwFunction("t", lambda x: x, value, value, True)
+        assert type(fn.at_zero) is float and fn.at_zero == want
+        assert type(fn.at_one) is float and fn.at_one == want
+
+    def test_a_bad_endpoint_never_reaches_a_pair(self):
+        # the spectrum of this pair is [0, 0.5, 1]
+        a, b = np.diag([1.0, 0.0, 2.0]), np.diag([0.0, 1.0, 2.0])
+        assert pw_eval(a, b, PwFunction("t", lambda x: x, 0.0, 1.0, True)).shape == (3, 3)
+        with pytest.raises(InputError, match="^at_zero of profile 't'"):
+            pw_eval(a, b, PwFunction("t", lambda x: x, math.nan, 1.0, True))
+
+
 class TestParameterTypes:
     @pytest.mark.parametrize("make", [
         lambda: rn_cutoff(math.inf), lambda: rn_cutoff(math.nan),
