@@ -35,7 +35,10 @@ class PwFunction:
         a real number, finite or ``math.inf``, never ``-inf`` or NaN (nor a
         ``bool``), checked and stored as ``float`` at construction.
     vanishes_at_zero : bool
-        True iff the function is zero on the whole ray x = 0.
+        True iff the function is zero on the whole ray x = 0. By degree-one
+        homogeneity it is ``y * at_zero`` at ``(0, y)``, so it vanishes
+        there exactly when ``at_zero`` is 0; the library decides by
+        ``at_zero`` and does not read this flag.
     """
 
     name: str

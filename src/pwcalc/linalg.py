@@ -57,6 +57,8 @@ its matrix is the Hermitian part of the input, with the same bits.
 caller of an eigenbasis still solve to convergence.
 """
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -334,6 +336,38 @@ def _rotate(x: np.ndarray, y: np.ndarray, c, s, s_conj) -> None:
     y += sx
 
 
+@dataclass(frozen=True)
+class _Solve:
+    """One member of one :func:`_jacobi_eig` call, as its record keeps it:
+    the member's size, the sweeps it entered, the rounds it ran before it
+    left and whether it left certified. A member whose spectrum overflows
+    when it converges left converged, and the call raised; the last three
+    are None for a member that had not left when the call raised."""
+
+    n: int
+    sweeps: int | None = None
+    rounds: int | None = None
+    certified: bool | None = None
+
+
+# the calls' record of the listening context, None when nobody listens
+_RECORD = contextvars.ContextVar("pwcalc_kernel_record", default=None)
+
+
+@contextlib.contextmanager
+def _kernel_record():
+    """A list that gets, for each :func:`_jacobi_eig` call made in this
+    context inside the block, the list of its members' :class:`_Solve`
+    records, in member order. Each thread has its own context, and an
+    inner block takes the calls made inside it from an outer one."""
+    calls = []
+    token = _RECORD.set(calls)
+    try:
+        yield calls
+    finally:
+        _RECORD.reset(token)
+
+
 def _jacobi_eig(*mats: np.ndarray, certify=()):
     """Two-sided Jacobi diagonalization of Hermitian matrices of one size.
 
@@ -395,8 +429,24 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
     into a pair's validating call, cannot stop inside a sweep, so its
     members are tested only at stopping tests. The tests only read the
     array, so no member's bits depend on them.
+
+    Inside :func:`_kernel_record` the call appends its record as it
+    starts: one :class:`_Solve` per member, filled in when the member
+    leaves. A member that leaves at the stopping test before sweep ``s``
+    (counted from 0) entered ``s`` sweeps and ran ``s`` times the rounds
+    of a sweep, which depend only on ``n``; one that converges ran
+    ``s + 1`` stopping tests. A member certified inside sweep ``s``,
+    before its round ``r``, entered ``s + 1`` sweeps and ran the ``r``
+    rounds before the test on top of the ``s`` sweeps. The counts come
+    from the sweep and round indices, so outside a listener the call
+    pays one ``ContextVar.get`` and nothing per round.
     """
     n = mats[0].shape[0]
+    calls = _RECORD.get()
+    record = None
+    if calls is not None:
+        record = [_Solve(n)] * len(mats)
+        calls.append(record)
     real = not any(m.imag.any() for m in mats)
     hv = np.empty((2 * n, len(mats) * n), dtype=np.float64 if real else np.complex128)
     results = [None] * len(mats)
@@ -411,7 +461,8 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
     # the identity
     with np.errstate(over="ignore"):
         active = list(range(len(mats)))  # the member in each block of hv
-        for _ in range(MAX_JACOBI_SWEEPS):
+        plan = ()  # the rounds of the last sweep
+        for sweep in range(MAX_JACOBI_SWEEPS):
             left = []
             for i, j in enumerate(active):
                 if results[j] is CERTIFIED:
@@ -419,10 +470,13 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
                 h = hv[:n, i * n:(i + 1) * n]
                 off, e = _offdiag_norm(h)
                 if off > targets[j]:
-                    if j in certify and _certified(h, off, e, targets[j], exps[j]):
-                        results[j] = CERTIFIED
-                    else:
+                    if not (j in certify and _certified(h, off, e, targets[j], exps[j])):
                         left.append(i)
+                        continue
+                    results[j] = CERTIFIED
+                if record is not None:
+                    record[j] = _Solve(n, sweep, sweep * len(plan), results[j] is CERTIFIED)
+                if results[j] is CERTIFIED:
                     continue
                 vals = np.diag(h).real
                 order = np.argsort(vals, kind="stable")
@@ -452,6 +506,8 @@ def _jacobi_eig(*mats: np.ndarray, certify=()):
                         if results[j] is None and _certified(
                                 h, *_offdiag_norm(h), targets[j], exps[j]):
                             results[j] = CERTIFIED
+                            if record is not None:
+                                record[j] = _Solve(n, sweep + 1, sweep * len(plan) + r, True)
                     if all(results[j] is CERTIFIED for j in active):
                         break  # every member is finished
                 k = cols.size // 2

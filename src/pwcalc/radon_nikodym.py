@@ -122,7 +122,7 @@ def kubo_ando_form(a, b, fn: PwFunction,
     rep = build_rep(a, b, tol)
     _require_definite(rep)
     _require_profile(fn)
-    if not fn.vanishes_at_zero or fn.at_zero != 0.0:
+    if fn.at_zero != 0.0:
         raise InputError(
             f"profile {fn.name!r} must vanish on the ray x = 0")
     if math.isinf(fn.at_one):

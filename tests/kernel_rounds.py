@@ -7,9 +7,9 @@ Usage::
 For each size ``n`` in 4, 8, 16, 24 and 32, real and complex, solves
 ``SOLVES`` (default 20) seeded definite and rank-``n/2`` PSD matrices one
 at a time with ``linalg._jacobi_eig`` and prints the mean sweeps and
-rounds per solve. The rounds are counted as the kernel runs them, through
-its round plan, ``linalg._round_plan``: a round counts once the kernel
-asks for the next one or finishes the sweep. A solve that converges runs
+rounds per solve. The rounds are those of the kernel's own record of
+each call (``linalg._kernel_record``): a round counts once the kernel
+moves on to the next one or ends the sweep. A solve that converges runs
 whole sweeps, so its sweeps are its rounds over the rounds of one sweep.
 Beside them it prints the mean sweeps of the same matrices scaled by
 ``4**-280`` (about 1e-169), where every entry's square underflows: the
@@ -50,12 +50,11 @@ quietly with status 1.
 
 The counts are deterministic, so the script reports no timing. It
 imports ``pwcalc`` from the ``src`` directory next to this one. Not a
-test module: pytest does not collect it; the tests import its round
-counter, its state rows, its pair recipe and its recorder of kernel
-calls.
+test module: pytest does not collect it; the tests import its rounds of
+one solve, its state rows and its pair recipe, and
+``tests/test_kernel_rounds.py`` pins its output at ``SOLVES`` 2.
 """
 
-import contextlib
 import os
 import sys
 from pathlib import Path
@@ -163,68 +162,19 @@ def dominated(rng, total: np.ndarray, real: bool) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-@contextlib.contextmanager
-def kernel_calls():
-    """A list that collects, for each ``linalg._jacobi_eig`` call made
-    inside the block, the tuple of its members."""
-    calls = []
-    plain = linalg._jacobi_eig
-
-    def recording(*mats, **kwargs):
-        calls.append(mats)
-        return plain(*mats, **kwargs)
-
-    linalg._jacobi_eig = recording
-    try:
-        yield calls
-    finally:
-        linalg._jacobi_eig = plain
-
-
 def second_call(a: np.ndarray, b: np.ndarray):
-    """The members of ``build_rep(a, b)``'s second kernel call, or None
-    when it makes one call only."""
-    with kernel_calls() as calls:
+    """The record of ``build_rep(a, b)``'s second kernel call, one
+    ``linalg._Solve`` per member, or None when it makes one call only."""
+    with linalg._kernel_record() as calls:
         calculus.build_rep(a, b)
     return calls[1] if len(calls) > 1 else None
 
 
-class _Counted:
-    """A round plan that counts the rounds the kernel runs: a round counts
-    once the kernel asks for the next one or finishes the sweep, so a
-    solve that stops between rounds counts only those before the stop."""
-
-    def __init__(self, plan, counter):
-        self.plan = plan
-        self.counter = counter
-
-    def __len__(self):
-        return len(self.plan)
-
-    def __iter__(self):
-        for item in self.plan:
-            yield item
-            self.counter[0] += 1
-
-
-@contextlib.contextmanager
-def round_counter():
-    """A one-item list that counts the rounds of the kernel calls made
-    inside the block."""
-    counter = [0]
-    plain = linalg._round_plan
-    linalg._round_plan = lambda n, k: _Counted(plain(n, k), counter)
-    try:
-        yield counter
-    finally:
-        linalg._round_plan = plain
-
-
 def rounds(m: np.ndarray, certify=()) -> int:
     """The rounds that ``_jacobi_eig(m, certify=certify)`` runs."""
-    with round_counter() as counter:
+    with linalg._kernel_record() as calls:
         linalg._jacobi_eig(m, certify=certify)
-    return counter[0]
+    return calls[0][0].rounds
 
 
 def state_rounds(real: bool, solves: int) -> list[list[int]]:
@@ -301,10 +251,10 @@ def main(argv) -> int:
         for real in (True, False):
             rng = np.random.default_rng([SEED, PAIR_N, real, PAIR_KINDS.index(kind)])
             calls = [second_call(*pair(rng, kind, PAIR_N, real)) for _ in range(solves)]
-            solved = [mats for mats in calls if mats is not None]
-            sizes = sorted({m.shape[0] for mats in solved for m in mats})
+            solved = [call for call in calls if call is not None]
+            sizes = sorted({member.n for call in solved for member in call})
             cols = (",".join(map(str, sizes)) or "no call",
-                    stats([rounds(mats[0]) for mats in solved]) if solved else "-")
+                    stats([call[0].rounds for call in solved]) if solved else "-")
             print(f"{PAIR_N:>3} {kind:<8} {'real' if real else 'complex':<8} "
                   f"{cols[0]:>8} {cols[1]:>18}")
     return 0

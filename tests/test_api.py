@@ -1,6 +1,7 @@
 """Package surface and eigensolve budget of the shared representation."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -18,7 +19,6 @@ from pwcalc import cli, linalg
 from pwcalc.fileio import load_matrix, load_vector
 
 from conftest import rand_pair
-from kernel_rounds import kernel_calls
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(pwcalc.__file__).parent
@@ -131,33 +131,18 @@ SOLVES = [
 
 @pytest.mark.parametrize("name,fa,fb,op,expected", SOLVES,
                          ids=[f"{s[0]}-{s[1][:-5]}" for s in SOLVES])
-def test_solve_count(monkeypatch, name, fa, fb, op, expected):
+def test_solve_count(name, fa, fb, op, expected):
     a, b = _fixture_pair(fa, fb)
-    calls = []
-    real = linalg._jacobi_eig
-
-    def counting(*mats, **kwargs):
-        # one count per member: a side-by-side call solves each of them
-        calls.extend(m.shape[0] for m in mats)
-        return real(*mats, **kwargs)
-
-    monkeypatch.setattr(linalg, "_jacobi_eig", counting)
-    op(a, b)
-    assert len(calls) == expected, f"{name}: {len(calls)} solves"
+    # one solve per member: a side-by-side call solves each of them
+    solves = sum(_kernel_calls(op, a, b))
+    assert solves == expected, f"{name}: {solves} solves"
 
 
-def _kernel_calls(monkeypatch, op, *args):
+def _kernel_calls(op, *args):
     """Members of each ``_jacobi_eig`` call that ``op(*args)`` makes."""
-    calls = []
-    real = linalg._jacobi_eig
-
-    def counting(*mats, **kwargs):
-        calls.append(len(mats))
-        return real(*mats, **kwargs)
-
-    monkeypatch.setattr(linalg, "_jacobi_eig", counting)
-    op(*args)
-    return calls
+    with linalg._kernel_record() as calls:
+        op(*args)
+    return [len(call) for call in calls]
 
 
 def _rho3():
@@ -194,33 +179,31 @@ CALLS = [
 
 @pytest.mark.parametrize("name,fa,op,expected", CALLS,
                          ids=[f"{c[0]}-{c[1][:-5]}" for c in CALLS])
-def test_kernel_calls(monkeypatch, name, fa, op, expected):
-    calls = _kernel_calls(monkeypatch, op, _fixture(fa), _fixture("b3.json"))
+def test_kernel_calls(name, fa, op, expected):
+    calls = _kernel_calls(op, _fixture(fa), _fixture("b3.json"))
     assert calls == expected, name
 
 
-def test_gram_a_solves_only_its_retained_block(monkeypatch):
+def test_gram_a_solves_only_its_retained_block():
     # sing_a2 and sing_b2 are mutually singular: gram_a is 0 on T(ker a)
     # and 1 on T(ker b), which fill the support, so only the validating
     # call runs, with the state folded into it for a pairing
     sing = _fixture_pair("sing_a2.json", "sing_b2.json")
     rho = np.eye(2)
-    assert _kernel_calls(monkeypatch, pwcalc.build_rep, *sing) == [3]
-    assert _kernel_calls(monkeypatch, pwcalc.pw_pairing, *sing,
-                         pwcalc.entropy(), rho) == [4]
-    monkeypatch.undo()
+    assert _kernel_calls(pwcalc.build_rep, *sing) == [3]
+    assert _kernel_calls(pwcalc.pw_pairing, *sing, pwcalc.entropy(), rho) == [4]
     # a3 and b3 have rank 2 each and a sum of rank 3: one direction each
     # is split off, and the second call solves one member of size 1
-    with kernel_calls() as calls:
+    with linalg._kernel_record() as calls:
         pwcalc.build_rep(*_fixture_pair("a3.json", "b3.json"))
-    assert [[m.shape[0] for m in mats] for mats in calls] == [[3, 3, 3], [1]]
+    assert [[member.n for member in call] for call in calls] == [[3, 3, 3], [1]]
 
 
-def test_cli_pair_folds_its_state(monkeypatch, capsys):
+def test_cli_pair_folds_its_state(capsys):
     argv = ["pair", "--phi", "entropy"] + [
         arg for flag, name in (("--a", "a3"), ("--b", "b3"), ("--rho", "rho3"))
         for arg in (flag, str(FIXTURES / f"{name}.json"))]
-    assert _kernel_calls(monkeypatch, cli.main, argv) == [4, 1]
+    assert _kernel_calls(cli.main, argv) == [4, 1]
     assert capsys.readouterr().out
 
 
@@ -331,6 +314,21 @@ def test_kubo_ando_form_needs_a_definite_base_before_a_profile():
     kind, message = _error(lambda: pwcalc.kubo_ando_form(*singular, pwcalc.entropy()))
     assert kind is pwcalc.InputError and message.startswith(
         "base matrix must be positive definite")
+
+
+def test_kubo_ando_form_reads_the_ray_x_0_from_at_zero():
+    # f(0, y) = y * at_zero by homogeneity, so a profile with at_zero 0
+    # vanishes on that ray whatever its vanishes_at_zero flag says
+    a, b = _fixture_pair("a2pd.json", "b2sing.json")
+    left_off = pwcalc.PwFunction("left-off", lambda x: x, 0.0, 1.0, False)
+    got = pwcalc.kubo_ando_form(a, b, left_off)
+    want = pwcalc.kubo_ando_form(a, b, pwcalc.left())
+    for field in dataclasses.fields(want):
+        assert (np.asarray(getattr(got, field.name)).tobytes()
+                == np.asarray(getattr(want, field.name)).tobytes()), field.name
+    for fn in (pwcalc.right(), pwcalc.arithmetic()):
+        assert _error(lambda: pwcalc.kubo_ando_form(a, b, fn)) == (
+            pwcalc.InputError, f"profile {fn.name!r} must vanish on the ray x = 0")
 
 
 # the public operations that take a tol, and a valid value of every other
@@ -479,7 +477,7 @@ def _structural_counts(a, b, rep):
     return rep.rank - ranks[0], rep.rank - ranks[1]
 
 
-def test_a_rounding_clamp_takes_no_third_call(monkeypatch):
+def test_a_rounding_clamp_takes_no_third_call():
     # the second call solves gram_a's retained block, and only a pair that
     # has one, such as a pair that is not mutually singular, makes it
     retained = 0
@@ -489,12 +487,11 @@ def test_a_rounding_clamp_takes_no_third_call(monkeypatch):
         assert k0 >= 0 and k1 >= 0 and k0 + k1 <= rep.rank
         expected = [3, 1] if rep.rank > k0 + k1 else [3]
         retained += rep.rank > k0 + k1
-        assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b) == expected
-        monkeypatch.undo()
+        assert _kernel_calls(pwcalc.build_rep, a, b) == expected
     assert 0 < retained < 100
 
 
-def test_a_clamp_above_a_custom_support_tol_takes_the_third_call(monkeypatch):
+def test_a_clamp_above_a_custom_support_tol_takes_the_third_call():
     # support_tol = 1e-10 lies far above the rounding cutoff 2 * EPS of a,
     # so a's clamp of -5e-11, within psd_tol, is deeper than rounding. The
     # sum of the Hermitian parts would shift b's small retained eigenvalue
@@ -506,8 +503,7 @@ def test_a_clamp_above_a_custom_support_tol_takes_the_third_call(monkeypatch):
     a = np.diag([1.0, -5e-11])
     w = np.array([10.0, 1.414e-4])
     b = np.outer(w, w)
-    assert _kernel_calls(monkeypatch, pwcalc.build_rep, a, b, tol) == [3, 1]
-    monkeypatch.undo()
+    assert _kernel_calls(pwcalc.build_rep, a, b, tol) == [3, 1]
     got = pwcalc.build_rep(a, b, tol)
     want = pwcalc.build_rep(pwcalc.validate_psd(a, tol)[0], b, tol)
     assert got.rank == want.rank == 2
@@ -640,7 +636,8 @@ def _numpy_linalg_uses(tree):
 
 
 def test_the_jacobi_kernel_is_the_only_eigensolver():
-    # the tracer and test_solve_count count solves at linalg._jacobi_eig, and
+    # every solve is a linalg._jacobi_eig call, which test_solve_count reads
+    # from the kernel's own record and the tracer counts at its entry, and
     # the goldens rely on its determinism; numpy.linalg may only take norms
     uses = {path.name: list(_numpy_linalg_uses(ast.parse(path.read_text())))
             for path in sorted(SRC.glob("*.py"))}
@@ -674,7 +671,7 @@ def _readers(tree, name):
 
 def test_only_the_kernel_entry_reads_the_round_plan():
     # every eigensolve enters through linalg._jacobi_eig, where the tracer
-    # and test_solve_count see it; a solve that read the plan elsewhere
+    # and the kernel's record see it; a solve that read the plan elsewhere
     # would bypass both
     readers = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _readers(ast.parse(path.read_text()), "_round_plan")]

@@ -21,7 +21,7 @@ from pwcalc import calculus, linalg
 from pwcalc.config import EPS
 
 from conftest import rand_psd
-from kernel_rounds import haar, kernel_calls, pair, spectral
+from kernel_rounds import haar, pair, spectral
 
 SCALES = (1.0, 4.0 ** -5, 4.0 ** 5)
 
@@ -183,9 +183,9 @@ def test_the_reference_solves_gram_a_whole(undeflated):
 def _calls(*args):
     """``(build_rep(*args), sizes)``, with the member sizes of each kernel
     call that it makes."""
-    with kernel_calls() as calls:
+    with linalg._kernel_record() as calls:
         rep = pw.build_rep(*args)
-    return rep, [[m.shape[0] for m in mats] for mats in calls]
+    return rep, [[member.n for member in call] for call in calls]
 
 
 @pytest.mark.parametrize("name,a,b,k0,k1", CASES, ids=IDS)

@@ -6,6 +6,7 @@ they ran before real input got ``float64`` rounds (both kept below).
 """
 
 import math
+import threading
 import warnings
 
 import mpmath
@@ -232,21 +233,14 @@ class TestRoundRobin:
                     assert (diag == pq * (n + 1)).all()
 
 
-def _stopping_tests(monkeypatch, m) -> int:
+def _stopping_tests(m) -> int:
     """The stopping tests that ``_jacobi_eig(m)`` runs: one before each
     sweep and one more when ``m`` has converged."""
-    checks = 0
-    real = linalg._offdiag_norm
-
-    def counting(h):
-        nonlocal checks
-        checks += 1
-        return real(h)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_offdiag_norm", counting)
+    with linalg._kernel_record() as calls:
         _jacobi_eig(m)
-    return checks
+    (solve,), = calls
+    assert solve.certified is False
+    return solve.sweeps + 1
 
 
 class TestKernel:
@@ -346,15 +340,15 @@ class TestKernel:
     # needed 10, 11, 12 and 11 stopping tests for these four)
     @pytest.mark.parametrize("n, real, want", [(16, True, 7), (16, False, 8),
                                                (24, True, 9), (24, False, 8)])
-    def test_sweeps_of_rank_deficient_input(self, monkeypatch, n, real, want):
+    def test_sweeps_of_rank_deficient_input(self, n, real, want):
         rng = np.random.default_rng([SEED, n])
         g = rng.standard_normal((n, n // 2)) if real else rand_complex(rng, n, n // 2)
         m = linalg.hermitize(g @ g.conj().T)
-        assert _stopping_tests(monkeypatch, m) == want
+        assert _stopping_tests(m) == want
 
-    def test_sweeps_of_definite_input(self, monkeypatch):
+    def test_sweeps_of_definite_input(self):
         m = rand_psd(np.random.default_rng([SEED, 24]), 24)
-        assert _stopping_tests(monkeypatch, m) == 8
+        assert _stopping_tests(m) == 8
 
     def test_matches_cyclic_reference(self, rng):
         graded = _graded()
@@ -414,28 +408,22 @@ class TestSideBySide:
         _solved_alone(mats)
         _solved_alone(mats[::2])
 
-    def test_members_leave_when_they_converge(self, rng, monkeypatch):
+    def test_members_leave_when_they_converge(self, rng):
         # a definite and a rank-deficient member need different numbers of
-        # sweeps, and a diagonal one none; each stopping test runs once per
-        # sweep of its member, so a converged member is no longer checked
+        # sweeps, and a diagonal one none; each member leaves the call at
+        # the stopping test where it converges, after the sweeps and rounds
+        # of its own solve
         n = 12
-        mats = [rand_psd(rng, n), rand_psd(rng, n, 1), np.diag(rng.standard_normal(n))]
-        checks = []
-        real = linalg._offdiag_norm
-
-        def counting(h):
-            checks.append(h.shape)
-            return real(h)
-
-        monkeypatch.setattr(linalg, "_offdiag_norm", counting)
-        alone = []
-        for m in mats:
-            _jacobi_eig(m.astype(np.complex128))
-            alone.append(len(checks))
-            checks.clear()
-        assert len(set(alone)) == 3 and alone[2] == 1
-        _solved_alone([m.astype(np.complex128) for m in mats])
-        assert len(checks) == 2 * sum(alone)  # the batch, then the solo references
+        mats = [rand_psd(rng, n).astype(np.complex128),
+                rand_psd(rng, n, 1).astype(np.complex128),
+                np.diag(rng.standard_normal(n)).astype(np.complex128)]
+        with linalg._kernel_record() as calls:
+            _solved_alone(mats)
+        batch, *alone = calls
+        assert [len(call) for call in alone] == [1, 1, 1]
+        sweeps = [solve.sweeps for (solve,) in alone]
+        assert len(set(sweeps)) == 3 and sweeps[2] == 0
+        assert batch == [solve for (solve,) in alone]
 
     def test_subnormal_pivots(self, rng):
         tiny = _tiny_offdiagonal()
@@ -472,3 +460,42 @@ class TestSideBySide:
             ref_vals, ref_vecs = _complex_rounds(m)
             assert vals.tobytes() == ref_vals.tobytes()
             assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+class TestRecord:
+    """The kernel's record of its calls, which every count in the tests
+    reads."""
+
+    def test_absent_outside_a_listener(self, rng):
+        m = rand_psd(rng, 4)
+        _jacobi_eig(m)
+        assert linalg._RECORD.get() is None
+        with linalg._kernel_record() as calls:
+            _jacobi_eig(m)
+        assert len(calls) == 1 and linalg._RECORD.get() is None
+
+    def test_a_listener_sees_only_its_own_thread(self, rng):
+        # three threads listen and solve in turn, each at its own size; a
+        # record holds the two calls of its own thread and no other
+        sizes = {"main": 2, "a": 3, "b": 5}
+        mats = {name: rand_psd(rng, n) for name, n in sizes.items()}
+        barrier = threading.Barrier(len(sizes), timeout=60)
+        records = {}
+
+        def solve(name):
+            with linalg._kernel_record() as calls:
+                for _ in range(2):
+                    barrier.wait()
+                    _jacobi_eig(mats[name])
+                barrier.wait()
+            records[name] = calls
+
+        threads = [threading.Thread(target=solve, args=(name,)) for name in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        solve("main")
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for name, n in sizes.items():
+            assert [[member.n for member in call] for call in records[name]] == [[n]] * 2, name

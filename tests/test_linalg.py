@@ -18,7 +18,7 @@ from pwcalc.linalg import (_jacobi_eig, _validated, _validated_pair, frobenius,
                            safe_frobenius)
 
 from conftest import rand_complex, rand_hermitian, rand_psd
-from kernel_rounds import round_counter, rounds, state_rounds
+from kernel_rounds import rounds, state_rounds
 
 
 class TestEig:
@@ -171,7 +171,7 @@ class TestPairValidation:
         (_PSD, _NONPSD, NotPsdError, "eigenvalue -1.000000e"),
     ], ids=["nonpsd-nonherm", "nonpsd-size", "nonpsd-range", "nonpsd-nonpsd",
             "nonherm-nonpsd", "psd-nonherm", "psd-size", "psd-range", "psd-nonpsd"])
-    def test_a_is_reported_first(self, a, b, error, match, monkeypatch):
+    def test_a_is_reported_first(self, a, b, error, match):
         with pytest.raises(error, match=match):
             _validated_pair(a, b, ToleranceConfig())
         with pytest.raises(error, match=match):
@@ -179,17 +179,10 @@ class TestPairValidation:
         # the sum and a state share the validating call, so a call that
         # fails carries them; the fallback validates a and then b alone
         state = np.eye(a.shape[0]) / a.shape[0]
-        calls = []
-
-        def counting(*mats, **kwargs):
-            calls.append(len(mats))
-            return _jacobi_eig(*mats, **kwargs)
-
-        monkeypatch.setattr(linalg, "_jacobi_eig", counting)
-        with pytest.raises(error, match=match):
+        with pytest.raises(error, match=match), linalg._kernel_record() as calls:
             _validated_pair(a, b, ToleranceConfig(), sum_too=True, also=state)
         if b is _OUT_OF_RANGE:
-            assert calls[:2] == [4, 1]
+            assert [len(call) for call in calls[:2]] == [4, 1]
         with pytest.raises(error, match=match):
             pw_pairing(a, b, entropy(), state)
 
@@ -213,13 +206,8 @@ class TestPairValidation:
             clamped += got[3].eigenvalues[0] < 0.0
         assert clamped > 10
 
-    def test_extra_members_have_the_bits_of_their_own_solves(self, rng, monkeypatch):
+    def test_extra_members_have_the_bits_of_their_own_solves(self, rng):
         tol = ToleranceConfig()
-        calls = []
-
-        def counting(*mats, **kwargs):
-            calls.append(len(mats))
-            return _jacobi_eig(*mats, **kwargs)
 
         def deep(dec):
             # a clamp below minus the support threshold
@@ -238,11 +226,10 @@ class TestPairValidation:
                 b = rand_psd(rng, n, int(rng.integers(1, n))) - 1e-12 * np.eye(n)
             if trial % 2:
                 a, b = a.real, b.real
-            calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "_jacobi_eig", counting)
+            with linalg._kernel_record() as record:
                 av, a_dec, bv, b_dec, sum_dec, rho_solved = _validated_pair(
                     a, b, tol, sum_too=True, also=rho)
+            calls = [len(call) for call in record]
             # the state may leave certified positive, alone as in the call
             alone = _jacobi_eig(rho, certify=(0,))
             if alone is linalg.CERTIFIED:
@@ -461,7 +448,7 @@ class TestCertificate:
             z = np.eye(n) + 1e-3j * (np.eye(n, k=1) - np.eye(n, k=-1))
             counts = []
             for mats in ((h,), (h, z)):
-                with round_counter() as counter:
+                with linalg._kernel_record() as calls:
                     try:
                         got = _jacobi_eig(*mats, certify=(0, 1))
                     except NumericError:  # the spectral norm overflows
@@ -469,7 +456,7 @@ class TestCertificate:
                 if len(mats) == 2 and got is not None:
                     assert got[1] is linalg.CERTIFIED
                     got = got[0]
-                counts.append((counter[0], got is linalg.CERTIFIED))
+                counts.append((calls[0][0].rounds, got is linalg.CERTIFIED))
             assert counts[0] == counts[1], kind
             twins += 1
         assert twins > 50
